@@ -172,26 +172,32 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         return utility.alpha if side == "gain" else utility.beta
 
     def side_value(side, b, s, upper, use_upper_tail):
-        """integral of u(|Q_D|) w'(q) over (0, upper), both endpoints substituted."""
+        """integral of u(|Q_D|) w'(q) over (0, upper), both endpoints substituted.
+
+        The q-nodes depend on a row only through ``upper``, which rows on one
+        trade ray share, so quantiles and w' are computed once per distinct
+        level and gathered; the utility stays pathwise per row.
+        """
         live = upper > 1e-300
         if not live.any():
             return np.zeros_like(b)
-        half = 0.5 * upper[live, None]
-        pieces = np.zeros(int(live.sum()))
+        levels, inv = np.unique(upper[live], return_inverse=True)
+        half = 0.5 * levels[:, None]
+        pieces = np.zeros(inv.size)
         m_w = 1.0 / weighting.endpoint_exponent(side)
         m_u = 1.0 / kink_power(side)
         for q, jac in (
             (half * nodes[None, :] ** m_w,
              m_w * nodes ** (m_w - 1.0) * node_weights),
-            (upper[live, None] - half * nodes[None, :] ** m_u,
+            (levels[:, None] - half * nodes[None, :] ** m_u,
              m_u * nodes ** (m_u - 1.0) * node_weights),
         ):
             quantiles = law.isf_array(q) if use_upper_tail else law.ppf_array(q)
-            d_vals = b[live, None] + s[live, None] * quantiles
+            d_vals = b[live, None] + s[live, None] * quantiles[inv]
             magnitude = np.maximum(d_vals if side == "gain" else -d_vals, 0.0)
             integrand = (_utility_grid(pref, side, magnitude)
-                         * weighting.derivative_array(side, q))
-            pieces = pieces + half[:, 0] * (integrand * jac[None, :]).sum(axis=1)
+                         * weighting.derivative_array(side, q)[inv])
+            pieces = pieces + half[inv, 0] * (integrand * jac[None, :]).sum(axis=1)
         result = np.zeros_like(b)
         result[live] = pieces
         return result
