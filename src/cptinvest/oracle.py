@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .choquet import prospect_value
+from .choquet import ProspectDivergenceError, prospect_value
 from .distributions import DiscreteLaw, constant_law
 from .market import MarketModel, Portfolio, reference_wealth, terminal_wealth
 from .preferences import CptPreference, ExponentialUtility
@@ -165,11 +165,15 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
     utility = pref.utility
     nodes, node_weights = _gauss_nodes(12, 16)
 
-    def kink_power(side):
-        # local growth exponent of the utility at zero outcome
+    # polynomial quantile tail |Q| ~ q**(-1/nu) of Student-t laws
+    nu = getattr(law.base, "nu", math.inf)
+
+    def utility_powers(side):
+        # growth exponents of the utility at zero outcome and at infinity
         if isinstance(utility, ExponentialUtility):
-            return 1.0
-        return utility.alpha if side == "gain" else utility.beta
+            return 1.0, 0.0
+        power = utility.alpha if side == "gain" else utility.beta
+        return power, power
 
     def side_value(side, b, s, upper, use_upper_tail):
         """integral of u(|Q_D|) w'(q) over (0, upper), both endpoints substituted.
@@ -184,8 +188,14 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         levels, inv = np.unique(upper[live], return_inverse=True)
         half = 0.5 * levels[:, None]
         pieces = np.zeros(inv.size)
-        m_w = 1.0 / weighting.endpoint_exponent(side)
-        m_u = 1.0 / kink_power(side)
+        kink, growth = utility_powers(side)
+        # near q = 0 the integrand behaves like q**(endpoint - 1 - growth/nu)
+        tail = weighting.endpoint_exponent(side) - growth / nu
+        if tail <= 0.0:
+            raise ProspectDivergenceError(
+                side, f"quantile tail nu={nu:g} outgrows the weighting endpoint")
+        m_w = 1.0 / tail
+        m_u = 1.0 / kink
         for q, jac in (
             (half * nodes[None, :] ** m_w,
              m_w * nodes ** (m_w - 1.0) * node_weights),

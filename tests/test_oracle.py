@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from cptinvest.binomial import prepare_binomial_inputs, solve_binomial, solve_buy
-from cptinvest.choquet import prospect_value
+from cptinvest.choquet import ProspectDivergenceError, prospect_value
 from cptinvest.continuous import prepare_inputs, solve
-from cptinvest.market import Binomial, Lognormal, MarketModel, Portfolio
+from cptinvest.market import (
+    Binomial,
+    Lognormal,
+    MarketModel,
+    Normal,
+    Portfolio,
+    StudentT,
+)
 from cptinvest.oracle import (
     GridSpec,
     difference_law,
@@ -90,6 +97,26 @@ def test_vectorized_grid_matches_scalar_for_continuous():
     slow = [evaluate_objective(port, m, pref, t) for t in thetas]
     # the fixed-node path targets oracle accuracy, an order under tol = 1e-5
     np.testing.assert_allclose(fast, slow, rtol=1e-4, atol=5e-7)
+
+
+def test_grid_follows_the_polynomial_tail_of_student_t():
+    # |Q| ~ q**(-1/nu) changes the endpoint singularity of u(|Q|) w'(q); a
+    # substitution from the weighting exponent alone left a 2.6e-5 gap at theta=10
+    m = MarketModel(0.01, 0.02, StudentT(5.0, 0.0, 0.1))
+    pref = CptPreference(PowerUtility(0.7, 0.9, 2.25), TK)
+    port = Portfolio(1.0, 1.0)
+    thetas = np.array([-1.0, 2.0, 5.0, 10.0])
+    fast = evaluate_objective_grid(port, m, pref, thetas)
+    slow = [evaluate_objective(port, m, pref, t) for t in thetas]
+    np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-9)
+
+
+def test_grid_refuses_a_student_t_tail_heavier_than_the_weighting_allows():
+    # loss side: q**(delta - 1) * |Q|**beta ~ q**(0.69 - 1 - 0.9/1.2) is not integrable
+    m = MarketModel(0.01, 0.02, StudentT(1.2, 0.0, 0.1))
+    pref = CptPreference(PowerUtility(0.7, 0.9, 2.25), TK)
+    with pytest.raises(ProspectDivergenceError, match="loss"):
+        evaluate_objective_grid(Portfolio(1.0, 1.0), m, pref, np.array([0.5, 2.0]))
 
 
 def test_self_consistency_of_reported_prospects():
