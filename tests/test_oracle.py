@@ -25,6 +25,7 @@ from cptinvest.oracle import (
 from cptinvest.preferences import (
     CptPreference,
     ExponentialUtility,
+    IdentityWeighting,
     PowerUtility,
     TverskyKahnemanWeighting,
 )
@@ -97,6 +98,30 @@ def test_vectorized_grid_matches_scalar_for_continuous():
     slow = [evaluate_objective(port, m, pref, t) for t in thetas]
     # the fixed-node path targets oracle accuracy, an order under tol = 1e-5
     np.testing.assert_allclose(fast, slow, rtol=1e-4, atol=5e-7)
+
+
+def _kind(obj) -> str:
+    return type(obj).__name__
+
+
+@pytest.mark.parametrize("returns", [Lognormal(0.05, 0.2), Normal(0.05, 0.2),
+                                     StudentT(5.0, 0.02, 0.1)], ids=_kind)
+@pytest.mark.parametrize("weighting", [TK, IdentityWeighting()], ids=_kind)
+@pytest.mark.parametrize("utility", [PowerUtility(0.7, 0.9, 2.25),
+                                     ExponentialUtility(1.5, 1.5, 1.2)], ids=_kind)
+def test_grid_rows_do_not_depend_on_their_neighbours(returns, weighting, utility):
+    """Each row's value is bitwise the same whatever else the grid holds."""
+    m = MarketModel(0.01, 0.02, returns)
+    pref = CptPreference(utility, weighting)
+    port = Portfolio(1.0, 1.0)
+    thetas = np.linspace(-1.0, 10.0, 4001)
+    values = evaluate_objective_grid(port, m, pref, thetas)
+    assert np.isfinite(values).all()
+    rng = np.random.default_rng(7)
+    order = rng.permutation(thetas.size)
+    assert np.array_equal(evaluate_objective_grid(port, m, pref, thetas[order]), values[order])
+    for i in rng.choice(thetas.size, 6, replace=False):
+        assert evaluate_objective_grid(port, m, pref, thetas[i:i + 1])[0] == values[i]
 
 
 def test_grid_follows_the_polynomial_tail_of_student_t():
