@@ -71,6 +71,7 @@ class OracleReport:
     argmax_theta: float | None = None
     max_value: float | None = None
     final_step: float | None = None
+    n_evaluations: int | None = None  # grid points the refined search evaluated
 
     @property
     def matched(self) -> bool:
@@ -264,25 +265,17 @@ def evaluate_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
     bot = np.minimum(d_lo, d_hi)
     hi_on_top = d_hi >= d_lo
 
-    u = pref.utility
     w = pref.weighting
-
-    def u_arr(side, x):
-        if isinstance(u, ExponentialUtility):
-            eta = u.eta_gain if side == "gain" else u.eta_loss
-            out = -np.expm1(-eta * x)
-            return out if side == "gain" else u.loss_aversion * out
-        exponent = u.alpha if side == "gain" else u.beta
-        out = np.power(x, exponent)
-        return out if side == "gain" else u.loss_aversion * out
+    gain_top, gain_bot = (_utility_grid(pref, "gain", np.maximum(x, 0.0)) for x in (top, bot))
+    loss_bot, loss_top = (_utility_grid(pref, "loss", np.maximum(-x, 0.0)) for x in (bot, top))
 
     # the top-atom probability takes only two values; weight them once
     w_top_gain = np.where(hi_on_top, w.weight("gain", p_hi), w.weight("gain", p_lo))
     w_bot_loss = np.where(hi_on_top, w.weight("loss", p_lo), w.weight("loss", p_hi))
-    v_plus = np.where(top > 0, u_arr("gain", np.maximum(top, 0.0)) * w_top_gain, 0.0)
-    v_plus += np.where(bot > 0, u_arr("gain", np.maximum(bot, 0.0)) * (1.0 - w_top_gain), 0.0)
-    v_minus = np.where(bot < 0, u_arr("loss", np.maximum(-bot, 0.0)) * w_bot_loss, 0.0)
-    v_minus += np.where(top < 0, u_arr("loss", np.maximum(-top, 0.0)) * (1.0 - w_bot_loss), 0.0)
+    v_plus = np.where(top > 0, gain_top * w_top_gain, 0.0)
+    v_plus += np.where(bot > 0, gain_bot * (1.0 - w_top_gain), 0.0)
+    v_minus = np.where(bot < 0, loss_bot * w_bot_loss, 0.0)
+    v_minus += np.where(top < 0, loss_top * (1.0 - w_bot_loss), 0.0)
     return v_plus - v_minus
 
 
@@ -423,35 +416,33 @@ def verify(solution: Solution, p: Portfolio, m: MarketModel, pref: CptPreference
         return _certify_interval(solution, p, m, pref, tol)
 
     result = grid_search(p, m, pref, spec)
+
+    def report(agreement: str, detail: str) -> OracleReport:
+        return OracleReport(agreement, detail, solution.theta, solution.prospect,
+                            result.argmax_theta, result.max_value, result.final_step,
+                            result.n_evaluations)
+
     gap = result.max_value - solution.prospect
     if abs(gap) > tol:
-        return OracleReport(
+        return report(
             "mismatch",
             f"grid maximum {result.max_value:.10g} vs reported {solution.prospect:.10g} "
             f"(gap {gap:.3e}, worst theta {result.argmax_theta:.6g})",
-            solution.theta, solution.prospect,
-            result.argmax_theta, result.max_value, result.final_step,
         )
     direct = evaluate_objective(p, m, pref, solution.theta)
     if abs(direct - solution.prospect) > tol:
-        return OracleReport(
+        return report(
             "mismatch",
             f"objective at the reported theta is {direct:.10g}, not the reported "
             f"prospect {solution.prospect:.10g}",
-            solution.theta, solution.prospect,
-            result.argmax_theta, result.max_value, result.final_step,
         )
     theta_gap = abs(result.argmax_theta - solution.theta)
     if theta_gap > result.final_step * (1.0 + 1e-9) and result.max_value > direct + tol:
         # a distant argmax only disqualifies when it is strictly better
         # (machine-flat plateaus put the grid argmax arbitrarily far away)
-        return OracleReport(
+        return report(
             "mismatch",
             f"grid argmax {result.argmax_theta:.6g} sits {theta_gap:.3e} away "
             f"with a strictly better value {result.max_value:.10g}",
-            solution.theta, solution.prospect,
-            result.argmax_theta, result.max_value, result.final_step,
         )
-    return OracleReport("match", "grid search confirms the reported optimum",
-                        solution.theta, solution.prospect,
-                        result.argmax_theta, result.max_value, result.final_step)
+    return report("match", "grid search confirms the reported optimum")

@@ -167,6 +167,14 @@ def test_verify_matches_the_closed_form_solution():
     assert report.final_step is not None
 
 
+def test_verify_reports_how_many_grid_points_it_evaluated():
+    sol = solve_binomial(1.0, BINOM, EXP_PREF)
+    spec = GridSpec(-5.0, 5.0, 801, 2)
+    report = verify(sol, CASH, BINOM, EXP_PREF, spec)
+    assert report.n_evaluations == grid_search(CASH, BINOM, EXP_PREF, spec).n_evaluations
+    assert report.n_evaluations > spec.n_points
+
+
 def test_verify_rejects_a_perturbed_solution():
     sol = solve_binomial(1.0, BINOM, EXP_PREF)
     assert sol.kind is SolutionKind.FINITE_POINT
