@@ -38,6 +38,7 @@ __all__ = [
     "solve_buy",
     "solve_sell",
     "solve_binomial",
+    "solve_binomial_with_inputs",
     "prepare_binomial_inputs",
     "lambda_bar",
 ]
@@ -324,14 +325,22 @@ def _group(sol: Solution) -> str:
     return "zero" if sol.prospect == 0.0 else "interior"
 
 
-def solve_binomial(x0: float, market: MarketModel, pref: CptPreference) -> Solution:
-    """Optimal trade over the whole line, merging the buy and sell rays."""
+def solve_binomial_with_inputs(x0: float, market: MarketModel,
+                               pref: CptPreference) -> tuple[Solution, BinomialInputs]:
+    """Checked solve that also returns the inputs it classified."""
     arb = check_no_arbitrage(market)
     if not arb:
         raise ValueError(f"market admits arbitrage or is degenerate: {arb.reason}")
     inputs = prepare_binomial_inputs(x0, market, pref)
-    buy = solve_buy(inputs)
-    sell = solve_sell(inputs)
+    return _merge_rays(solve_buy(inputs), solve_sell(inputs)), inputs
+
+
+def solve_binomial(x0: float, market: MarketModel, pref: CptPreference) -> Solution:
+    """Optimal trade over the whole line, merging the buy and sell rays."""
+    return solve_binomial_with_inputs(x0, market, pref)[0]
+
+
+def _merge_rays(buy: Solution, sell: Solution) -> Solution:
     gb, gs = _group(buy), _group(sell)
     carried = buy.boundary or sell.boundary
 

@@ -86,25 +86,17 @@ def _axis_override(config: RunConfig, axis: str, value: float) -> RunConfig:
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
-def _solve_for_mode(config: RunConfig) -> Solution:
-    if config.mode == "continuous":
-        return cont_solver.solve(config.portfolio, config.market, config.preference)
-    if config.mode == "zero-initial":
-        return cont_solver.solve_zero_initial(config.portfolio.x0, config.market,
-                                              config.preference)
-    return bin_solver.solve_binomial(config.portfolio.x0, config.market,
-                                     config.preference)
+def _solve_for_mode(config: RunConfig):
+    """The checked solve of the config's mode, with the inputs it classified."""
+    if config.mode == "binomial":
+        return bin_solver.solve_binomial_with_inputs(config.portfolio.x0, config.market,
+                                                     config.preference)
+    return cont_solver.solve_with_inputs(config.portfolio, config.market, config.preference,
+                                         zero_initial=config.mode == "zero-initial")
 
 
 def _continuous_row(config: RunConfig, value: float) -> SweepRow:
-    if config.mode == "continuous":
-        inputs = cont_solver.prepare_inputs(config.portfolio, config.market,
-                                            config.preference)
-        sol = cont_solver.classify(inputs)
-    else:
-        inputs = cont_solver.prepare_zero_initial_inputs(config.portfolio.x0,
-                                                         config.market, config.preference)
-        sol = cont_solver.classify_zero_initial(inputs)
+    sol, inputs = _solve_for_mode(config)
     theta_buy = theta_sell = None
     if inputs.alpha < inputs.beta and inputs.ratio_sell is not None:
         theta_buy, theta_sell = cont_solver.interior_candidates(inputs)
@@ -122,10 +114,7 @@ def _continuous_row(config: RunConfig, value: float) -> SweepRow:
 
 
 def _binomial_row(config: RunConfig, value: float) -> SweepRow:
-    inputs = bin_solver.prepare_binomial_inputs(config.portfolio.x0, config.market,
-                                                config.preference)
-    sol = bin_solver.solve_binomial(config.portfolio.x0, config.market,
-                                    config.preference)
+    sol, inputs = _solve_for_mode(config)
     theta_buy = (bin_solver.candidate_buy_trade(inputs)
                  if bin_solver.buy_candidate_applies(inputs) else None)
     theta_sell = (bin_solver.candidate_sell_trade(inputs)
@@ -211,7 +200,7 @@ def _auto_grid(config: RunConfig, sol: Solution) -> GridSpec:
 
 def solve_once(config: RunConfig) -> dict:
     """Solve one configuration; returns the printable run summary as a dict."""
-    sol = _solve_for_mode(config)
+    sol, inputs = _solve_for_mode(config)
     summary: dict = {
         "mode": config.mode,
         "case_id": sol.case_id,
@@ -224,8 +213,6 @@ def solve_once(config: RunConfig) -> dict:
         summary["interval"] = [_encode_prospect(sol.lo), _encode_prospect(sol.hi)]
 
     if config.mode == "binomial":
-        inputs = bin_solver.prepare_binomial_inputs(config.portfolio.x0, config.market,
-                                                    config.preference)
         pp, thr = inputs.pseudo, inputs.thresholds
         summary["diagnostics"] = {
             "pseudo_buy_up": pp.buy_up, "pseudo_buy_down": pp.buy_down,
@@ -237,12 +224,6 @@ def solve_once(config: RunConfig) -> dict:
             "no_trade_cost_level": bin_solver.lambda_bar(config.market),
         }
     else:
-        if config.mode == "continuous":
-            inputs = cont_solver.prepare_inputs(config.portfolio, config.market,
-                                                config.preference)
-        else:
-            inputs = cont_solver.prepare_zero_initial_inputs(
-                config.portfolio.x0, config.market, config.preference)
         diag = {
             "p_loss_buy": inputs.p_loss_buy,
             "p_loss_sell": inputs.p_loss_sell,

@@ -40,6 +40,7 @@ __all__ = [
     "solve_short",
     "solve",
     "solve_zero_initial",
+    "solve_with_inputs",
     "prepare_inputs",
     "prepare_zero_initial_inputs",
     "classify",
@@ -529,18 +530,30 @@ def _check_market(market: MarketModel, pref: CptPreference) -> None:
     check_finiteness(pref, market.returns)  # divergence still surfaces from quadrature
 
 
-def solve(portfolio: Portfolio, market: MarketModel, pref: CptPreference) -> Solution:
-    """Optimal trade with positive holdings and no short selling (theta >= -y0)."""
-    if portfolio.y0 <= 0:
+def solve_with_inputs(portfolio: Portfolio, market: MarketModel, pref: CptPreference,
+                      zero_initial: bool = False) -> tuple[Solution, PowerCaseInputs]:
+    """Checked solve that also returns the inputs it classified.
+
+    ``zero_initial`` solves the all-cash problem from ``portfolio.x0`` alone.
+    """
+    if not zero_initial and portfolio.y0 <= 0:
         raise ValueError("the constrained solver requires positive initial holdings y0")
     _check_market(market, pref)
-    return classify(prepare_inputs(portfolio, market, pref))
+    if zero_initial:
+        inputs = prepare_zero_initial_inputs(portfolio.x0, market, pref)
+        return classify_zero_initial(inputs), inputs
+    inputs = prepare_inputs(portfolio, market, pref)
+    return classify(inputs), inputs
+
+
+def solve(portfolio: Portfolio, market: MarketModel, pref: CptPreference) -> Solution:
+    """Optimal trade with positive holdings and no short selling (theta >= -y0)."""
+    return solve_with_inputs(portfolio, market, pref)[0]
 
 
 def solve_zero_initial(x0: float, market: MarketModel, pref: CptPreference) -> Solution:
     """Optimal unconstrained trade from an all-cash position (y0 = 0)."""
-    _check_market(market, pref)
-    return classify_zero_initial(prepare_zero_initial_inputs(x0, market, pref))
+    return solve_with_inputs(Portfolio(x0, 0.0), market, pref, zero_initial=True)[0]
 
 
 def ill_posed_condition_holds(inputs: PowerCaseInputs) -> bool:

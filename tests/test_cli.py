@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
+from cptinvest import binomial, cli, continuous
 from cptinvest.cli import main, run_sweep, solve_once, sweep_grid, write_sweep_csv
 from cptinvest.config import DEFAULT_CONFIG, ConfigError, RunConfig
+from cptinvest.market import Empirical, MarketModel
 
 BULL = {
     "market": {"r": 0.05, "lambda": 0.01,
@@ -106,6 +109,17 @@ class TestSweep:
         assert rows[0].error is None
         assert rows[1].error is not None and "alpha" in rows[1].error
 
+    def test_row_on_an_arbitrage_market_carries_the_solver_error(self, monkeypatch):
+        config = RunConfig.from_dict(BULL)
+        # validation rejects arbitrage, so the bad point is built past it
+        market = MarketModel(0.0, 0.0, Empirical((1.1, 1.2, 1.3)))
+        bad = dataclasses.replace(config, market=market)
+        with pytest.raises(ValueError, match="arbitrage") as raised:
+            continuous.solve(bad.portfolio, market, bad.preference)
+        monkeypatch.setattr(cli, "_axis_override", lambda config, axis, value: bad)
+        [row] = run_sweep(config, "lambda", [0.01])
+        assert row.error == str(raised.value)
+
     def test_axis_validated_per_mode(self):
         config = RunConfig.from_dict(BINOM)
         with pytest.raises(ValueError, match="axis"):
@@ -128,6 +142,26 @@ class TestSweep:
         # numeric columns parse back and the buy ratio declines with costs
         ratios = [float(r["ratio_buy"]) for r in records]
         assert all(b <= a + 1e-9 for a, b in zip(ratios, ratios[1:]))
+
+
+@pytest.mark.parametrize("payload", [
+    BULL,
+    {**BULL, "portfolio": {"x0": 1.0, "y0": 0.0},
+     "solve": {"mode": "zero-initial", "oracle": False}},
+    BINOM,
+], ids=lambda payload: payload["solve"]["mode"])
+def test_solve_once_prepares_inputs_once(payload, monkeypatch):
+    calls = {}
+    for module, name in ((continuous, "prepare_inputs"),
+                         (continuous, "prepare_zero_initial_inputs"),
+                         (binomial, "prepare_binomial_inputs")):
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    summary = solve_once(RunConfig.from_dict(payload))
+    assert "diagnostics" in summary
+    assert list(calls.values()) == [1]
 
 
 class TestCommandLine:
