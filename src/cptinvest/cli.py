@@ -232,9 +232,7 @@ def solve_once(config: RunConfig) -> dict:
             "ratio_buy": inputs.ratio_buy, "ratio_sell": inputs.ratio_sell,
         }
         if inputs.alpha < inputs.beta and inputs.ratio_sell is not None:
-            theta_buy, theta_sell = cont_solver.interior_candidates(inputs)
-            diag["theta_buy"] = theta_buy
-            diag["theta_sell"] = theta_sell
+            diag["theta_buy"], diag["theta_sell"] = cont_solver.interior_candidates(inputs)
         summary["diagnostics"] = diag
 
     if config.oracle:

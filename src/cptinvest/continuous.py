@@ -532,10 +532,7 @@ def _check_market(market: MarketModel, pref: CptPreference) -> None:
 
 def solve_with_inputs(portfolio: Portfolio, market: MarketModel, pref: CptPreference,
                       zero_initial: bool = False) -> tuple[Solution, PowerCaseInputs]:
-    """Checked solve that also returns the inputs it classified.
-
-    ``zero_initial`` solves the all-cash problem from ``portfolio.x0`` alone.
-    """
+    """Checked solve and the inputs it classified; ``zero_initial`` uses x0 alone."""
     if not zero_initial and portfolio.y0 <= 0:
         raise ValueError("the constrained solver requires positive initial holdings y0")
     _check_market(market, pref)

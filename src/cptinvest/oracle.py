@@ -163,29 +163,23 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         )
 
     weighting = pref.weighting
-    utility = pref.utility
     nodes, node_weights = _gauss_nodes(12, 16)
-
-    # polynomial quantile tail |Q| ~ q**(-1/nu) of Student-t laws
-    nu = getattr(law.base, "nu", math.inf)
+    nu = getattr(law.base, "nu", math.inf)  # Student-t quantiles: |Q| ~ q**(-1/nu)
 
     def utility_powers(side):
         # growth exponents of the utility at zero outcome and at infinity
-        if isinstance(utility, ExponentialUtility):
+        if isinstance(pref.utility, ExponentialUtility):
             return 1.0, 0.0
-        power = utility.alpha if side == "gain" else utility.beta
+        power = pref.utility.alpha if side == "gain" else pref.utility.beta
         return power, power
 
     def side_value(side, b, s, upper, use_upper_tail):
-        """integral of u(|Q_D|) w'(q) over (0, upper), both endpoints substituted.
-
-        The q-nodes depend on a row only through ``upper``, which rows on one
-        trade ray share, so quantiles and w' are computed once per distinct
-        level and gathered; the utility stays pathwise per row.
-        """
+        """integral of u(|Q_D|) w'(q) over (0, upper), both endpoints substituted."""
         live = upper > 1e-300
         if not live.any():
             return np.zeros_like(b)
+        # q-nodes depend on a row only through upper, shared along a trade ray:
+        # quantiles and w' once per level, the utility pathwise per row
         levels, inv = np.unique(upper[live], return_inverse=True)
         half = 0.5 * levels[:, None]
         pieces = np.zeros(inv.size)
@@ -193,8 +187,7 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         # near q = 0 the integrand behaves like q**(endpoint - 1 - growth/nu)
         tail = weighting.endpoint_exponent(side) - growth / nu
         if tail <= 0.0:
-            raise ProspectDivergenceError(
-                side, f"quantile tail nu={nu:g} outgrows the weighting endpoint")
+            raise ProspectDivergenceError(side, f"quantile tail nu={nu:g} is too heavy")
         m_w = 1.0 / tail
         m_u = 1.0 / kink
         for q, jac in (

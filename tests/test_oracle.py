@@ -125,8 +125,8 @@ def test_grid_rows_do_not_depend_on_their_neighbours(returns, weighting, utility
 
 
 def test_grid_follows_the_polynomial_tail_of_student_t():
-    # |Q| ~ q**(-1/nu) changes the endpoint singularity of u(|Q|) w'(q); a
-    # substitution from the weighting exponent alone left a 2.6e-5 gap at theta=10
+    # Student-t quantiles grow like q**(-1/nu), which steepens the endpoint
+    # singularity of u(|Q|) w'(q); an unmatched substitution errs more at larger theta
     m = MarketModel(0.01, 0.02, StudentT(5.0, 0.0, 0.1))
     pref = CptPreference(PowerUtility(0.7, 0.9, 2.25), TK)
     port = Portfolio(1.0, 1.0)
