@@ -147,8 +147,8 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
 
     Each theta's wealth difference is an affine map of the gross return, so
     its quantile function reuses the return law's quantiles; gains and losses
-    are integrated on shared Gauss-Legendre nodes after the same endpoint
-    substitution the adaptive path uses.
+    are integrated on shared Gauss-Legendre nodes after substituting out the
+    singularities at both ends, the tail one including quantile growth.
     """
     law = m.returns.gross_law()
     base, slope = _affine_coefficients(p, m, thetas)
@@ -259,8 +259,10 @@ def evaluate_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
     hi_on_top = d_hi >= d_lo
 
     w = pref.weighting
-    gain_top, gain_bot = (_utility_grid(pref, "gain", np.maximum(x, 0.0)) for x in (top, bot))
-    loss_bot, loss_top = (_utility_grid(pref, "loss", np.maximum(-x, 0.0)) for x in (bot, top))
+    gain_top = _utility_grid(pref, "gain", np.maximum(top, 0.0))
+    gain_bot = _utility_grid(pref, "gain", np.maximum(bot, 0.0))
+    loss_bot = _utility_grid(pref, "loss", np.maximum(-bot, 0.0))
+    loss_top = _utility_grid(pref, "loss", np.maximum(-top, 0.0))
 
     # the top-atom probability takes only two values; weight them once
     w_top_gain = np.where(hi_on_top, w.weight("gain", p_hi), w.weight("gain", p_lo))
