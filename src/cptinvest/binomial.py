@@ -202,14 +202,20 @@ def candidate_buy_trade(inputs: BinomialInputs) -> float:
     aversion below the interior buy threshold."""
     if not buy_candidate_applies(inputs):
         raise ValueError("interior buy candidate undefined outside its regime")
-    return _candidate_buy(inputs)
+    law = _binomial_law(inputs.market)
+    keep = 1.0 - inputs.market.lam
+    denom = inputs.eta * (keep * (law.u + law.d) - 2.0 * (1.0 + inputs.market.r))
+    return math.log(inputs.thresholds.buy_interior / inputs.zeta) / denom
 
 
 def candidate_sell_trade(inputs: BinomialInputs) -> float:
     """Interior sell candidate (< 0); mirror regime on the sell side."""
     if not sell_candidate_applies(inputs):
         raise ValueError("interior sell candidate undefined outside its regime")
-    return _candidate_sell(inputs)
+    law = _binomial_law(inputs.market)
+    keep = 1.0 - inputs.market.lam
+    denom = inputs.eta * (2.0 * keep * (1.0 + inputs.market.r) - (law.u + law.d))
+    return -math.log(inputs.thresholds.sell_interior / inputs.zeta) / denom
 
 
 def candidate_thetas(inputs: BinomialInputs) -> tuple[float | None, float | None]:
@@ -224,20 +230,6 @@ def candidate_thetas(inputs: BinomialInputs) -> tuple[float | None, float | None
     if theta_buy is None and theta_sell is None:
         raise ValueError("no interior candidate applies in this regime")
     return theta_buy, theta_sell
-
-
-def _candidate_buy(inputs: BinomialInputs) -> float:
-    law = _binomial_law(inputs.market)
-    keep = 1.0 - inputs.market.lam
-    denom = inputs.eta * (keep * (law.u + law.d) - 2.0 * (1.0 + inputs.market.r))
-    return math.log(inputs.thresholds.buy_interior / inputs.zeta) / denom
-
-
-def _candidate_sell(inputs: BinomialInputs) -> float:
-    law = _binomial_law(inputs.market)
-    keep = 1.0 - inputs.market.lam
-    denom = inputs.eta * (2.0 * keep * (1.0 + inputs.market.r) - (law.u + law.d))
-    return -math.log(inputs.thresholds.sell_interior / inputs.zeta) / denom
 
 
 def prospect_at(inputs: BinomialInputs, theta: float) -> float:
@@ -287,7 +279,7 @@ def solve_buy(inputs: BinomialInputs) -> Solution:
     if zeta >= thr.buy_interior or _close(zeta, thr.buy_interior):
         return Solution.point(0.0, "T4.1-1d", 0.0,
                               boundary=_close(zeta, thr.buy_interior))
-    theta = _candidate_buy(inputs)
+    theta = candidate_buy_trade(inputs)
     return Solution.point(theta, "T4.1-4", prospect_at(inputs, theta))
 
 
@@ -313,7 +305,7 @@ def solve_sell(inputs: BinomialInputs) -> Solution:
     if zeta >= thr.sell_interior or _close(zeta, thr.sell_interior):
         return Solution.point(0.0, "T4.2-1d", 0.0,
                               boundary=_close(zeta, thr.sell_interior))
-    theta = _candidate_sell(inputs)
+    theta = candidate_sell_trade(inputs)
     return Solution.point(theta, "T4.2-4", prospect_at(inputs, theta))
 
 

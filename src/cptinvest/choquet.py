@@ -26,7 +26,6 @@ from .preferences import (
     ExponentialUtility,
     IdentityWeighting,
     Side,
-    UtilityPair,
     WeightingPair,
 )
 
@@ -87,6 +86,10 @@ def _checked_quad(f, a: float, b: float, side: str):
     value, abserr = res[0], res[1]
     if not math.isfinite(value):
         raise ProspectDivergenceError(side, f"non-finite quadrature value {value}")
+    if value < 0.0:
+        # every integrand here is nonnegative; QUADPACK can return a negative
+        # value, with a tiny error estimate, for an integral that diverges
+        raise ProspectDivergenceError(side, f"negative quadrature value {value:.6e}")
     return value, abserr
 
 
@@ -277,7 +280,3 @@ def check_finiteness(pref: CptPreference, law) -> str:
             return "finite"
     return "unverified"
 
-
-def utility_limits(utility: UtilityPair) -> tuple[float, float]:
-    """Suprema of the gain and loss branches (infinite for power utility)."""
-    return utility.limit("gain"), utility.limit("loss")

@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .choquet import check_finiteness, distorted_tail_integral
+from .choquet import distorted_tail_integral
 from .market import (
     MarketModel,
     Portfolio,
     TradeDirection,
     check_no_arbitrage,
     excess_transform,
-    loss_set_probabilities,
 )
 from .preferences import CptPreference, PowerUtility, WeightingPair
 from .solution import Solution
@@ -59,9 +58,6 @@ class GainLoss:
     loss: float
     gain_error: float = 0.0
     loss_error: float = 0.0
-
-    def __iter__(self):
-        return iter((self.gain, self.loss))
 
 
 def _discrete_upper_tail(atoms, exponent: float, weighting: WeightingPair, side: str) -> float:
@@ -329,205 +325,135 @@ def solve_short(inputs: PowerCaseInputs) -> Solution:
     return Solution.interval(-y0, 0.0, "T3.3-3", 0.0, boundary=True)
 
 
-def _dispatch_constrained(inputs: PowerCaseInputs) -> Solution:
-    if inputs.p_loss_buy <= 0.0:
-        raise ValueError("buy ray must carry loss probability under no-arbitrage")
+def classify(inputs: PowerCaseInputs) -> Solution:
+    """Case dispatch: T3.1 with the sell ray ending at -y0, T3.4 when it is unbounded."""
+    unbounded = inputs.sell_unbounded
+    if inputs.p_loss_buy <= 0.0 or (unbounded and inputs.p_loss_sell <= 0.0):
+        raise ValueError("the buy ray, and an unbounded sell ray, must carry loss "
+                         "probability under no-arbitrage")
     alpha, beta, k, y0 = inputs.alpha, inputs.beta, inputs.loss_aversion, inputs.y0
+    prefix = "T3.4-" if unbounded else "T3.1-"
+    floor = -math.inf if unbounded else -y0
     buy_all_loss = inputs.p_loss_buy >= 1.0
     sell_all_loss = inputs.p_loss_sell >= 1.0
 
+    def buy_end(case: str) -> Solution:
+        return Solution.plus_infinity(prefix + case, math.inf)
+
+    def sell_end(case: str, boundary: bool = False) -> Solution:
+        if unbounded:
+            return Solution.minus_infinity(prefix + case, math.inf, boundary=boundary)
+        return Solution.point(floor, prefix + case, prospect_along_sell(inputs, floor),
+                              boundary=boundary)
+
+    def knife(side: str, cases: str) -> Solution:
+        """Equal exponents on one ray: no trade, the ray's end or a flat interval."""
+        no_trade, end, flat = cases.split()
+        if side == "buy":
+            ratio, lo, hi, ray_end = inputs.ratio_buy, 0.0, math.inf, buy_end
+        else:
+            ratio, lo, hi, ray_end = inputs.ratio_sell, floor, 0.0, sell_end
+        band = inputs._ratio_band(side)
+        if k > ratio + band:
+            return Solution.point(0.0, prefix + no_trade, 0.0)
+        if k < ratio - band:
+            return ray_end(end)
+        return Solution.interval(lo, hi, prefix + flat, 0.0, boundary=True)
+
+    def clamped_sell(theta_sell: float, free: str, clamped: str):
+        """The interior sell candidate, held at the floor: (trade, case, near the floor)."""
+        theta_band = max(_MIN_BAND, _MIN_BAND * abs(y0))
+        if theta_sell < floor - theta_band:
+            return floor, clamped, False
+        return theta_sell, free, abs(theta_sell - floor) <= theta_band
+
     if inputs.p_loss_sell <= 0.0:
         # selling never loses; sell everything owned
-        return Solution.point(-y0, "T3.1-4a", prospect_along_sell(inputs, -y0))
+        return sell_end("4a")
 
     if buy_all_loss and sell_all_loss:
-        return Solution.point(0.0, "T3.1-1a", 0.0)
+        return Solution.point(0.0, prefix + "1a", 0.0)
 
     if buy_all_loss:
         if alpha == beta:
-            ratio = inputs.ratio_sell
-            band = inputs._ratio_band("sell")
-            if k > ratio + band:
-                return Solution.point(0.0, "T3.1-1b", 0.0)
-            if k < ratio - band:
-                return Solution.point(-y0, "T3.1-4b", prospect_along_sell(inputs, -y0))
-            return Solution.interval(-y0, 0.0, "T3.1-6a", 0.0, boundary=True)
-        _, theta_sell = interior_candidates(inputs)
-        theta_band = max(_MIN_BAND, _MIN_BAND * abs(y0))
-        if theta_sell < -y0 - theta_band:
-            return Solution.point(-y0, "T3.1-4c", prospect_along_sell(inputs, -y0))
-        near_edge = abs(theta_sell + y0) <= theta_band
-        return Solution.point(theta_sell, "T3.1-3a",
-                              prospect_along_sell(inputs, theta_sell), boundary=near_edge)
+            return knife("sell", "1b 4b 6a")
+        theta, case, near_edge = clamped_sell(interior_candidates(inputs)[1], "3a", "4c")
+        return Solution.point(theta, prefix + case, prospect_along_sell(inputs, theta),
+                              boundary=near_edge)
 
     if sell_all_loss:
         if alpha == beta:
-            ratio = inputs.ratio_buy
-            band = inputs._ratio_band("buy")
-            if k > ratio + band:
-                return Solution.point(0.0, "T3.1-1c", 0.0)
-            if k < ratio - band:
-                return Solution.plus_infinity("T3.1-8a", math.inf)
-            return Solution.interval(0.0, math.inf, "T3.1-5a", 0.0, boundary=True)
+            return knife("buy", "1c 8a 5a")
         theta_buy, _ = interior_candidates(inputs)
-        return Solution.point(theta_buy, "T3.1-2a", prospect_along_buy(inputs, theta_buy))
+        return Solution.point(theta_buy, prefix + "2a", prospect_along_buy(inputs, theta_buy))
 
     # both loss probabilities interior
     if alpha == beta:
         ratio_buy, ratio_sell = inputs.ratio_buy, inputs.ratio_sell
         band_buy, band_sell = inputs._ratio_band("buy"), inputs._ratio_band("sell")
         if k < ratio_buy - band_buy:
-            return Solution.plus_infinity("T3.1-8b", math.inf)
-        near_buy = k <= ratio_buy + band_buy
-        if near_buy:
+            # the sell ray may be unbounded too; the buy direction is reported
+            return buy_end("8b")
+        if k <= ratio_buy + band_buy:
             if k > ratio_sell + band_sell:
-                return Solution.interval(0.0, math.inf, "T3.1-5b", 0.0, boundary=True)
+                return Solution.interval(0.0, math.inf, prefix + "5b", 0.0, boundary=True)
             if k >= ratio_sell - band_sell:
-                return Solution.interval(-y0, math.inf, "T3.1-7", 0.0, boundary=True)
+                return Solution.interval(floor, math.inf, prefix + "7", 0.0, boundary=True)
             # buy ray is flat at zero while selling has positive value
-            return Solution.point(-y0, "T3.1-4e", prospect_along_sell(inputs, -y0),
-                                  boundary=True)
+            return sell_end("4e", boundary=True)
         if k > ratio_sell + band_sell:
-            return Solution.point(0.0, "T3.1-1d", 0.0)
+            return Solution.point(0.0, prefix + "1d", 0.0)
         if k >= ratio_sell - band_sell:
-            return Solution.interval(-y0, 0.0, "T3.1-6b", 0.0, boundary=True)
-        # loss aversion between the two ratios: trade down to the constraint
-        return Solution.point(-y0, "T3.1-4e", prospect_along_sell(inputs, -y0))
+            return Solution.interval(floor, 0.0, prefix + "6b", 0.0, boundary=True)
+        # loss aversion between the two ratios: trade down to the sell floor
+        return sell_end("4e")
 
     theta_buy, theta_sell = interior_candidates(inputs)
     value_buy = prospect_along_buy(inputs, theta_buy)
-    theta_band = max(_MIN_BAND, _MIN_BAND * abs(y0))
-    if theta_sell < -y0 - theta_band:
-        sell_point, sell_label = -y0, "T3.1-4d"
-        sell_boundary = False
-    else:
-        sell_point, sell_label = theta_sell, "T3.1-3b"
-        sell_boundary = abs(theta_sell + y0) <= theta_band
+    sell_point, sell_case, sell_boundary = clamped_sell(theta_sell, "3b", "4d")
     value_sell = prospect_along_sell(inputs, sell_point)
     value_band = _value_band(inputs, theta_buy, sell_point)
     if value_buy >= value_sell - value_band:
         tie = abs(value_buy - value_sell) <= value_band
-        return Solution.point(theta_buy, "T3.1-2b", value_buy, boundary=tie)
-    return Solution.point(sell_point, sell_label, value_sell, boundary=sell_boundary)
+        return Solution.point(theta_buy, prefix + "2b", value_buy, boundary=tie)
+    return Solution.point(sell_point, prefix + sell_case, value_sell, boundary=sell_boundary)
 
 
-def _dispatch_zero_initial(inputs: PowerCaseInputs) -> Solution:
-    if inputs.p_loss_buy <= 0.0 or inputs.p_loss_sell <= 0.0:
-        raise ValueError("loss probabilities must be positive under no-arbitrage")
-    alpha, beta, k = inputs.alpha, inputs.beta, inputs.loss_aversion
-    buy_all_loss = inputs.p_loss_buy >= 1.0
-    short_all_loss = inputs.p_loss_sell >= 1.0
+def classify_zero_initial(inputs: PowerCaseInputs) -> Solution:
+    """Same dispatch as ``classify``, which reads the problem from ``sell_unbounded``."""
+    return classify(inputs)
 
-    if buy_all_loss and short_all_loss:
-        return Solution.point(0.0, "T3.4-1a", 0.0)
 
-    if buy_all_loss:
-        if alpha == beta:
-            ratio = inputs.ratio_sell
-            band = inputs._ratio_band("sell")
-            if k > ratio + band:
-                return Solution.point(0.0, "T3.4-1b", 0.0)
-            if k < ratio - band:
-                return Solution.minus_infinity("T3.4-4b", math.inf)
-            return Solution.interval(-math.inf, 0.0, "T3.4-6a", 0.0, boundary=True)
-        _, theta_sell = interior_candidates(inputs)
-        return Solution.point(theta_sell, "T3.4-3a", prospect_along_sell(inputs, theta_sell))
-
-    if short_all_loss:
-        if alpha == beta:
-            ratio = inputs.ratio_buy
-            band = inputs._ratio_band("buy")
-            if k > ratio + band:
-                return Solution.point(0.0, "T3.4-1c", 0.0)
-            if k < ratio - band:
-                return Solution.plus_infinity("T3.4-8a", math.inf)
-            return Solution.interval(0.0, math.inf, "T3.4-5a", 0.0, boundary=True)
-        theta_buy, _ = interior_candidates(inputs)
-        return Solution.point(theta_buy, "T3.4-2a", prospect_along_buy(inputs, theta_buy))
-
-    if alpha == beta:
-        ratio_buy, ratio_sell = inputs.ratio_buy, inputs.ratio_sell
-        band_buy, band_sell = inputs._ratio_band("buy"), inputs._ratio_band("sell")
-        if k < ratio_buy - band_buy:
-            # the sell ray may be unbounded too; the buy direction is reported
-            return Solution.plus_infinity("T3.4-8b", math.inf)
-        near_buy = k <= ratio_buy + band_buy
-        if near_buy:
-            if k > ratio_sell + band_sell:
-                return Solution.interval(0.0, math.inf, "T3.4-5b", 0.0, boundary=True)
-            if k >= ratio_sell - band_sell:
-                return Solution.interval(-math.inf, math.inf, "T3.4-7", 0.0, boundary=True)
-            return Solution.minus_infinity("T3.4-4e", math.inf, boundary=True)
-        if k > ratio_sell + band_sell:
-            return Solution.point(0.0, "T3.4-1d", 0.0)
-        if k >= ratio_sell - band_sell:
-            return Solution.interval(-math.inf, 0.0, "T3.4-6b", 0.0, boundary=True)
-        return Solution.minus_infinity("T3.4-4e", math.inf)
-
-    theta_buy, theta_sell = interior_candidates(inputs)
-    value_buy = prospect_along_buy(inputs, theta_buy)
-    value_sell = prospect_along_sell(inputs, theta_sell)
-    value_band = _value_band(inputs, theta_buy, theta_sell)
-    if value_buy >= value_sell - value_band:
-        tie = abs(value_buy - value_sell) <= value_band
-        return Solution.point(theta_buy, "T3.4-2b", value_buy, boundary=tie)
-    return Solution.point(theta_sell, "T3.4-3b", value_sell)
+def _prepare(market: MarketModel, pref: CptPreference, y0: float,
+             sell_direction: TradeDirection) -> PowerCaseInputs:
+    u = _require_power(pref)
+    z_buy = excess_transform(market, TradeDirection.BUY)
+    z_sell = excess_transform(market, sell_direction)
+    buy = long_integrals(pref, z_buy)
+    sell = short_integrals(pref, z_sell)
+    return PowerCaseInputs(
+        p_loss_buy=z_buy.prob_below(0.0),
+        p_loss_sell=z_sell.prob_above(0.0),
+        gain_buy=buy.gain, loss_buy=buy.loss,
+        gain_sell=sell.gain, loss_sell=sell.loss,
+        alpha=u.alpha, beta=u.beta, loss_aversion=u.loss_aversion,
+        y0=y0,
+        sell_unbounded=sell_direction is TradeDirection.SHORT,
+        gain_buy_error=buy.gain_error, loss_buy_error=buy.loss_error,
+        gain_sell_error=sell.gain_error, loss_sell_error=sell.loss_error,
+    )
 
 
 def prepare_inputs(portfolio: Portfolio, market: MarketModel,
                    pref: CptPreference) -> PowerCaseInputs:
     """Loss probabilities and per-unit integrals for the constrained problem."""
-    u = _require_power(pref)
-    probs = loss_set_probabilities(market)
-    buy = long_integrals(pref, excess_transform(market, TradeDirection.BUY))
-    sell = short_integrals(pref, excess_transform(market, TradeDirection.SELL))
-    return PowerCaseInputs(
-        p_loss_buy=probs.buy,
-        p_loss_sell=probs.sell,
-        gain_buy=buy.gain, loss_buy=buy.loss,
-        gain_sell=sell.gain, loss_sell=sell.loss,
-        alpha=u.alpha, beta=u.beta, loss_aversion=u.loss_aversion,
-        y0=portfolio.y0,
-        gain_buy_error=buy.gain_error, loss_buy_error=buy.loss_error,
-        gain_sell_error=sell.gain_error, loss_sell_error=sell.loss_error,
-    )
+    return _prepare(market, pref, portfolio.y0, TradeDirection.SELL)
 
 
 def prepare_zero_initial_inputs(x0: float, market: MarketModel,
                                 pref: CptPreference) -> PowerCaseInputs:
     """Variant without holdings: the sell side shorts and is unconstrained."""
-    u = _require_power(pref)
-    probs = loss_set_probabilities(market)
-    buy = long_integrals(pref, excess_transform(market, TradeDirection.BUY))
-    sell = short_integrals(pref, excess_transform(market, TradeDirection.SHORT))
-    return PowerCaseInputs(
-        p_loss_buy=probs.buy,
-        p_loss_sell=probs.short,
-        gain_buy=buy.gain, loss_buy=buy.loss,
-        gain_sell=sell.gain, loss_sell=sell.loss,
-        alpha=u.alpha, beta=u.beta, loss_aversion=u.loss_aversion,
-        y0=0.0,
-        sell_unbounded=True,
-        gain_buy_error=buy.gain_error, loss_buy_error=buy.loss_error,
-        gain_sell_error=sell.gain_error, loss_sell_error=sell.loss_error,
-    )
-
-
-def classify(inputs: PowerCaseInputs) -> Solution:
-    """Case dispatch for the constrained problem (theta >= -y0)."""
-    return _dispatch_constrained(inputs)
-
-
-def classify_zero_initial(inputs: PowerCaseInputs) -> Solution:
-    """Case dispatch for the unconstrained all-cash problem."""
-    return _dispatch_zero_initial(inputs)
-
-
-def _check_market(market: MarketModel, pref: CptPreference) -> None:
-    arb = check_no_arbitrage(market)
-    if not arb:
-        raise ValueError(f"market admits arbitrage or is degenerate: {arb.reason}")
-    check_finiteness(pref, market.returns)  # divergence still surfaces from quadrature
+    return _prepare(market, pref, 0.0, TradeDirection.SHORT)
 
 
 def solve_with_inputs(portfolio: Portfolio, market: MarketModel, pref: CptPreference,
@@ -535,11 +461,13 @@ def solve_with_inputs(portfolio: Portfolio, market: MarketModel, pref: CptPrefer
     """Checked solve and the inputs it classified; ``zero_initial`` uses x0 alone."""
     if not zero_initial and portfolio.y0 <= 0:
         raise ValueError("the constrained solver requires positive initial holdings y0")
-    _check_market(market, pref)
+    arb = check_no_arbitrage(market)
+    if not arb:
+        raise ValueError(f"market admits arbitrage or is degenerate: {arb.reason}")
     if zero_initial:
         inputs = prepare_zero_initial_inputs(portfolio.x0, market, pref)
-        return classify_zero_initial(inputs), inputs
-    inputs = prepare_inputs(portfolio, market, pref)
+    else:
+        inputs = prepare_inputs(portfolio, market, pref)
     return classify(inputs), inputs
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -30,6 +31,7 @@ from cptinvest.market import (
     MarketModel,
     Normal,
     Portfolio,
+    StudentT,
     TradeDirection,
     excess_transform,
 )
@@ -41,7 +43,7 @@ from cptinvest.preferences import (
     PowerUtility,
     TverskyKahnemanWeighting,
 )
-from cptinvest.choquet import prospect_value
+from cptinvest.choquet import ProspectDivergenceError, prospect_value
 from cptinvest.solution import SolutionKind
 
 TK = TverskyKahnemanWeighting(0.61, 0.69)
@@ -288,9 +290,14 @@ class TestFactorization:
             assert abs(direct - factored) <= 1e-7 * scale
 
 
-def _reference_case_labels(inp):
-    """Literal re-derivation of the dispatch conditions, strict comparisons only."""
+def _reference_case_labels(inp, sell_bound):
+    """Literal re-derivation of the dispatch conditions, strict comparisons only.
+
+    ``sell_bound`` is -y0 for the constrained problem (T3.1) and -inf for the
+    all-cash problem (T3.4), whose sell ray never ends in a clamp.
+    """
     labels = set()
+    prefix = "T3.4-" if sell_bound == -math.inf else "T3.1-"
     one1 = inp.p_loss_buy >= 1.0
     interior1 = 0.0 < inp.p_loss_buy < 1.0
     zero2 = inp.p_loss_sell <= 0.0
@@ -301,61 +308,63 @@ def _reference_case_labels(inp):
     k1, k2 = inp.ratio_buy, inp.ratio_sell
 
     if zero2:
+        # only the constrained problem admits a sell ray without losses
         labels.add("T3.1-4a")
         return labels
     if one1 and one2:
-        labels.add("T3.1-1a")
+        labels.add(prefix + "1a")
         return labels
 
     if one1 and interior2:
         if equal:
             if k > k2:
-                labels.add("T3.1-1b")
+                labels.add(prefix + "1b")
             elif k < k2:
-                labels.add("T3.1-4b")
+                labels.add(prefix + "4b")
         else:
             _, theta_sell = interior_candidates(inp)
-            labels.add("T3.1-3a" if theta_sell >= -inp.y0 else "T3.1-4c")
+            labels.add(prefix + ("3a" if theta_sell >= sell_bound else "4c"))
         return labels
 
     if interior1 and one2:
         if equal:
             if k > k1:
-                labels.add("T3.1-1c")
+                labels.add(prefix + "1c")
             elif k < k1:
-                labels.add("T3.1-8a")
+                labels.add(prefix + "8a")
         else:
-            labels.add("T3.1-2a")
+            labels.add(prefix + "2a")
         return labels
 
     # both interior
     if equal:
         if k < k1:
-            labels.add("T3.1-8b")
+            labels.add(prefix + "8b")
         elif k > k1 and k > k2:
-            labels.add("T3.1-1d")
+            labels.add(prefix + "1d")
         elif k2 > k:
-            labels.add("T3.1-4e")
+            labels.add(prefix + "4e")
         return labels
 
     theta_buy, theta_sell = interior_candidates(inp)
     value_buy = prospect_along_buy(inp, theta_buy)
-    if theta_sell >= -inp.y0:
+    if theta_sell >= sell_bound:
         value_sell = prospect_along_sell(inp, theta_sell)
         if value_buy >= value_sell:
-            labels.add("T3.1-2b")
+            labels.add(prefix + "2b")
         else:
-            labels.add("T3.1-3b")
+            labels.add(prefix + "3b")
     else:
-        value_sell = prospect_along_sell(inp, -inp.y0)
+        value_sell = prospect_along_sell(inp, sell_bound)
         if value_buy >= value_sell:
-            labels.add("T3.1-2b")
+            labels.add(prefix + "2b")
         else:
-            labels.add("T3.1-4d")
+            labels.add(prefix + "4d")
     return labels
 
 
-def test_case_dispatch_fires_exactly_one_case_on_randomized_inputs():
+@pytest.mark.parametrize("sell_unbounded", [False, True])
+def test_case_dispatch_fires_exactly_one_case_on_randomized_inputs(sell_unbounded):
     rng = random.Random(20240612)
     checked = 0
     for _ in range(10_000):
@@ -378,13 +387,26 @@ def test_case_dispatch_fires_exactly_one_case_on_randomized_inputs():
             loss_aversion=rng.uniform(1.01, 4.0),
             y0=rng.uniform(0.1, 3.0),
         )
-        sol = classify(inp)
-        assert sol.case_id.startswith("T3.1-")
+        dispatch, sell_bound = classify, -inp.y0
+        if sell_unbounded:
+            # the all-cash inputs, as prepare_zero_initial_inputs builds them
+            inp = dataclasses.replace(inp, y0=0.0, sell_unbounded=True)
+            dispatch, sell_bound = classify_zero_initial, -math.inf
+            if p_loss_sell <= 0.0:
+                # shorting always carries loss probability under no-arbitrage
+                with pytest.raises(ValueError):
+                    dispatch(inp)
+                continue
+        sol = dispatch(inp)
+        assert sol.case_id.startswith("T3.4-" if sell_unbounded else "T3.1-")
         if sol.boundary:
             continue
-        expected = _reference_case_labels(inp)
+        expected = _reference_case_labels(inp, sell_bound)
         assert len(expected) == 1, (inp, expected)
         assert sol.case_id in expected, (inp, sol.case_id, expected)
+        if sol.case_id[5] == "4":
+            # every 4x case trades to the end of the sell ray
+            assert sol.theta == sell_bound, (inp, sol)
         checked += 1
     assert checked > 9000
 
@@ -561,3 +583,23 @@ def test_solve_rejects_bad_preconditions():
     degenerate = MarketModel(0.05, 0.0, Binomial(1.04, 1.02, 0.5))
     with pytest.raises(ValueError):
         solve(Portfolio(1.0, 1.0), degenerate, REFERENCE_PREF)
+
+
+@pytest.mark.parametrize("law, utility, side", [
+    # loss side: TK delta 0.69 against beta / nu = 0.9 / 1.2 = 0.75
+    pytest.param(StudentT(1.2, 0.0, 0.1), PowerUtility(0.7, 0.9, 2.25), "loss", id="nu1.2-loss"),
+    # gain side: TK gamma 0.61 against alpha / nu = 0.88 / nu >= 0.611
+    *(pytest.param(StudentT(nu, 0.02, 0.1), PowerUtility(0.88, 0.88, 2.25), "gain",
+                   id=f"nu{nu}-gain") for nu in (1.0, 1.2, 1.3, 1.44)),
+])
+def test_divergent_student_t_tails_raise_naming_the_side(law, utility, side):
+    # adaptive quadrature returns finite, even negative, values on these tails
+    m = MarketModel(0.01, 0.02, law)
+    pref = CptPreference(utility, TK)
+    port = Portfolio(1.0, 1.0)
+    for call in (lambda: solve(port, m, pref),
+                 lambda: solve_zero_initial(1.0, m, pref),
+                 lambda: evaluate_objective(port, m, pref, 2.0)):
+        with pytest.raises(ProspectDivergenceError) as excinfo:
+            call()
+        assert excinfo.value.side == side
