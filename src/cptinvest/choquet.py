@@ -35,6 +35,7 @@ __all__ = [
     "prospect_value",
     "distorted_tail_integral",
     "rank_dependent_sum",
+    "rank_weights",
 ]
 
 # convergence targets per integral side
@@ -68,14 +69,6 @@ class ProspectBreakdown:
     @property
     def total(self) -> float:
         return self.v_plus - self.v_minus
-
-    @property
-    def gain_finite(self) -> bool:
-        return math.isfinite(self.v_plus)
-
-    @property
-    def loss_finite(self) -> bool:
-        return math.isfinite(self.v_minus)
 
 
 def _checked_quad(f, a: float, b: float, side: str):
@@ -141,8 +134,9 @@ def distorted_tail_integral(
             total += v
             err += e
             cut = s_hi
-        # estimated unresolved mass beyond the truncation point
-        tail_mass = weighting.weight(side, math.exp(-min(cut, 700.0)))
+        # unresolved mass beyond the truncation point: w(exp(-cut)), taken in
+        # the s-domain so it stays exact where exp(-cut) underflows
+        tail_mass = math.exp(-delta * cut**weighting.gamma)
         if tail_mass > 0.0:
             err += tail_mass * abs(outcome_at_s(cut))
     else:
@@ -187,6 +181,20 @@ def distorted_tail_integral(
     return total, err
 
 
+def rank_weights(weighting: WeightingPair, side: Side, probs) -> list[float]:
+    """Decision weights w(c_i) - w(c_{i-1}) of probabilities listed in rank order.
+
+    ``c_i`` is the cumulative probability of the first i outcomes, clamped at 1
+    against round-off; each increment depends only on its outcome's rank.
+    """
+    w = [0.0]  # w(0) = 0
+    cum = 0.0
+    for p in probs:
+        cum = min(cum + p, 1.0)
+        w.append(weighting.weight(side, cum))
+    return [b - a for a, b in zip(w, w[1:])]
+
+
 def rank_dependent_sum(
     utility_value,
     weighting: WeightingPair,
@@ -195,68 +203,44 @@ def rank_dependent_sum(
     """Exact Choquet sums over a finite law: (gains part, losses part).
 
     ``atoms`` are (value, prob) pairs; ``utility_value(side, x)`` maps
-    nonnegative magnitudes.  Gains take weight differences of cumulative
-    upper-tail probabilities, losses of cumulative lower-tail probabilities;
-    atoms exactly at zero contribute to neither side.
+    nonnegative magnitudes.  Gains are ranked from the top, losses from the
+    bottom; atoms exactly at zero contribute to neither side.
     """
     ordered = sorted(atoms)
+    gains = [a for a in reversed(ordered) if a[0] > 0.0]
+    losses = [a for a in ordered if a[0] < 0.0]
     v_plus = 0.0
-    cum = 0.0
-    for x, p in reversed(ordered):
-        if x <= 0.0:
-            break
-        nxt = min(cum + p, 1.0)  # guard cumulative round-off past 1
-        v_plus += utility_value("gain", x) * (
-            weighting.weight("gain", nxt) - weighting.weight("gain", cum)
-        )
-        cum = nxt
+    for (x, _), dw in zip(gains, rank_weights(weighting, "gain", [p for _, p in gains])):
+        v_plus += utility_value("gain", x) * dw
     v_minus = 0.0
-    cum = 0.0
-    for x, p in ordered:
-        if x >= 0.0:
-            break
-        nxt = min(cum + p, 1.0)
-        v_minus += utility_value("loss", -x) * (
-            weighting.weight("loss", nxt) - weighting.weight("loss", cum)
-        )
-        cum = nxt
+    for (x, _), dw in zip(losses, rank_weights(weighting, "loss", [p for _, p in losses])):
+        v_minus += utility_value("loss", -x) * dw
     return v_plus, v_minus
 
 
 def prospect_value(pref: CptPreference, dist) -> ProspectBreakdown:
     """CPT value of a signed distribution relative to reference zero."""
-    if dist.atoms is not None:
-        v_plus, v_minus = rank_dependent_sum(pref.utility.value, pref.weighting, dist.atoms)
-        return ProspectBreakdown(v_plus, v_minus)
-
     utility = pref.utility
     weighting = pref.weighting
+    if dist.atoms is not None:
+        return ProspectBreakdown(*rank_dependent_sum(utility.value, weighting, dist.atoms))
 
-    s0 = dist.sf(0.0)
-    f0 = dist.cdf(0.0)
+    parts = []
+    # the losses of dist are the gains of its negation, bit for bit
+    for side, law in (("gain", dist), ("loss", dist.affine(0.0, -1.0))):
 
-    def gain_outcome(q):
-        return utility.value("gain", max(dist.isf(q), 0.0))
+        def outcome(q, side=side, law=law):
+            return utility.value(side, max(law.isf(q), 0.0))
 
-    def loss_outcome(q):
-        return utility.value("loss", max(-dist.ppf(q), 0.0))
+        outcome_logq = None
+        if getattr(law, "has_log_tail_quantiles", False):
 
-    gain_logq = None
-    loss_logq = None
-    if getattr(dist, "has_log_tail_quantiles", False):
+            def outcome_logq(s, side=side, law=law):
+                return utility.value(side, max(law.isf_logq(-s), 0.0))
 
-        def gain_logq(s):
-            return utility.value("gain", max(dist.isf_logq(-s), 0.0))
-
-        def loss_logq(s):
-            return utility.value("loss", max(-dist.ppf_logq(-s), 0.0))
-
-    v_plus, e_plus = distorted_tail_integral(
-        gain_outcome, weighting, "gain", s0, outcome_logq=gain_logq
-    )
-    v_minus, e_minus = distorted_tail_integral(
-        loss_outcome, weighting, "loss", f0, outcome_logq=loss_logq
-    )
+        parts.append(distorted_tail_integral(outcome, weighting, side, law.sf(0.0),
+                                             outcome_logq=outcome_logq))
+    (v_plus, e_plus), (v_minus, e_minus) = parts
     return ProspectBreakdown(v_plus, v_minus, e_plus, e_minus)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .choquet import distorted_tail_integral
+from .choquet import distorted_tail_integral, rank_dependent_sum
 from .market import (
     MarketModel,
     Portfolio,
@@ -60,34 +60,8 @@ class GainLoss:
     loss_error: float = 0.0
 
 
-def _discrete_upper_tail(atoms, exponent: float, weighting: WeightingPair, side: str) -> float:
-    cum = 0.0
-    value = 0.0
-    for x, p in sorted(atoms, reverse=True):
-        if x <= 0.0:
-            break
-        nxt = min(cum + p, 1.0)
-        value += x**exponent * (weighting.weight(side, nxt) - weighting.weight(side, cum))
-        cum = nxt
-    return value
-
-
-def _discrete_lower_tail(atoms, exponent: float, weighting: WeightingPair, side: str) -> float:
-    cum = 0.0
-    value = 0.0
-    for x, p in sorted(atoms):
-        if x >= 0.0:
-            break
-        nxt = min(cum + p, 1.0)
-        value += (-x) ** exponent * (weighting.weight(side, nxt) - weighting.weight(side, cum))
-        cum = nxt
-    return value
-
-
 def _upper_tail_integral(law, exponent: float, weighting: WeightingPair, side: str):
     """integral of z**exponent against the distorted upper tail of the law."""
-    if law.atoms is not None:
-        return _discrete_upper_tail(law.atoms, exponent, weighting, side), 0.0
 
     def outcome(q):
         return max(law.isf(q), 0.0) ** exponent
@@ -102,44 +76,37 @@ def _upper_tail_integral(law, exponent: float, weighting: WeightingPair, side: s
                                    outcome_logq=outcome_logq)
 
 
-def _lower_tail_integral(law, exponent: float, weighting: WeightingPair, side: str):
-    """integral of (-z)**exponent against the distorted lower tail of the law."""
-    if law.atoms is not None:
-        return _discrete_lower_tail(law.atoms, exponent, weighting, side), 0.0
-
-    def outcome(q):
-        return max(-law.ppf(q), 0.0) ** exponent
-
-    outcome_logq = None
-    if getattr(law, "has_log_tail_quantiles", False):
-
-        def outcome_logq(s):
-            return max(-law.ppf_logq(-s), 0.0) ** exponent
-
-    return distorted_tail_integral(outcome, weighting, side, law.cdf(0.0),
-                                   outcome_logq=outcome_logq)
-
-
 def _require_power(pref: CptPreference) -> PowerUtility:
     if not isinstance(pref.utility, PowerUtility):
         raise TypeError("the continuous-case solver requires the power utility pair")
     return pref.utility
 
 
+def _atom_integrals(pref: CptPreference, atoms) -> GainLoss:
+    u = _require_power(pref)
+    gain, loss = rank_dependent_sum(
+        lambda side, x: x ** (u.alpha if side == "gain" else u.beta), pref.weighting, atoms)
+    return GainLoss(gain, loss)
+
+
 def long_integrals(pref: CptPreference, z_law) -> GainLoss:
     """Per-unit gains/losses prospect of a buy: gains on the upper tail."""
+    if z_law.atoms is not None:
+        return _atom_integrals(pref, z_law.atoms)
     u = _require_power(pref)
+    # the lower tail of z is the upper tail of -z, bit for bit
     gain, gain_err = _upper_tail_integral(z_law, u.alpha, pref.weighting, "gain")
-    loss, loss_err = _lower_tail_integral(z_law, u.beta, pref.weighting, "loss")
+    loss, loss_err = _upper_tail_integral(z_law.affine(0.0, -1.0), u.beta,
+                                          pref.weighting, "loss")
     return GainLoss(gain, loss, gain_err, loss_err)
 
 
 def short_integrals(pref: CptPreference, z_law) -> GainLoss:
-    """Per-unit gains/losses prospect of a sale: gains on the lower tail."""
-    u = _require_power(pref)
-    gain, gain_err = _lower_tail_integral(z_law, u.alpha, pref.weighting, "gain")
-    loss, loss_err = _upper_tail_integral(z_law, u.beta, pref.weighting, "loss")
-    return GainLoss(gain, loss, gain_err, loss_err)
+    """Per-unit gains/losses prospect of a sale: a buy of the negated excess return."""
+    if z_law.atoms is None:
+        return long_integrals(pref, z_law.affine(0.0, -1.0))
+    # negate the atoms as given: DiscreteLaw.affine would renormalise their masses
+    return _atom_integrals(pref, [(-x, p) for x, p in z_law.atoms])
 
 
 @dataclass(frozen=True)

@@ -211,13 +211,8 @@ class ContinuousLaw:
             return self.shift + self.scale * self.base.isf_array(q)
         return self.shift + self.scale * self.base.ppf_array(q)
 
-    def ppf_logq(self, log_q: float) -> float:
-        """Lower-tail quantile at q = exp(log_q); requires a log-tail base."""
-        if self.scale > 0:
-            return self.shift + self.scale * self.base.ppf_logq(log_q)
-        return self.shift + self.scale * self.base.isf_logq(log_q)
-
     def isf_logq(self, log_q: float) -> float:
+        """Upper-tail quantile at q = exp(log_q); requires a log-tail base."""
         if self.scale > 0:
             return self.shift + self.scale * self.base.isf_logq(log_q)
         return self.shift + self.scale * self.base.ppf_logq(log_q)

@@ -54,8 +54,8 @@ class Lognormal:
     discrete = False
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not (math.isfinite(self.mu) and 0.0 < self.sigma < math.inf):
+            raise ValueError(f"need finite mu and sigma > 0, got {self.mu}, {self.sigma}")
 
     def gross_law(self) -> SignedDistribution:
         return ContinuousLaw(LognormalBase(self.mu, self.sigma))
@@ -71,8 +71,8 @@ class Normal:
     discrete = False
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not (math.isfinite(self.mu) and 0.0 < self.sigma < math.inf):
+            raise ValueError(f"need finite mu and sigma > 0, got {self.mu}, {self.sigma}")
 
     def gross_law(self) -> SignedDistribution:
         return ContinuousLaw(NormalBase(), shift=1.0 + self.mu, scale=self.sigma)
@@ -89,10 +89,10 @@ class StudentT:
     discrete = False
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not 0.0 < self.nu:
             raise ValueError(f"nu must be > 0, got {self.nu}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not (math.isfinite(self.loc) and 0.0 < self.scale < math.inf):
+            raise ValueError(f"need finite loc and scale > 0, got {self.loc}, {self.scale}")
 
     def gross_law(self) -> SignedDistribution:
         return ContinuousLaw(StudentTBase(self.nu), shift=1.0 + self.loc, scale=self.scale)
@@ -129,6 +129,8 @@ class Empirical:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("empirical law needs at least one observation")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("empirical observations must be finite")
         object.__setattr__(self, "values", tuple(sorted(float(v) for v in self.values)))
 
     def gross_law(self) -> DiscreteLaw:
@@ -148,8 +150,8 @@ class MarketModel:
     returns: ReturnLaw
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"risk-free return must be >= 0, got {self.r}")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"risk-free return must be finite and >= 0, got {self.r}")
         if not 0.0 <= self.lam < 1.0:
             raise ValueError(f"cost rate must be in [0, 1), got {self.lam}")
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .choquet import ProspectDivergenceError, prospect_value
+from .choquet import ProspectDivergenceError, prospect_value, rank_weights
 from .distributions import DiscreteLaw, constant_law
 from .market import MarketModel, Portfolio, reference_wealth, terminal_wealth
 from .preferences import CptPreference, ExponentialUtility
@@ -130,17 +130,6 @@ def _affine_coefficients(p: Portfolio, m: MarketModel, thetas: np.ndarray):
     return base, slope
 
 
-def _utility_grid(pref: CptPreference, side: str, x: np.ndarray) -> np.ndarray:
-    u = pref.utility
-    if isinstance(u, ExponentialUtility):
-        eta = u.eta_gain if side == "gain" else u.eta_loss
-        out = -np.expm1(-eta * x)
-        return out if side == "gain" else u.loss_aversion * out
-    exponent = u.alpha if side == "gain" else u.beta
-    out = np.power(x, exponent)
-    return out if side == "gain" else u.loss_aversion * out
-
-
 def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
                                thetas: np.ndarray) -> np.ndarray:
     """Fixed-node Choquet evaluation of the whole theta grid at once.
@@ -152,26 +141,20 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
     """
     law = m.returns.gross_law()
     base, slope = _affine_coefficients(p, m, thetas)
+    utility = pref.utility
     out = np.zeros_like(thetas)
 
     const_rows = slope == 0.0
     if const_rows.any():
         vals = base[const_rows]
         out[const_rows] = np.where(
-            vals > 0, _utility_grid(pref, "gain", np.maximum(vals, 0.0)),
-            np.where(vals < 0, -_utility_grid(pref, "loss", np.maximum(-vals, 0.0)), 0.0),
+            vals > 0, utility.value_array("gain", np.maximum(vals, 0.0)),
+            np.where(vals < 0, -utility.value_array("loss", np.maximum(-vals, 0.0)), 0.0),
         )
 
     weighting = pref.weighting
     nodes, node_weights = _gauss_nodes(12, 16)
     nu = getattr(law.base, "nu", math.inf)  # Student-t quantiles: |Q| ~ q**(-1/nu)
-
-    def utility_powers(side):
-        # growth exponents of the utility at zero outcome and at infinity
-        if isinstance(pref.utility, ExponentialUtility):
-            return 1.0, 0.0
-        power = pref.utility.alpha if side == "gain" else pref.utility.beta
-        return power, power
 
     def side_value(side, b, s, upper, use_upper_tail):
         """integral of u(|Q_D|) w'(q) over (0, upper), both endpoints substituted."""
@@ -183,7 +166,7 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         levels, inv = np.unique(upper[live], return_inverse=True)
         half = 0.5 * levels[:, None]
         pieces = np.zeros(inv.size)
-        kink, growth = utility_powers(side)
+        kink, growth = utility.growth_powers(side)
         # near q = 0 the integrand behaves like q**(endpoint - 1 - growth/nu)
         tail = weighting.endpoint_exponent(side) - growth / nu
         if tail <= 0.0:
@@ -199,7 +182,7 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
             quantiles = law.isf_array(q) if use_upper_tail else law.ppf_array(q)
             d_vals = b[live, None] + s[live, None] * quantiles[inv]
             magnitude = np.maximum(d_vals if side == "gain" else -d_vals, 0.0)
-            integrand = (_utility_grid(pref, side, magnitude)
+            integrand = (utility.value_array(side, magnitude)
                          * weighting.derivative_array(side, q)[inv])
             pieces = pieces + half[inv, 0] * (integrand * jac[None, :]).sum(axis=1)
         result = np.zeros_like(b)
@@ -223,55 +206,50 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
     return out
 
 
+def _discrete_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
+                             thetas: np.ndarray) -> np.ndarray:
+    """Exact rank-dependent sums for the whole theta grid at once.
+
+    Each row's wealth difference b + s*x is monotone in the gross return x,
+    so the sign of s fixes the rank order of the atoms: every decision weight
+    is one of two per atom and side, shared by the rows.  Rows accumulate
+    atom by atom, each independent of its neighbours.
+    """
+    xs, probs = zip(*m.returns.gross_law().atoms)  # ascending gross returns
+    base, slope = _affine_coefficients(p, m, thetas)
+    utility, weighting = pref.utility, pref.weighting
+
+    def from_top(side):
+        return rank_weights(weighting, side, probs[::-1])[::-1]
+
+    # s >= 0: gains rank from the top atom down, losses from the bottom up
+    rising = slope >= 0.0
+    gain_rising, gain_falling = from_top("gain"), rank_weights(weighting, "gain", probs)
+    loss_rising, loss_falling = rank_weights(weighting, "loss", probs), from_top("loss")
+    v_plus = np.zeros_like(thetas)
+    v_minus = np.zeros_like(thetas)
+    for x, g_up, g_down, l_up, l_down in zip(xs, gain_rising, gain_falling,
+                                             loss_rising, loss_falling):
+        d = base + slope * x
+        v_plus += utility.value_array("gain", np.maximum(d, 0.0)) * np.where(rising, g_up, g_down)
+        v_minus += utility.value_array("loss", np.maximum(-d, 0.0)) * np.where(rising, l_up, l_down)
+    return v_plus - v_minus
+
+
 def evaluate_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
                             thetas: np.ndarray) -> np.ndarray:
     """Vectorized objective over a theta grid.
 
-    Two-state laws use exact closed-form sums; continuous laws use the shared
-    fixed-node Choquet evaluation (except the exp-log weighting, whose lower
-    tail needs the adaptive path).
+    Discrete laws use exact rank-dependent sums; continuous laws use the
+    shared fixed-node Choquet evaluation (except the exp-log weighting, whose
+    lower tail needs the adaptive path).
     """
     thetas = np.asarray(thetas, dtype=float)
-    law = m.returns.gross_law()
-    atoms = law.atoms
-    if atoms is None:
-        if getattr(pref.weighting, "log_tail_density", None) is not None:
-            return np.array([evaluate_objective(p, m, pref, t) for t in thetas])
-        return _continuous_objective_grid(p, m, pref, thetas)
-    if len(atoms) != 2:
+    if m.returns.discrete:
+        return _discrete_objective_grid(p, m, pref, thetas)
+    if getattr(pref.weighting, "log_tail_density", None) is not None:
         return np.array([evaluate_objective(p, m, pref, t) for t in thetas])
-
-    (x_lo, p_lo), (x_hi, p_hi) = atoms
-    one_r = 1.0 + m.r
-    held = p.y0 + thetas
-    base = one_r * (p.x0 - thetas) - m.lam * one_r * np.maximum(-thetas, 0.0)
-    bench_scale = p.y0 - m.lam * max(p.y0, 0.0)
-    bench_base = one_r * p.x0
-
-    def diff(gross):
-        wealth = base + gross * (held - m.lam * np.maximum(held, 0.0))
-        return wealth - (bench_base + gross * bench_scale)
-
-    d_lo = diff(x_lo)
-    d_hi = diff(x_hi)
-    top = np.maximum(d_lo, d_hi)
-    bot = np.minimum(d_lo, d_hi)
-    hi_on_top = d_hi >= d_lo
-
-    w = pref.weighting
-    gain_top = _utility_grid(pref, "gain", np.maximum(top, 0.0))
-    gain_bot = _utility_grid(pref, "gain", np.maximum(bot, 0.0))
-    loss_bot = _utility_grid(pref, "loss", np.maximum(-bot, 0.0))
-    loss_top = _utility_grid(pref, "loss", np.maximum(-top, 0.0))
-
-    # the top-atom probability takes only two values; weight them once
-    w_top_gain = np.where(hi_on_top, w.weight("gain", p_hi), w.weight("gain", p_lo))
-    w_bot_loss = np.where(hi_on_top, w.weight("loss", p_lo), w.weight("loss", p_hi))
-    v_plus = np.where(top > 0, gain_top * w_top_gain, 0.0)
-    v_plus += np.where(bot > 0, gain_bot * (1.0 - w_top_gain), 0.0)
-    v_minus = np.where(bot < 0, loss_bot * w_bot_loss, 0.0)
-    v_minus += np.where(top < 0, loss_top * (1.0 - w_bot_loss), 0.0)
-    return v_plus - v_minus
+    return _continuous_objective_grid(p, m, pref, thetas)
 
 
 def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference,

@@ -53,7 +53,7 @@ class PowerUtility:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.alpha > self.beta:
             raise ValueError(f"alpha must not exceed beta, got {self.alpha} > {self.beta}")
-        if self.loss_aversion <= 1.0:
+        if not 1.0 < self.loss_aversion:
             raise ValueError(f"loss_aversion must be > 1, got {self.loss_aversion}")
 
     def value(self, side: Side, x: float) -> float:
@@ -63,6 +63,18 @@ class PowerUtility:
         if side == "gain":
             return x**self.alpha
         return self.loss_aversion * x**self.beta
+
+    def value_array(self, side: Side, x: np.ndarray) -> np.ndarray:
+        """Vectorized ``value`` on an array of nonnegative magnitudes."""
+        _check_side(side)
+        out = np.power(x, self.alpha if side == "gain" else self.beta)
+        return out if side == "gain" else self.loss_aversion * out
+
+    def growth_powers(self, side: Side) -> tuple[float, float]:
+        """Power-law exponents of the utility at zero magnitude and at infinity."""
+        _check_side(side)
+        power = self.alpha if side == "gain" else self.beta
+        return power, power
 
     def limit(self, side: Side) -> float:
         _check_side(side)
@@ -80,11 +92,11 @@ class ExponentialUtility:
     bounded = True
 
     def __post_init__(self):
-        if self.eta_gain <= 0 or self.eta_loss <= 0:
+        if not (0.0 < self.eta_gain and 0.0 < self.eta_loss):
             raise ValueError(
                 f"curvature parameters must be > 0, got {self.eta_gain}, {self.eta_loss}"
             )
-        if self.loss_aversion <= 1.0:
+        if not 1.0 < self.loss_aversion:
             raise ValueError(f"loss_aversion must be > 1, got {self.loss_aversion}")
 
     def value(self, side: Side, x: float) -> float:
@@ -94,6 +106,17 @@ class ExponentialUtility:
         if side == "gain":
             return -math.expm1(-self.eta_gain * x)
         return -self.loss_aversion * math.expm1(-self.eta_loss * x)
+
+    def value_array(self, side: Side, x: np.ndarray) -> np.ndarray:
+        """Vectorized ``value`` on an array of nonnegative magnitudes."""
+        _check_side(side)
+        out = -np.expm1(-(self.eta_gain if side == "gain" else self.eta_loss) * x)
+        return out if side == "gain" else self.loss_aversion * out
+
+    def growth_powers(self, side: Side) -> tuple[float, float]:
+        """Power-law exponents at zero magnitude (linear) and at infinity (bounded)."""
+        _check_side(side)
+        return 1.0, 0.0
 
     def limit(self, side: Side) -> float:
         _check_side(side)
@@ -168,7 +191,7 @@ class PrelecWeighting:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.delta_gain <= 0 or self.delta_loss <= 0:
+        if not (0.0 < self.delta_gain and 0.0 < self.delta_loss):
             raise ValueError(
                 f"delta parameters must be > 0, got {self.delta_gain}, {self.delta_loss}"
             )

@@ -218,6 +218,20 @@ class TestCommandLine:
         assert code == 2
         assert "solve.mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_divergent_prospect_exits_with_code_4(self, tmp_path, capsys, command):
+        # loss side: TK delta 0.69 against beta / nu = 0.9 / 1.2 = 0.75
+        payload = {**BULL,
+                   "market": {"r": 0.01, "lambda": 0.02,
+                              "returns": {"kind": "student-t", "nu": 1.2,
+                                          "loc": 0.0, "scale": 0.1}},
+                   "preference": {**BULL["preference"], "alpha": 0.7, "beta": 0.9}}
+        code = main([command, "--config", self._write(tmp_path, payload)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: prospect loss integral did not converge: ")
+
     def test_estimate_command(self, tmp_path, capsys):
         prices = tmp_path / "px.csv"
         prices.write_text(

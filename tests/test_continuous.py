@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.integrate import quad
 
 from cptinvest.continuous import (
     PowerCaseInputs,
@@ -22,6 +24,7 @@ from cptinvest.continuous import (
     solve,
     solve_long,
     solve_short,
+    solve_with_inputs,
     solve_zero_initial,
 )
 from cptinvest.distributions import DiscreteLaw
@@ -41,6 +44,7 @@ from cptinvest.preferences import (
     ExponentialUtility,
     IdentityWeighting,
     PowerUtility,
+    PrelecWeighting,
     TverskyKahnemanWeighting,
 )
 from cptinvest.choquet import ProspectDivergenceError, prospect_value
@@ -73,6 +77,25 @@ class TestIntegrals:
         assert (buy.gain, buy.loss) == (pytest.approx(q), pytest.approx(1.0 - q))
         sell = short_integrals(pref, z)
         assert (sell.gain, sell.loss) == (pytest.approx(1.0 - q), pytest.approx(q))
+
+    def test_sale_integrals_are_exact_telescoping_sums(self):
+        """A sale's gains rank the negative atoms from the bottom, its losses the
+        positive atoms from the top, each weighted by w(c_i) - w(c_{i-1})."""
+        pref = CptPreference(PowerUtility(0.6, 0.9, 3.0), TverskyKahnemanWeighting(0.4, 0.8))
+        z = DiscreteLaw([-0.8, -0.3, 0.0, 0.25, 0.6, 1.4], [0.1, 0.2, 0.15, 0.3, 0.15, 0.1])
+        w = pref.weighting
+
+        def telescoped(ranked, side, exponent):
+            total, cum = 0.0, 0.0
+            for x, prob in ranked:
+                total += abs(x) ** exponent * (w.weight(side, cum + prob) - w.weight(side, cum))
+                cum += prob
+            return total
+
+        sell = short_integrals(pref, z)
+        assert sell.gain == telescoped([a for a in z.atoms if a[0] < 0], "gain", 0.6)
+        assert sell.loss == telescoped([a for a in reversed(z.atoms) if a[0] > 0], "loss", 0.9)
+        assert (sell.gain_error, sell.loss_error) == (0.0, 0.0)
 
     def test_gain_integral_equals_prospect_of_unit_buy(self):
         """Per-unit integrals agree with the definitional wealth-difference route."""
@@ -603,3 +626,71 @@ def test_divergent_student_t_tails_raise_naming_the_side(law, utility, side):
         with pytest.raises(ProspectDivergenceError) as excinfo:
             call()
         assert excinfo.value.side == side
+
+
+def _prelec_outcome_integral(log_prob_beyond, weighting, side, power, t_max=math.inf):
+    """Outcome-domain Choquet integral of |z|**power on one side of zero.
+
+    The integral over y > 0 of w(P(|z| > y**(1/power))), with the Prelec
+    weighting w(q) = exp(-delta * (-ln q)**gamma) taken from log q so that no
+    tail probability underflows.  Shares no code with the quantile-domain
+    solver.
+    """
+    delta = weighting.delta_gain if side == "gain" else weighting.delta_loss
+
+    def decumulative(y):
+        return math.exp(-delta * (-log_prob_beyond(y ** (1.0 / power))) ** weighting.gamma)
+
+    if math.isfinite(t_max):
+        # w(P) vanishes slowly at the end of a bounded outcome: split toward it
+        y_max = t_max**power
+        edges = [0.0] + [y_max * (1.0 - 10.0**-k) for k in range(1, 10)] + [y_max]
+    else:
+        edges = [0.0, 1.0, math.inf]
+    return sum(quad(decumulative, a, b, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("law, weighting, utility, r, lam", [
+    pytest.param(Normal(0.0753, 0.1067), PrelecWeighting(0.522, 1.547, 0.568),
+                 PowerUtility(0.687, 0.972, 2.09), 0.019, 0.018, id="normal-loss"),
+    pytest.param(Lognormal(0.0858, 0.321), PrelecWeighting(0.567, 0.889, 0.737),
+                 PowerUtility(0.664, 0.828, 2.14), 0.0148, 0.0094, id="lognormal-loss"),
+    pytest.param(Lognormal(0.0382, 0.1248), PrelecWeighting(0.546, 0.670, 1.139),
+                 PowerUtility(0.683, 0.976, 2.87), 0.0232, 0.022, id="lognormal-gain"),
+])
+def test_finite_prelec_integrals_near_one_half_are_accepted(law, weighting, utility, r, lam):
+    """Prelec gamma just above 1/2 keeps lognormal and normal prospects finite.
+
+    The quantile-domain tail remainder w(exp(-s)) must be taken at the
+    truncation point s itself: capping s at 700 overstated it by orders of
+    magnitude and refused these markets.  The four per-unit integrals are
+    checked against an outcome-domain quadrature on scipy.stats laws.
+    """
+    m = MarketModel(r, lam, law)
+    pref = CptPreference(utility, weighting)
+    solution, inputs = solve_with_inputs(Portfolio(1.0, 1.0), m, pref)
+    assert solution.kind is SolutionKind.FINITE_POINT
+
+    if isinstance(law, Lognormal):
+        gross = stats.lognorm(s=law.sigma, scale=math.exp(law.mu))
+    else:
+        gross = stats.norm(loc=1.0 + law.mu, scale=law.sigma)
+    keep, one_r = 1.0 - lam, 1.0 + r
+    bounded = isinstance(law, Lognormal)  # gross returns are positive
+    # per unit: a buy pays 1 + r and liquidates at the bid keep * X; a sale
+    # receives keep * (1 + r) and forgoes keep * X
+    expected = {
+        "gain_buy": _prelec_outcome_integral(
+            lambda t: gross.logsf((one_r + t) / keep), weighting, "gain", utility.alpha),
+        "loss_buy": _prelec_outcome_integral(
+            lambda t: gross.logcdf((one_r - t) / keep), weighting, "loss", utility.beta,
+            one_r if bounded else math.inf),
+        "gain_sell": _prelec_outcome_integral(
+            lambda t: gross.logcdf(one_r - t / keep), weighting, "gain", utility.alpha,
+            keep * one_r if bounded else math.inf),
+        "loss_sell": _prelec_outcome_integral(
+            lambda t: gross.logsf(one_r + t / keep), weighting, "loss", utility.beta),
+    }
+    for name, value in expected.items():
+        assert getattr(inputs, name) == pytest.approx(value, rel=1e-9, abs=1e-12), name

@@ -11,6 +11,7 @@ from cptinvest.market import (
     MarketModel,
     Normal,
     Portfolio,
+    StudentT,
     TradeDirection,
     check_no_arbitrage,
     excess_transform,
@@ -182,3 +183,23 @@ def test_market_model_validation():
         Binomial(1.2, 0.9, 1.0)
     with pytest.raises(ValueError):
         Portfolio(math.nan, 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MarketModel(math.nan, 0.01, Lognormal(0.05, 0.2)),
+    lambda: MarketModel(math.inf, 0.01, Lognormal(0.05, 0.2)),
+    lambda: Lognormal(math.nan, 0.2),
+    lambda: Lognormal(0.05, math.nan),
+    lambda: Normal(math.nan, 0.2),
+    lambda: Normal(0.05, math.nan),
+    lambda: StudentT(math.nan, 0.0, 0.1),
+    lambda: StudentT(5.0, math.nan, 0.1),
+    lambda: StudentT(5.0, 0.0, math.nan),
+    lambda: Empirical((1.0, math.nan, 1.1)),
+    lambda: Empirical((1.0, math.inf)),
+], ids=["market-r-nan", "market-r-inf", "lognormal-mu", "lognormal-sigma", "normal-mu",
+        "normal-sigma", "student-t-nu", "student-t-loc", "student-t-scale",
+        "empirical-nan", "empirical-inf"])
+def test_non_finite_parameters_are_rejected(build):
+    with pytest.raises(ValueError):
+        build()

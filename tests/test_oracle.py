@@ -8,6 +8,7 @@ from cptinvest.choquet import ProspectDivergenceError, prospect_value
 from cptinvest.continuous import prepare_inputs, solve
 from cptinvest.market import (
     Binomial,
+    Empirical,
     Lognormal,
     MarketModel,
     Normal,
@@ -27,6 +28,7 @@ from cptinvest.preferences import (
     ExponentialUtility,
     IdentityWeighting,
     PowerUtility,
+    PrelecWeighting,
     TverskyKahnemanWeighting,
 )
 from cptinvest.solution import Solution, SolutionKind
@@ -82,10 +84,28 @@ def test_grid_search_is_deterministic():
     assert (a.argmax_theta, a.max_value, a.final_step) == (b.argmax_theta, b.max_value, b.final_step)
 
 
-def test_vectorized_grid_matches_scalar_for_two_state():
-    thetas = np.linspace(-2.0, 3.0, 11)
-    fast = evaluate_objective_grid(CASH, BINOM, EXP_PREF, thetas)
-    slow = [evaluate_objective(CASH, BINOM, EXP_PREF, t) for t in thetas]
+def _kind(obj) -> str:
+    return type(obj).__name__
+
+
+# repeated observations merge into atoms of larger mass
+EMPIRICAL = Empirical((0.9, 0.97, 1.0, 1.0, 1.04, 1.04, 1.04, 1.12, 1.3))
+
+
+@pytest.mark.parametrize("returns", [Binomial(1.5, 0.95, 0.55), EMPIRICAL], ids=_kind)
+@pytest.mark.parametrize("weighting", [TK, PrelecWeighting(0.65, 0.8, 1.2), IdentityWeighting()],
+                         ids=_kind)
+@pytest.mark.parametrize("utility", [ExponentialUtility(1.5, 1.5, 1.2),
+                                     PowerUtility(0.7, 0.9, 2.25)], ids=_kind)
+@pytest.mark.parametrize("port", [CASH, Portfolio(1.0, 0.5)], ids=["cash", "holdings"])
+def test_vectorized_grid_matches_scalar_for_discrete_laws(returns, weighting, utility, port):
+    """The rank-weight kernel agrees with per-theta pathwise rank-dependent sums."""
+    m = MarketModel(0.0, 0.02, returns)
+    pref = CptPreference(utility, weighting)
+    # both trade signs, no trade, and the sale of all holdings
+    thetas = np.concatenate([np.linspace(-2.0, 3.0, 11), [0.0, -port.y0, -0.37, 1.9]])
+    fast = evaluate_objective_grid(port, m, pref, thetas)
+    slow = [evaluate_objective(port, m, pref, t) for t in thetas]
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
 
@@ -100,12 +120,9 @@ def test_vectorized_grid_matches_scalar_for_continuous():
     np.testing.assert_allclose(fast, slow, rtol=1e-4, atol=5e-7)
 
 
-def _kind(obj) -> str:
-    return type(obj).__name__
-
-
 @pytest.mark.parametrize("returns", [Lognormal(0.05, 0.2), Normal(0.05, 0.2),
-                                     StudentT(5.0, 0.02, 0.1)], ids=_kind)
+                                     StudentT(5.0, 0.02, 0.1), Binomial(1.5, 0.95, 0.55),
+                                     EMPIRICAL], ids=_kind)
 @pytest.mark.parametrize("weighting", [TK, IdentityWeighting()], ids=_kind)
 @pytest.mark.parametrize("utility", [PowerUtility(0.7, 0.9, 2.25),
                                      ExponentialUtility(1.5, 1.5, 1.2)], ids=_kind)

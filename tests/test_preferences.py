@@ -138,3 +138,18 @@ class TestWeightings:
 def test_preference_bundle():
     pref = CptPreference(PowerUtility(), TverskyKahnemanWeighting())
     assert pref.loss_aversion == 2.25
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PowerUtility(0.88, 0.88, math.nan),
+    lambda: ExponentialUtility(math.nan, 1.0, 2.0),
+    lambda: ExponentialUtility(1.0, math.nan, 2.0),
+    lambda: ExponentialUtility(1.0, 1.0, math.nan),
+    lambda: PrelecWeighting(0.65, math.nan, 1.0),
+    lambda: PrelecWeighting(0.65, 1.0, math.nan),
+], ids=["power-loss_aversion", "exp-eta_gain", "exp-eta_loss", "exp-loss_aversion",
+        "prelec-delta_gain", "prelec-delta_loss"])
+def test_nan_parameters_are_rejected(build):
+    # a comparison with NaN is false, so a check written as `x <= lo` lets it pass
+    with pytest.raises(ValueError):
+        build()
