@@ -10,26 +10,18 @@ from .binomial import (
     LossAversionThresholds,
     Payoff2,
     PseudoProbabilities,
-    candidate_buy_trade,
-    candidate_sell_trade,
-    candidate_thetas,
+    candidate_applies,
+    candidate_trade,
     lambda_bar,
     prepare_binomial_inputs,
     pseudo_probabilities,
     replicate,
     solve_binomial,
-    solve_buy,
-    solve_sell,
+    solve_ray,
     zeta_thresholds,
 )
-from .choquet import (
-    ProspectBreakdown,
-    ProspectDivergenceError,
-    check_finiteness,
-    prospect_value,
-)
+from .choquet import GainLoss, ProspectDivergenceError, prospect_value
 from .continuous import (
-    GainLoss,
     PowerCaseInputs,
     interior_candidates,
     k_ratios,

@@ -5,7 +5,8 @@ sell branches price with different pseudo-probability pairs because the cost
 rate enters on different legs.  The optimum on each ray is one of: no trade,
 a whole ray of optima, an unbounded trade with a finite limit prospect, or a
 unique interior trade, selected by comparing the loss-aversion level with
-weighted-probability thresholds.  All arithmetic is closed form; comparisons
+weighted-probability thresholds.  A sale is a buy of the mirrored payoff, so
+both rays run one set of comparisons.  All arithmetic is closed form; comparisons
 use an exact 1e-12 relative band, with boundary ties resolved toward finite
 candidates and toward the buy side.
 """
@@ -29,14 +30,10 @@ __all__ = [
     "pseudo_probabilities",
     "replicate",
     "zeta_thresholds",
-    "candidate_thetas",
-    "candidate_buy_trade",
-    "candidate_sell_trade",
-    "buy_candidate_applies",
-    "sell_candidate_applies",
+    "candidate_trade",
+    "candidate_applies",
     "prospect_at",
-    "solve_buy",
-    "solve_sell",
+    "solve_ray",
     "solve_binomial",
     "solve_binomial_with_inputs",
     "prepare_binomial_inputs",
@@ -185,51 +182,54 @@ def prepare_binomial_inputs(x0: float, market: MarketModel,
     )
 
 
-def buy_candidate_applies(inputs: BinomialInputs) -> bool:
-    pp, thr = inputs.pseudo, inputs.thresholds
-    return (pp.buy_down > pp.buy_up > 0 and thr.buy_interior is not None
-            and inputs.zeta < thr.buy_interior)
+@dataclass(frozen=True)
+class _Ray:
+    """One trade direction in buy terms: a sale is a buy of the mirrored payoff.
 
-
-def sell_candidate_applies(inputs: BinomialInputs) -> bool:
-    pp, thr = inputs.pseudo, inputs.thresholds
-    return (pp.sell_up > pp.sell_down > 0 and thr.sell_interior is not None
-            and inputs.zeta < thr.sell_interior)
-
-
-def candidate_buy_trade(inputs: BinomialInputs) -> float:
-    """Interior buy candidate (> 0); needs buy_down > buy_up > 0 and loss
-    aversion below the interior buy threshold."""
-    if not buy_candidate_applies(inputs):
-        raise ValueError("interior buy candidate undefined outside its regime")
-    law = _binomial_law(inputs.market)
-    keep = 1.0 - inputs.market.lam
-    denom = inputs.eta * (keep * (law.u + law.d) - 2.0 * (1.0 + inputs.market.r))
-    return math.log(inputs.thresholds.buy_interior / inputs.zeta) / denom
-
-
-def candidate_sell_trade(inputs: BinomialInputs) -> float:
-    """Interior sell candidate (< 0); mirror regime on the sell side."""
-    if not sell_candidate_applies(inputs):
-        raise ValueError("interior sell candidate undefined outside its regime")
-    law = _binomial_law(inputs.market)
-    keep = 1.0 - inputs.market.lam
-    denom = inputs.eta * (2.0 * keep * (1.0 + inputs.market.r) - (law.u + law.d))
-    return -math.log(inputs.thresholds.sell_interior / inputs.zeta) / denom
-
-
-def candidate_thetas(inputs: BinomialInputs) -> tuple[float | None, float | None]:
-    """Interior candidates per side, None outside the side's regime.
-
-    The two regimes demand opposite orderings of (1-lam)(u+d) against the
-    cost-adjusted risk-free legs, so at most one side is ever defined; if
-    neither applies this raises.
+    The gain weight is the pseudo weight that grows with the per-unit gain
+    (buy_down for a buy, sell_up for a sale), the loss weight its partner.
     """
-    theta_buy = candidate_buy_trade(inputs) if buy_candidate_applies(inputs) else None
-    theta_sell = candidate_sell_trade(inputs) if sell_candidate_applies(inputs) else None
-    if theta_buy is None and theta_sell is None:
-        raise ValueError("no interior candidate applies in this regime")
-    return theta_buy, theta_sell
+
+    gain_weight: float
+    loss_weight: float
+    unbounded: float
+    interior: float | None
+    p_gain: float
+    p_loss: float
+    gap: float  # per-unit payoff gap that scales the interior candidate
+    sign: float
+    prefix: str
+
+
+def _ray(inputs: BinomialInputs, side: str) -> _Ray:
+    pp, thr, m = inputs.pseudo, inputs.thresholds, inputs.market
+    law = _binomial_law(m)
+    keep = 1.0 - m.lam
+    if side == "buy":
+        return _Ray(pp.buy_down, pp.buy_up, thr.buy_unbounded, thr.buy_interior,
+                    1.0 - law.p, law.p, keep * (law.u + law.d) - 2.0 * (1.0 + m.r),
+                    1.0, "T4.1-")
+    if side == "sell":
+        return _Ray(pp.sell_up, pp.sell_down, thr.sell_unbounded, thr.sell_interior,
+                    law.p, 1.0 - law.p, 2.0 * keep * (1.0 + m.r) - (law.u + law.d),
+                    -1.0, "T4.2-")
+    raise ValueError(f"side must be 'buy' or 'sell', got {side!r}")
+
+
+def candidate_applies(inputs: BinomialInputs, side: str) -> bool:
+    """Whether the side's ray ("buy" or "sell") has an interior candidate."""
+    ray = _ray(inputs, side)
+    return (ray.gain_weight > ray.loss_weight > 0 and ray.interior is not None
+            and inputs.zeta < ray.interior)
+
+
+def candidate_trade(inputs: BinomialInputs, side: str) -> float:
+    """Interior candidate of one side (> 0 for a buy, < 0 for a sale); needs
+    gain weight > loss weight > 0 and loss aversion below the interior threshold."""
+    if not candidate_applies(inputs, side):
+        raise ValueError(f"interior {side} candidate undefined outside its regime")
+    ray = _ray(inputs, side)
+    return ray.sign * math.log(ray.interior / inputs.zeta) / (inputs.eta * ray.gap)
 
 
 def prospect_at(inputs: BinomialInputs, theta: float) -> float:
@@ -245,68 +245,38 @@ def prospect_at(inputs: BinomialInputs, theta: float) -> float:
     return prospect_value(inputs.pref, dist).total
 
 
-def _limit_prospect_buy(inputs: BinomialInputs) -> float:
-    w = inputs.pref.weighting
-    p = _binomial_law(inputs.market).p
-    return w.weight("gain", 1.0 - p) - inputs.zeta * w.weight("loss", p)
+def solve_ray(inputs: BinomialInputs, side: str) -> Solution:
+    """Optimum over one ray: theta >= 0 for "buy", theta <= 0 for "sell"."""
+    ray = _ray(inputs, side)
+    gain, loss, zeta = ray.gain_weight, ray.loss_weight, inputs.zeta
+    case = ray.prefix
 
+    def unbounded(label: str) -> Solution:
+        w = inputs.pref.weighting
+        limit = w.weight("gain", ray.p_gain) - zeta * w.weight("loss", ray.p_loss)
+        end = Solution.plus_infinity if ray.sign > 0 else Solution.minus_infinity
+        return end(case + label, limit)
 
-def _limit_prospect_sell(inputs: BinomialInputs) -> float:
-    w = inputs.pref.weighting
-    p = _binomial_law(inputs.market).p
-    return w.weight("gain", p) - inputs.zeta * w.weight("loss", 1.0 - p)
-
-
-def solve_buy(inputs: BinomialInputs) -> Solution:
-    """Optimum over the buy ray theta >= 0."""
-    pp = inputs.pseudo
-    thr = inputs.thresholds
-    zeta = inputs.zeta
-    if pp.buy_down <= 0 or _close(pp.buy_down, 0.0):
-        return Solution.point(0.0, "T4.1-1a", 0.0, boundary=_close(pp.buy_down, 0.0))
-    if _close(pp.buy_down, pp.buy_up):
-        if _close(zeta, thr.buy_unbounded):
-            return Solution.interval(0.0, math.inf, "T4.1-2", 0.0, boundary=True)
-        if zeta > thr.buy_unbounded:
-            return Solution.point(0.0, "T4.1-1b", 0.0)
-        return Solution.plus_infinity("T4.1-3a", _limit_prospect_buy(inputs))
-    if pp.buy_down < pp.buy_up:
-        if zeta >= thr.buy_unbounded or _close(zeta, thr.buy_unbounded):
-            return Solution.point(0.0, "T4.1-1c", 0.0,
-                                  boundary=_close(zeta, thr.buy_unbounded))
-        return Solution.plus_infinity("T4.1-3b", _limit_prospect_buy(inputs))
-    # buy_down > buy_up > 0
-    if zeta >= thr.buy_interior or _close(zeta, thr.buy_interior):
-        return Solution.point(0.0, "T4.1-1d", 0.0,
-                              boundary=_close(zeta, thr.buy_interior))
-    theta = candidate_buy_trade(inputs)
-    return Solution.point(theta, "T4.1-4", prospect_at(inputs, theta))
-
-
-def solve_sell(inputs: BinomialInputs) -> Solution:
-    """Optimum over the sell ray theta <= 0."""
-    pp = inputs.pseudo
-    thr = inputs.thresholds
-    zeta = inputs.zeta
-    if pp.sell_up <= 0 or _close(pp.sell_up, 0.0):
-        return Solution.point(0.0, "T4.2-1a", 0.0, boundary=_close(pp.sell_up, 0.0))
-    if _close(pp.sell_up, pp.sell_down):
-        if _close(zeta, thr.sell_unbounded):
-            return Solution.interval(-math.inf, 0.0, "T4.2-2", 0.0, boundary=True)
-        if zeta > thr.sell_unbounded:
-            return Solution.point(0.0, "T4.2-1b", 0.0)
-        return Solution.minus_infinity("T4.2-3a", _limit_prospect_sell(inputs))
-    if pp.sell_up < pp.sell_down:
-        if zeta >= thr.sell_unbounded or _close(zeta, thr.sell_unbounded):
-            return Solution.point(0.0, "T4.2-1c", 0.0,
-                                  boundary=_close(zeta, thr.sell_unbounded))
-        return Solution.minus_infinity("T4.2-3b", _limit_prospect_sell(inputs))
-    # sell_up > sell_down > 0
-    if zeta >= thr.sell_interior or _close(zeta, thr.sell_interior):
-        return Solution.point(0.0, "T4.2-1d", 0.0,
-                              boundary=_close(zeta, thr.sell_interior))
-    theta = candidate_sell_trade(inputs)
-    return Solution.point(theta, "T4.2-4", prospect_at(inputs, theta))
+    if gain <= 0 or _close(gain, 0.0):
+        return Solution.point(0.0, case + "1a", 0.0, boundary=_close(gain, 0.0))
+    if _close(gain, loss):
+        if _close(zeta, ray.unbounded):
+            lo, hi = sorted((0.0, ray.sign * math.inf))
+            return Solution.interval(lo, hi, case + "2", 0.0, boundary=True)
+        if zeta > ray.unbounded:
+            return Solution.point(0.0, case + "1b", 0.0)
+        return unbounded("3a")
+    if gain < loss:
+        if zeta >= ray.unbounded or _close(zeta, ray.unbounded):
+            return Solution.point(0.0, case + "1c", 0.0,
+                                  boundary=_close(zeta, ray.unbounded))
+        return unbounded("3b")
+    # gain weight > loss weight > 0
+    if zeta >= ray.interior or _close(zeta, ray.interior):
+        return Solution.point(0.0, case + "1d", 0.0,
+                              boundary=_close(zeta, ray.interior))
+    theta = candidate_trade(inputs, side)
+    return Solution.point(theta, case + "4", prospect_at(inputs, theta))
 
 
 def _group(sol: Solution) -> str:
@@ -324,7 +294,7 @@ def solve_binomial_with_inputs(x0: float, market: MarketModel,
     if not arb:
         raise ValueError(f"market admits arbitrage or is degenerate: {arb.reason}")
     inputs = prepare_binomial_inputs(x0, market, pref)
-    return _merge_rays(solve_buy(inputs), solve_sell(inputs)), inputs
+    return _merge_rays(solve_ray(inputs, "buy"), solve_ray(inputs, "sell")), inputs
 
 
 def solve_binomial(x0: float, market: MarketModel, pref: CptPreference) -> Solution:

@@ -21,16 +21,10 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .preferences import (
-    CptPreference,
-    ExponentialUtility,
-    IdentityWeighting,
-    Side,
-    WeightingPair,
-)
+from .preferences import CptPreference, Side, WeightingPair
 
 __all__ = [
-    "ProspectBreakdown",
+    "GainLoss",
     "ProspectDivergenceError",
     "prospect_value",
     "distorted_tail_integral",
@@ -58,17 +52,17 @@ class ProspectDivergenceError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class ProspectBreakdown:
-    """Gains part, losses part and their error estimates; total = v_plus - v_minus."""
+class GainLoss:
+    """Gains part, losses part and their error estimates; total = gain - loss."""
 
-    v_plus: float
-    v_minus: float
-    error_plus: float = 0.0
-    error_minus: float = 0.0
+    gain: float
+    loss: float
+    gain_error: float = 0.0
+    loss_error: float = 0.0
 
     @property
     def total(self) -> float:
-        return self.v_plus - self.v_minus
+        return self.gain - self.loss
 
 
 def _checked_quad(f, a: float, b: float, side: str):
@@ -218,12 +212,15 @@ def rank_dependent_sum(
     return v_plus, v_minus
 
 
-def prospect_value(pref: CptPreference, dist) -> ProspectBreakdown:
-    """CPT value of a signed distribution relative to reference zero."""
+def prospect_value(pref: CptPreference, dist) -> GainLoss:
+    """CPT value of a signed distribution relative to reference zero.
+
+    The loss part is the utility of the losses, loss aversion included.
+    """
     utility = pref.utility
     weighting = pref.weighting
     if dist.atoms is not None:
-        return ProspectBreakdown(*rank_dependent_sum(utility.value, weighting, dist.atoms))
+        return GainLoss(*rank_dependent_sum(utility.value, weighting, dist.atoms))
 
     parts = []
     # the losses of dist are the gains of its negation, bit for bit
@@ -241,26 +238,5 @@ def prospect_value(pref: CptPreference, dist) -> ProspectBreakdown:
         parts.append(distorted_tail_integral(outcome, weighting, side, law.sf(0.0),
                                              outcome_logq=outcome_logq))
     (v_plus, e_plus), (v_minus, e_minus) = parts
-    return ProspectBreakdown(v_plus, v_minus, e_plus, e_minus)
-
-
-def check_finiteness(pref: CptPreference, law) -> str:
-    """'finite' when the prospect of any strategy is provably finite, else 'unverified'.
-
-    Finiteness holds for bounded (discrete) return laws, for the bounded
-    exponential utility, and for normal / lognormal / student-t returns
-    whenever the weighting derivative grows no faster than q**(-eps) with
-    eps < 1 at the probability endpoints.
-    """
-    from .market import Binomial, Empirical, Lognormal, Normal, StudentT
-
-    if isinstance(law, (Binomial, Empirical)):
-        return "finite"
-    if isinstance(pref.utility, ExponentialUtility):
-        return "finite"
-    if isinstance(law, (Lognormal, Normal, StudentT)):
-        w = pref.weighting
-        if isinstance(w, IdentityWeighting) or w.tail_exponent_bound() < 1.0:
-            return "finite"
-    return "unverified"
+    return GainLoss(v_plus, v_minus, e_plus, e_minus)
 

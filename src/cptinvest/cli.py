@@ -115,10 +115,9 @@ def _continuous_row(config: RunConfig, value: float) -> SweepRow:
 
 def _binomial_row(config: RunConfig, value: float) -> SweepRow:
     sol, inputs = _solve_for_mode(config)
-    theta_buy = (bin_solver.candidate_buy_trade(inputs)
-                 if bin_solver.buy_candidate_applies(inputs) else None)
-    theta_sell = (bin_solver.candidate_sell_trade(inputs)
-                  if bin_solver.sell_candidate_applies(inputs) else None)
+    theta_buy, theta_sell = (bin_solver.candidate_trade(inputs, side)
+                             if bin_solver.candidate_applies(inputs, side) else None
+                             for side in ("buy", "sell"))
     return SweepRow(
         value=value,
         theta_buy=theta_buy,
@@ -295,14 +294,12 @@ def main(argv: list[str] | None = None) -> int:
     p_solve = sub.add_parser("solve", help="solve one configuration")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", help="write the run CSV here")
-    p_solve.add_argument("--format", choices=["csv", "summary"], default=None)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter axis")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--sweep", required=True,
                          help="axis=start:stop:count, count points in (start, stop]")
     p_sweep.add_argument("--out", help="write the sweep CSV here")
-    p_sweep.add_argument("--format", choices=["csv", "summary"], default=None)
 
     p_est = sub.add_parser("estimate", help="estimate log-return parameters from prices")
     p_est.add_argument("--prices", required=True, help="CSV file with header date,close")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .choquet import distorted_tail_integral, rank_dependent_sum
+from .choquet import GainLoss, distorted_tail_integral, rank_dependent_sum
 from .market import (
     MarketModel,
     Portfolio,
@@ -27,14 +27,12 @@ from .preferences import CptPreference, PowerUtility, WeightingPair
 from .solution import Solution
 
 __all__ = [
-    "GainLoss",
     "PowerCaseInputs",
     "long_integrals",
     "short_integrals",
     "k_ratios",
     "interior_candidates",
-    "prospect_along_buy",
-    "prospect_along_sell",
+    "prospect_along",
     "solve_long",
     "solve_short",
     "solve",
@@ -48,16 +46,6 @@ __all__ = [
 ]
 
 _MIN_BAND = 1e-9
-
-
-@dataclass(frozen=True)
-class GainLoss:
-    """Per-unit prospect of gains and of losses (loss part excludes loss aversion)."""
-
-    gain: float
-    loss: float
-    gain_error: float = 0.0
-    loss_error: float = 0.0
 
 
 def _upper_tail_integral(law, exponent: float, weighting: WeightingPair, side: str):
@@ -90,7 +78,10 @@ def _atom_integrals(pref: CptPreference, atoms) -> GainLoss:
 
 
 def long_integrals(pref: CptPreference, z_law) -> GainLoss:
-    """Per-unit gains/losses prospect of a buy: gains on the upper tail."""
+    """Per-unit gains/losses prospect of a buy: gains on the upper tail.
+
+    The loss part leaves out loss aversion, which the dispatch applies.
+    """
     if z_law.atoms is not None:
         return _atom_integrals(pref, z_law.atoms)
     u = _require_power(pref)
@@ -129,32 +120,36 @@ class PowerCaseInputs:
     gain_sell_error: float = 0.0
     loss_sell_error: float = 0.0
 
+    def _ray(self, side: str) -> GainLoss:
+        """Per-unit integrals and error estimates of the "buy" or "sell" ray."""
+        if side == "buy":
+            return GainLoss(self.gain_buy, self.loss_buy,
+                            self.gain_buy_error, self.loss_buy_error)
+        return GainLoss(self.gain_sell, self.loss_sell,
+                        self.gain_sell_error, self.loss_sell_error)
+
+    def _ratio(self, side: str) -> float | None:
+        ray = self._ray(side)
+        return None if ray.loss <= 0.0 else ray.gain / ray.loss
+
     @property
     def ratio_buy(self) -> float | None:
         """Gain/loss ratio of the buy ray; None when the buy ray has no losses."""
-        if self.loss_buy <= 0.0:
-            return None
-        return self.gain_buy / self.loss_buy
+        return self._ratio("buy")
 
     @property
     def ratio_sell(self) -> float | None:
-        if self.loss_sell <= 0.0:
-            return None
-        return self.gain_sell / self.loss_sell
+        return self._ratio("sell")
 
     @property
     def ratio_max(self) -> float | None:
         ratios = [r for r in (self.ratio_buy, self.ratio_sell) if r is not None]
         return max(ratios) if ratios else None
 
-    def _ratio_band(self, which: str) -> float:
-        if which == "buy":
-            gain, loss = self.gain_buy, self.loss_buy
-            ge, le = self.gain_buy_error, self.loss_buy_error
-        else:
-            gain, loss = self.gain_sell, self.loss_sell
-            ge, le = self.gain_sell_error, self.loss_sell_error
-        err = (ge + (gain / loss) * le) / loss if loss > 0 else 0.0
+    def _ratio_band(self, side: str) -> float:
+        ray = self._ray(side)
+        loss = ray.loss
+        err = (ray.gain_error + (ray.gain / loss) * ray.loss_error) / loss if loss > 0 else 0.0
         return max(_MIN_BAND, 10.0 * err)
 
 
@@ -194,35 +189,23 @@ def interior_candidates(inputs: PowerCaseInputs) -> tuple[float, float]:
     return theta_buy, theta_sell
 
 
-def prospect_along_buy(inputs: PowerCaseInputs, theta: float) -> float:
-    """Objective value at theta >= 0 from the factorized form."""
-    if theta < 0:
-        raise ValueError(f"buy-ray theta must be >= 0, got {theta}")
-    if theta == 0.0:
-        return 0.0
-    if math.isinf(theta):
-        if inputs.alpha < inputs.beta:
-            return -math.inf
-        edge = inputs.gain_buy - inputs.loss_aversion * inputs.loss_buy
-        return math.copysign(math.inf, edge) if edge != 0.0 else 0.0
-    return (inputs.gain_buy * theta**inputs.alpha
-            - inputs.loss_aversion * inputs.loss_buy * theta**inputs.beta)
+def prospect_along(inputs: PowerCaseInputs, theta: float) -> float:
+    """Objective value at theta from the factorized form of its ray.
 
-
-def prospect_along_sell(inputs: PowerCaseInputs, theta: float) -> float:
-    """Objective value at theta <= 0 from the factorized form."""
-    if theta > 0:
-        raise ValueError(f"sell-ray theta must be <= 0, got {theta}")
-    size = -theta
+    theta > 0 lies on the buy ray and theta < 0 on the sell ray, which is a buy
+    of the negated excess return: both evaluate at the trade size |theta|.
+    """
+    size = abs(theta)
     if size == 0.0:
         return 0.0
+    ray = inputs._ray("buy" if theta > 0 else "sell")
     if math.isinf(size):
         if inputs.alpha < inputs.beta:
             return -math.inf
-        edge = inputs.gain_sell - inputs.loss_aversion * inputs.loss_sell
+        edge = ray.gain - inputs.loss_aversion * ray.loss
         return math.copysign(math.inf, edge) if edge != 0.0 else 0.0
-    return (inputs.gain_sell * size**inputs.alpha
-            - inputs.loss_aversion * inputs.loss_sell * size**inputs.beta)
+    return (ray.gain * size**inputs.alpha
+            - inputs.loss_aversion * ray.loss * size**inputs.beta)
 
 
 def _value_band(inputs: PowerCaseInputs, *thetas: float) -> float:
@@ -238,16 +221,11 @@ def _value_band(inputs: PowerCaseInputs, *thetas: float) -> float:
         size = abs(theta)
         if not math.isfinite(size) or size == 0.0:
             continue
-        if theta > 0:
-            gain, loss = inputs.gain_buy, inputs.loss_buy
-            gain_err, loss_err = inputs.gain_buy_error, inputs.loss_buy_error
-        else:
-            gain, loss = inputs.gain_sell, inputs.loss_sell
-            gain_err, loss_err = inputs.gain_sell_error, inputs.loss_sell_error
-        err += (gain_err * size**inputs.alpha
-                + inputs.loss_aversion * loss_err * size**inputs.beta)
-        scale += (gain * size**inputs.alpha
-                  + inputs.loss_aversion * loss * size**inputs.beta)
+        ray = inputs._ray("buy" if theta > 0 else "sell")
+        err += (ray.gain_error * size**inputs.alpha
+                + inputs.loss_aversion * ray.loss_error * size**inputs.beta)
+        scale += (ray.gain * size**inputs.alpha
+                  + inputs.loss_aversion * ray.loss * size**inputs.beta)
     return max(_MIN_BAND * scale, 10.0 * err)
 
 
@@ -258,7 +236,7 @@ def solve_long(inputs: PowerCaseInputs) -> Solution:
         return Solution.point(0.0, "T3.2-1a", 0.0)
     if inputs.alpha < inputs.beta:
         theta = _power_candidate(inputs.ratio_buy or 0.0, inputs.alpha, inputs.beta, k)
-        return Solution.point(theta, "T3.2-2", prospect_along_buy(inputs, theta))
+        return Solution.point(theta, "T3.2-2", prospect_along(inputs, theta))
     ratio = inputs.ratio_buy
     if ratio is None:
         raise ValueError("buy ratio undefined despite loss probability below one")
@@ -275,20 +253,20 @@ def solve_short(inputs: PowerCaseInputs) -> Solution:
     k = inputs.loss_aversion
     y0 = inputs.y0
     if inputs.p_loss_sell <= 0.0:
-        return Solution.point(-y0, "T3.3-4a", prospect_along_sell(inputs, -y0))
+        return Solution.point(-y0, "T3.3-4a", prospect_along(inputs, -y0))
     if inputs.p_loss_sell >= 1.0:
         return Solution.point(0.0, "T3.3-1a", 0.0)
     if inputs.alpha < inputs.beta:
         _, theta = interior_candidates(inputs)
         if theta < -y0:
-            return Solution.point(-y0, "T3.3-4c", prospect_along_sell(inputs, -y0))
-        return Solution.point(theta, "T3.3-2", prospect_along_sell(inputs, theta))
+            return Solution.point(-y0, "T3.3-4c", prospect_along(inputs, -y0))
+        return Solution.point(theta, "T3.3-2", prospect_along(inputs, theta))
     ratio = inputs.ratio_sell
     band = inputs._ratio_band("sell")
     if k > ratio + band:
         return Solution.point(0.0, "T3.3-1b", 0.0)
     if k < ratio - band:
-        return Solution.point(-y0, "T3.3-4b", prospect_along_sell(inputs, -y0))
+        return Solution.point(-y0, "T3.3-4b", prospect_along(inputs, -y0))
     return Solution.interval(-y0, 0.0, "T3.3-3", 0.0, boundary=True)
 
 
@@ -310,7 +288,7 @@ def classify(inputs: PowerCaseInputs) -> Solution:
     def sell_end(case: str, boundary: bool = False) -> Solution:
         if unbounded:
             return Solution.minus_infinity(prefix + case, math.inf, boundary=boundary)
-        return Solution.point(floor, prefix + case, prospect_along_sell(inputs, floor),
+        return Solution.point(floor, prefix + case, prospect_along(inputs, floor),
                               boundary=boundary)
 
     def knife(side: str, cases: str) -> Solution:
@@ -345,14 +323,14 @@ def classify(inputs: PowerCaseInputs) -> Solution:
         if alpha == beta:
             return knife("sell", "1b 4b 6a")
         theta, case, near_edge = clamped_sell(interior_candidates(inputs)[1], "3a", "4c")
-        return Solution.point(theta, prefix + case, prospect_along_sell(inputs, theta),
+        return Solution.point(theta, prefix + case, prospect_along(inputs, theta),
                               boundary=near_edge)
 
     if sell_all_loss:
         if alpha == beta:
             return knife("buy", "1c 8a 5a")
         theta_buy, _ = interior_candidates(inputs)
-        return Solution.point(theta_buy, prefix + "2a", prospect_along_buy(inputs, theta_buy))
+        return Solution.point(theta_buy, prefix + "2a", prospect_along(inputs, theta_buy))
 
     # both loss probabilities interior
     if alpha == beta:
@@ -376,9 +354,9 @@ def classify(inputs: PowerCaseInputs) -> Solution:
         return sell_end("4e")
 
     theta_buy, theta_sell = interior_candidates(inputs)
-    value_buy = prospect_along_buy(inputs, theta_buy)
+    value_buy = prospect_along(inputs, theta_buy)
     sell_point, sell_case, sell_boundary = clamped_sell(theta_sell, "3b", "4d")
-    value_sell = prospect_along_sell(inputs, sell_point)
+    value_sell = prospect_along(inputs, sell_point)
     value_band = _value_band(inputs, theta_buy, sell_point)
     if value_buy >= value_sell - value_band:
         tie = abs(value_buy - value_sell) <= value_band

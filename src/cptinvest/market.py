@@ -109,8 +109,8 @@ class Binomial:
     discrete = True
 
     def __post_init__(self):
-        if not self.u > self.d > 0:
-            raise ValueError(f"need u > d > 0, got u={self.u}, d={self.d}")
+        if not math.inf > self.u > self.d > 0:
+            raise ValueError(f"need finite u > d > 0, got u={self.u}, d={self.d}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"down-state probability must be in (0, 1), got {self.p}")
 

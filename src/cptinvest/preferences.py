@@ -175,10 +175,6 @@ class TverskyKahnemanWeighting:
     def endpoint_exponent(self, side: Side) -> float:
         return self._exponent(side)
 
-    def tail_exponent_bound(self) -> float:
-        """epsilon with w' = O(q**(-epsilon)) at both ends; < 1 here."""
-        return 1.0 - min(self.gamma, self.delta)
-
 
 @dataclass(frozen=True)
 class PrelecWeighting:
@@ -234,10 +230,6 @@ class PrelecWeighting:
         # near q=1 the weighting behaves like 1 - delta*(1-q)**gamma
         return self.gamma
 
-    def tail_exponent_bound(self) -> float:
-        # sub-polynomial decay of w near 0: treated as satisfying the tail condition
-        return 0.0
-
 
 @dataclass(frozen=True)
 class IdentityWeighting:
@@ -262,9 +254,6 @@ class IdentityWeighting:
     def endpoint_exponent(self, side: Side) -> float:
         _check_side(side)
         return 1.0
-
-    def tail_exponent_bound(self) -> float:
-        return 0.0
 
 
 WeightingPair = Union[TverskyKahnemanWeighting, PrelecWeighting, IdentityWeighting]

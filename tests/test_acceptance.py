@@ -26,8 +26,7 @@ from cptinvest.config import RunConfig
 from cptinvest.continuous import (
     classify,
     prepare_inputs,
-    prospect_along_buy,
-    prospect_along_sell,
+    prospect_along,
     solve,
 )
 from cptinvest.market import (
@@ -98,7 +97,7 @@ def test_criterion_01_bull_market_example():
     solution = solve(Portfolio(1.0, 1.0), market, REFERENCE_PREF)
     elapsed = time.perf_counter() - started
     unit_buy = prospect_value(REFERENCE_PREF, difference_law(Portfolio(1.0, 1.0), market, 1.0))
-    pathwise_ratio = unit_buy.v_plus / (unit_buy.v_minus / REFERENCE_PREF.loss_aversion)
+    pathwise_ratio = unit_buy.gain / (unit_buy.loss / REFERENCE_PREF.loss_aversion)
 
     failures = []
     if abs(inputs.ratio_buy - 2.5140) > 0.002:
@@ -432,13 +431,13 @@ def test_criterion_10_factorization_identity():
         inputs = prepare_inputs(port, market, pref)
         if rng.random() < 0.5:
             theta = rng.uniform(0.01, 5.0)
-            factored = prospect_along_buy(inputs, theta)
+            factored = prospect_along(inputs, theta)
             scale = (inputs.gain_buy * theta**alpha
                      + inputs.loss_aversion * inputs.loss_buy * theta**beta)
         else:
             theta = -rng.uniform(0.01, 1.0) * y0
             size = -theta
-            factored = prospect_along_sell(inputs, theta)
+            factored = prospect_along(inputs, theta)
             scale = (inputs.gain_sell * size**alpha
                      + inputs.loss_aversion * inputs.loss_sell * size**beta)
         direct = evaluate_objective(port, market, pref, theta)

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from cptinvest.binomial import (
     Payoff2,
-    candidate_thetas,
+    candidate_trade,
     lambda_bar,
     prepare_binomial_inputs,
     prospect_at,
     pseudo_probabilities,
     replicate,
     solve_binomial,
-    solve_buy,
-    solve_sell,
+    solve_ray,
     zeta_thresholds,
 )
 from cptinvest.choquet import prospect_value
@@ -169,34 +168,31 @@ class TestCandidates:
         thr = zeta_thresholds(m, preference())
         zeta = thr.buy_interior * (1 - 1e-12)
         inputs = prepare_binomial_inputs(1.0, m, preference(zeta=zeta))
-        theta_buy, _ = None, None
-        sol = solve_buy(inputs)
+        sol = solve_ray(inputs, "buy")
         assert sol.theta == pytest.approx(0.0, abs=1e-9)
 
     def test_doubling_curvature_halves_the_trades(self):
-        from cptinvest.binomial import candidate_buy_trade, candidate_sell_trade
-
         buy_m = self._interior_market()
         i1 = prepare_binomial_inputs(1.0, buy_m, preference(eta=1.0, zeta=1.05))
         i2 = prepare_binomial_inputs(1.0, buy_m, preference(eta=2.0, zeta=1.05))
-        assert candidate_buy_trade(i2) == pytest.approx(candidate_buy_trade(i1) / 2.0,
-                                                        rel=1e-12)
+        assert candidate_trade(i2, "buy") == pytest.approx(candidate_trade(i1, "buy") / 2.0,
+                                                           rel=1e-12)
         sell_m = market(u=1.04, d=0.85, r=0.02, lam=0.01, p=0.4)
         j1 = prepare_binomial_inputs(1.0, sell_m, preference(eta=1.0, zeta=1.05))
         j2 = prepare_binomial_inputs(1.0, sell_m, preference(eta=2.0, zeta=1.05))
-        assert candidate_sell_trade(j2) == pytest.approx(candidate_sell_trade(j1) / 2.0,
-                                                         rel=1e-12)
+        assert candidate_trade(j2, "sell") == pytest.approx(candidate_trade(j1, "sell") / 2.0,
+                                                            rel=1e-12)
         # the interior regimes exclude each other across the two markets
         with pytest.raises(ValueError):
-            candidate_sell_trade(i1)
+            candidate_trade(i1, "sell")
         with pytest.raises(ValueError):
-            candidate_buy_trade(j1)
+            candidate_trade(j1, "buy")
 
     def test_grid_argmax_at_the_buy_candidate(self):
         m = self._interior_market()
         pref = preference(eta=1.5, zeta=1.2)
         inputs = prepare_binomial_inputs(1.0, m, pref)
-        sol = solve_buy(inputs)
+        sol = solve_ray(inputs, "buy")
         assert sol.case_id == "T4.1-4"
         grid = np.linspace(0.0, 10 * sol.theta, 4001)
         values = [prospect_at(inputs, t) for t in grid]
@@ -205,14 +201,9 @@ class TestCandidates:
 
     def test_rejected_outside_regime(self):
         inputs = prepare_binomial_inputs(1.0, market(), preference(zeta=5.0))
-        with pytest.raises(ValueError):
-            candidate_thetas(inputs)
-
-
-def candidate_thetas_buy_only(inputs):
-    from cptinvest.binomial import candidate_buy_trade
-
-    return candidate_buy_trade(inputs), None
+        for side in ("buy", "sell"):
+            with pytest.raises(ValueError):
+                candidate_trade(inputs, side)
 
 
 class TestSubSolvers:
@@ -221,7 +212,7 @@ class TestSubSolvers:
         m = market(u=1.1, d=0.9, r=0.05, lam=0.08)
         inputs = prepare_binomial_inputs(1.0, m, preference())
         assert inputs.pseudo.buy_down <= 0
-        sol = solve_buy(inputs)
+        sol = solve_ray(inputs, "buy")
         assert (sol.theta, sol.prospect, sol.case_id) == (0.0, 0.0, "T4.1-1a")
 
     def test_equal_pseudo_probs_low_aversion_unbounded(self):
@@ -233,7 +224,7 @@ class TestSubSolvers:
         assert thr.buy_unbounded > 1.0
         pref = preference(zeta=1.0 + 0.9 * (thr.buy_unbounded - 1.0))
         inputs = prepare_binomial_inputs(1.0, m, pref)
-        sol = solve_buy(inputs)
+        sol = solve_ray(inputs, "buy")
         assert sol.kind is SolutionKind.PLUS_INFINITY
         assert sol.case_id == "T4.1-3a"
         expected = TK.weight("gain", 0.8) - pref.utility.loss_aversion * TK.weight("loss", 0.2)
@@ -244,7 +235,7 @@ class TestSubSolvers:
         m = market(u=1.5, d=0.95, r=0.0, lam=0.02, p=0.55)
         pref = preference(eta=1.5, zeta=1.2)
         inputs = prepare_binomial_inputs(1.0, m, pref)
-        sol = solve_buy(inputs)
+        sol = solve_ray(inputs, "buy")
         assert sol.case_id == "T4.1-4"
         assert sol.prospect > 0
         # independent two-atom evaluation at the candidate
@@ -259,7 +250,7 @@ class TestSubSolvers:
         m_no_short = market(u=1.2, d=0.9, r=0.0, lam=0.12)
         inputs = prepare_binomial_inputs(1.0, m_no_short, preference())
         assert inputs.pseudo.sell_up <= 0
-        assert solve_sell(inputs).case_id == "T4.2-1a"
+        assert solve_ray(inputs, "sell").case_id == "T4.2-1a"
 
         # sell_up > sell_down needs 2(1-lam)(1+r) > u+d
         m_sell = market(u=1.04, d=0.85, r=0.02, lam=0.01, p=0.4)
@@ -269,7 +260,7 @@ class TestSubSolvers:
         inputs = prepare_binomial_inputs(1.0, m_sell, pref)
         thr = inputs.thresholds
         assert pref.utility.loss_aversion < thr.sell_interior
-        sol = solve_sell(inputs)
+        sol = solve_ray(inputs, "sell")
         assert sol.case_id == "T4.2-4"
         assert sol.theta < 0
         assert sol.prospect > 0
@@ -283,10 +274,63 @@ class TestSubSolvers:
         thr = zeta_thresholds(m, preference())
         assert thr.sell_unbounded > 1.0
         pref = preference(zeta=thr.sell_unbounded)
-        sol = solve_sell(prepare_binomial_inputs(1.0, m, pref))
+        sol = solve_ray(prepare_binomial_inputs(1.0, m, pref), "sell")
         assert sol.kind is SolutionKind.INTERVAL
         assert sol.case_id == "T4.2-2"
         assert (sol.lo, sol.hi) == (-math.inf, 0.0)
+
+    def test_a_sale_is_a_buy_on_the_mirrored_market(self):
+        # a sale gains g = (1-lam)(1+r) - d in the down state and loses
+        # l = u - (1-lam)(1+r) in the up state; a frictionless buy on a market
+        # with up return 1+u+g, down return 1+u-l and rate u has the same two
+        # outcomes with the state probabilities swapped
+        rng = random.Random(4242)
+        mirrored = {SolutionKind.PLUS_INFINITY: SolutionKind.MINUS_INFINITY,
+                    SolutionKind.MINUS_INFINITY: SolutionKind.PLUS_INFINITY}
+        fired = set()
+        checked = 0
+        for _ in range(3000):
+            r = rng.uniform(0.0, 0.08)
+            lam = rng.uniform(0.0, 0.1)
+            keep_leg = (1.0 - lam) * (1.0 + r)
+            u = keep_leg + rng.uniform(0.01, 0.6)
+            if rng.random() < 0.15:
+                d = 2.0 * keep_leg - u  # equal sell weights
+            else:
+                d = keep_leg - rng.uniform(0.01, 0.6)
+            if not 0.0 < d < keep_leg:
+                continue
+            p = rng.uniform(0.05, 0.95)
+            roll = rng.random()
+            if roll < 0.4:
+                w = TverskyKahnemanWeighting(rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))
+            elif roll < 0.7:
+                w = PrelecWeighting(rng.uniform(0.35, 0.95), rng.uniform(0.5, 2.0),
+                                    rng.uniform(0.5, 2.0))
+            else:
+                w = IdentityWeighting()
+            m = MarketModel(r, lam, Binomial(u, d, p))
+            thr = zeta_thresholds(m, preference(weighting=w))
+            base = thr.sell_unbounded
+            if rng.random() < 0.5 and thr.sell_interior is not None:
+                base = thr.sell_interior
+            zeta = max(1.0 + 1e-6, base * rng.uniform(0.6, 1.4))
+            pref = preference(eta=rng.uniform(0.2, 3.0), zeta=zeta, weighting=w)
+            g = keep_leg - d
+            l = u - keep_leg
+            mirror = MarketModel(u, 0.0, Binomial(1.0 + u + g, 1.0 + u - l, 1.0 - p))
+            sell = solve_ray(prepare_binomial_inputs(1.0, m, pref), "sell")
+            buy = solve_ray(prepare_binomial_inputs(1.0, mirror, pref), "buy")
+            if sell.boundary or buy.boundary:
+                continue
+            assert sell.case_id == buy.case_id.replace("T4.1-", "T4.2-"), (m, pref)
+            assert sell.kind is mirrored.get(buy.kind, buy.kind)
+            assert sell.theta == pytest.approx(-buy.theta, rel=1e-9)
+            assert sell.prospect == pytest.approx(buy.prospect, rel=1e-9)
+            fired.add(sell.case_id)
+            checked += 1
+        assert checked > 2000
+        assert {"T4.2-1b", "T4.2-1c", "T4.2-1d", "T4.2-3a", "T4.2-3b", "T4.2-4"} <= fired
 
 
 class TestFullBinomialSolve:

@@ -5,14 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cptinvest.choquet import (
-    ProspectDivergenceError,
-    check_finiteness,
-    prospect_value,
-    rank_dependent_sum,
-)
+from cptinvest.choquet import ProspectDivergenceError, prospect_value, rank_dependent_sum
 from cptinvest.distributions import ContinuousLaw, DiscreteLaw, constant_law
-from cptinvest.market import Binomial, Lognormal, Normal, StudentT
+from cptinvest.market import Lognormal, Normal
 from cptinvest.preferences import (
     CptPreference,
     ExponentialUtility,
@@ -51,7 +46,7 @@ def uniform_law(lo, hi):
 def test_zero_distribution_has_zero_prospect():
     pref = CptPreference(POWER, TK)
     b = prospect_value(pref, constant_law(0.0))
-    assert (b.v_plus, b.v_minus, b.total) == (0.0, 0.0, 0.0)
+    assert (b.gain, b.loss, b.total) == (0.0, 0.0, 0.0)
 
 
 def test_two_point_prospect_closed_form():
@@ -59,8 +54,8 @@ def test_two_point_prospect_closed_form():
     pref = CptPreference(POWER, TK)
     dist = DiscreteLaw([1.0, -1.0], [1.0 - p, p])
     b = prospect_value(pref, dist)
-    assert b.v_plus == pytest.approx(TK.weight("gain", 1.0 - p) * POWER.value("gain", 1.0))
-    assert b.v_minus == pytest.approx(TK.weight("loss", p) * POWER.value("loss", 1.0))
+    assert b.gain == pytest.approx(TK.weight("gain", 1.0 - p) * POWER.value("gain", 1.0))
+    assert b.loss == pytest.approx(TK.weight("loss", p) * POWER.value("loss", 1.0))
 
 
 def test_uniform_closed_form_matches_quadrature():
@@ -68,8 +63,8 @@ def test_uniform_closed_form_matches_quadrature():
     alpha, beta, k = 0.7, 0.88, 2.25
     pref = CptPreference(PowerUtility(alpha, beta, k), IdentityWeighting())
     b = prospect_value(pref, uniform_law(-1.0, 1.0))
-    assert b.v_plus == pytest.approx(0.5 / (alpha + 1), abs=1e-8)
-    assert b.v_minus == pytest.approx(k * 0.5 / (beta + 1), abs=1e-8)
+    assert b.gain == pytest.approx(0.5 / (alpha + 1), abs=1e-8)
+    assert b.loss == pytest.approx(k * 0.5 / (beta + 1), abs=1e-8)
 
 
 def test_atoms_at_zero_contribute_nothing():
@@ -79,8 +74,8 @@ def test_atoms_at_zero_contribute_nothing():
     # the zero atom may absorb probability on either side of the ranking;
     # only the tail weights seen by nonzero atoms matter
     b = prospect_value(pref, with_zero)
-    assert b.v_plus == pytest.approx(TK.weight("gain", 0.25) * POWER.value("gain", 2.0))
-    assert b.v_minus == pytest.approx(TK.weight("loss", 0.25) * POWER.value("loss", 1.0))
+    assert b.gain == pytest.approx(TK.weight("gain", 0.25) * POWER.value("gain", 2.0))
+    assert b.loss == pytest.approx(TK.weight("loss", 0.25) * POWER.value("loss", 1.0))
     assert without.atoms[0][0] == -1.0  # sanity on the comparison fixture
 
 
@@ -143,8 +138,8 @@ def test_power_scale_consistency_discrete(c):
     dist = DiscreteLaw([-1.5, -0.2, 0.8, 2.0], [0.2, 0.3, 0.3, 0.2])
     base = prospect_value(pref, dist)
     scaled = prospect_value(pref, dist.affine(0.0, c))
-    assert scaled.v_plus == pytest.approx(c**0.6 * base.v_plus, rel=1e-12)
-    assert scaled.v_minus == pytest.approx(c**0.85 * base.v_minus, rel=1e-12)
+    assert scaled.gain == pytest.approx(c**0.6 * base.gain, rel=1e-12)
+    assert scaled.loss == pytest.approx(c**0.85 * base.loss, rel=1e-12)
 
 
 def test_power_scale_consistency_continuous():
@@ -153,8 +148,8 @@ def test_power_scale_consistency_continuous():
     c = 3.7
     base = prospect_value(pref, dist)
     scaled = prospect_value(pref, dist.affine(0.0, c))
-    assert scaled.v_plus == pytest.approx(c**0.6 * base.v_plus, rel=1e-7)
-    assert scaled.v_minus == pytest.approx(c**0.85 * base.v_minus, rel=1e-7)
+    assert scaled.gain == pytest.approx(c**0.6 * base.gain, rel=1e-7)
+    assert scaled.loss == pytest.approx(c**0.85 * base.loss, rel=1e-7)
 
 
 def test_identity_weighting_gains_only_equals_expected_utility():
@@ -170,23 +165,23 @@ def test_identity_weighting_gains_only_equals_expected_utility():
 
     expected, _ = quad(lambda x: x**alpha * density(x), 0.0, math.inf, limit=400)
     b = prospect_value(pref, dist)
-    assert b.v_minus == 0.0
-    assert b.v_plus == pytest.approx(expected, abs=1e-8)
+    assert b.loss == 0.0
+    assert b.gain == pytest.approx(expected, abs=1e-8)
 
 
 def test_exponential_utility_prospect_bounded():
     pref = CptPreference(ExponentialUtility(0.8, 0.8, 2.0), TK)
     dist = Normal(0.3, 1.5).gross_law().affine(-1.0, 1.0)  # heavy spread
     b = prospect_value(pref, dist)
-    assert 0.0 < b.v_plus < 1.0
-    assert 0.0 < b.v_minus < 2.0
+    assert 0.0 < b.gain < 1.0
+    assert 0.0 < b.loss < 2.0
 
 
 def test_prelec_weighting_continuous_law():
     pref = CptPreference(PowerUtility(0.7, 0.85, 2.0), PrelecWeighting(0.65, 1.0, 1.2))
     dist = Lognormal(0.02, 0.25).gross_law().affine(-1.01, 1.0)
     b = prospect_value(pref, dist)
-    assert b.v_plus > 0 and b.v_minus > 0
+    assert b.gain > 0 and b.loss > 0
     assert math.isfinite(b.total)
 
 
@@ -199,19 +194,3 @@ def test_genuine_divergence_is_reported_not_returned():
         prospect_value(pref, dist)
     assert err.value.side in ("gain", "loss")
 
-
-class TestFiniteness:
-    def test_bounded_laws_always_finite(self):
-        pref = CptPreference(POWER, TK)
-        assert check_finiteness(pref, Binomial(1.2, 0.9, 0.5)) == "finite"
-
-    def test_exponential_utility_always_finite(self):
-        pref = CptPreference(ExponentialUtility(1.0, 1.0, 2.0), PrelecWeighting(0.3, 1.0, 1.0))
-        assert check_finiteness(pref, Lognormal(0.0, 1.0)) == "finite"
-
-    def test_power_lognormal_tk_finite(self):
-        # weighting derivative exponents 1-gamma, 1-delta both below one
-        pref = CptPreference(POWER, TverskyKahnemanWeighting(0.61, 0.69))
-        assert check_finiteness(pref, Lognormal(3.2932e-4, 7.4383e-3)) == "finite"
-        assert check_finiteness(pref, Normal(0.01, 0.1)) == "finite"
-        assert check_finiteness(pref, StudentT(6.0, 0.0, 0.05)) == "finite"

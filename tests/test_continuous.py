@@ -18,8 +18,7 @@ from cptinvest.continuous import (
     long_integrals,
     prepare_inputs,
     prepare_zero_initial_inputs,
-    prospect_along_buy,
-    prospect_along_sell,
+    prospect_along,
     short_integrals,
     solve,
     solve_long,
@@ -102,8 +101,8 @@ class TestIntegrals:
         port = Portfolio(1.0, 1.0)
         gl = long_integrals(REFERENCE_PREF, excess_transform(BULL, TradeDirection.BUY))
         unit = prospect_value(REFERENCE_PREF, difference_law(port, BULL, 1.0))
-        assert gl.gain == pytest.approx(unit.v_plus, rel=1e-7)
-        assert REFERENCE_PREF.loss_aversion * gl.loss == pytest.approx(unit.v_minus, rel=1e-7)
+        assert gl.gain == pytest.approx(unit.gain, rel=1e-7)
+        assert REFERENCE_PREF.loss_aversion * gl.loss == pytest.approx(unit.loss, rel=1e-7)
 
     def test_costs_favor_the_sell_side_for_symmetric_returns(self):
         # symmetric excess returns: selling keeps better gains and smaller losses
@@ -175,7 +174,7 @@ class TestInteriorCandidates:
         inp = synthetic_inputs()
         theta_buy, _ = interior_candidates(inp)
         grid = np.linspace(0.0, 10 * theta_buy, 4001)
-        values = [prospect_along_buy(inp, t) for t in grid]
+        values = [prospect_along(inp, t) for t in grid]
         best = grid[int(np.argmax(values))]
         assert abs(best - theta_buy) <= grid[1] - grid[0]
 
@@ -278,10 +277,7 @@ class TestFullSolve:
         assert sol.prospect == pytest.approx(1.40 - 2.25 * 0.40)
         # the corner dominates a dense grid of the factorized objective
         grid = np.linspace(-1.0, 5.0, 2001)
-        values = [
-            prospect_along_buy(inp, t) if t >= 0 else prospect_along_sell(inp, t)
-            for t in grid
-        ]
+        values = [prospect_along(inp, t) for t in grid]
         assert sol.prospect >= max(values) - 1e-12
 
 
@@ -300,13 +296,13 @@ class TestFactorization:
         inputs = prepare_inputs(port, m, pref)
         for theta in [0.25, 1.0, 3.0]:
             direct = evaluate_objective(port, m, pref, theta)
-            factored = prospect_along_buy(inputs, theta)
+            factored = prospect_along(inputs, theta)
             scale = max(1e-12, abs(inputs.gain_buy * theta**inputs.alpha)
                         + inputs.loss_aversion * inputs.loss_buy * theta**inputs.beta)
             assert abs(direct - factored) <= 1e-7 * scale
         for theta in [-0.2 * y0, -0.9 * y0]:
             direct = evaluate_objective(port, m, pref, theta)
-            factored = prospect_along_sell(inputs, theta)
+            factored = prospect_along(inputs, theta)
             size = -theta
             scale = max(1e-12, abs(inputs.gain_sell * size**inputs.alpha)
                         + inputs.loss_aversion * inputs.loss_sell * size**inputs.beta)
@@ -370,15 +366,15 @@ def _reference_case_labels(inp, sell_bound):
         return labels
 
     theta_buy, theta_sell = interior_candidates(inp)
-    value_buy = prospect_along_buy(inp, theta_buy)
+    value_buy = prospect_along(inp, theta_buy)
     if theta_sell >= sell_bound:
-        value_sell = prospect_along_sell(inp, theta_sell)
+        value_sell = prospect_along(inp, theta_sell)
         if value_buy >= value_sell:
             labels.add(prefix + "2b")
         else:
             labels.add(prefix + "3b")
     else:
-        value_sell = prospect_along_sell(inp, sell_bound)
+        value_sell = prospect_along(inp, sell_bound)
         if value_buy >= value_sell:
             labels.add(prefix + "2b")
         else:

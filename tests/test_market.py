@@ -197,9 +197,10 @@ def test_market_model_validation():
     lambda: StudentT(5.0, 0.0, math.nan),
     lambda: Empirical((1.0, math.nan, 1.1)),
     lambda: Empirical((1.0, math.inf)),
+    lambda: Binomial(math.inf, 0.95, 0.55),
 ], ids=["market-r-nan", "market-r-inf", "lognormal-mu", "lognormal-sigma", "normal-mu",
         "normal-sigma", "student-t-nu", "student-t-loc", "student-t-scale",
-        "empirical-nan", "empirical-inf"])
+        "empirical-nan", "empirical-inf", "binomial-u-inf"])
 def test_non_finite_parameters_are_rejected(build):
     with pytest.raises(ValueError):
         build()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cptinvest.binomial import prepare_binomial_inputs, solve_binomial, solve_buy
+from cptinvest.binomial import prepare_binomial_inputs, solve_binomial, solve_ray
 from cptinvest.choquet import ProspectDivergenceError, prospect_value
 from cptinvest.continuous import prepare_inputs, solve
 from cptinvest.market import (
@@ -204,7 +204,7 @@ def test_verify_rejects_a_perturbed_solution():
 
 def test_negative_control_perturbation_loses_value():
     inputs = prepare_binomial_inputs(1.0, BINOM, EXP_PREF)
-    sol = solve_buy(inputs)
+    sol = solve_ray(inputs, "buy")
     assert sol.case_id == "T4.1-4"
     span = 10.0 * (1.0 + abs(sol.theta))
     result = grid_search(CASH, BINOM, EXP_PREF, GridSpec(-span, span, 4001, 2))
