@@ -3,11 +3,12 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 from cptinvest.choquet import ProspectDivergenceError, prospect_value, rank_dependent_sum
 from cptinvest.distributions import ContinuousLaw, DiscreteLaw, constant_law
-from cptinvest.market import Lognormal, Normal
+from cptinvest.market import Lognormal, Normal, StudentT
 from cptinvest.preferences import (
     CptPreference,
     ExponentialUtility,
@@ -194,3 +195,72 @@ def test_genuine_divergence_is_reported_not_returned():
         prospect_value(pref, dist)
     assert err.value.side in ("gain", "loss")
 
+
+def _outcome_domain_side(pref, gross, shift, side, outcome_max=math.inf):
+    """One side of the prospect of ``gross - shift`` from the outcome domain.
+
+    The integral over x > 0 of w(P(beyond x)) u'(x), with the tail
+    probability taken as a scipy.stats log probability so that Prelec
+    weights of underflowing tails stay exact.  Shares no code with the
+    quantile-domain evaluator.
+    """
+    weighting, utility = pref.weighting, pref.utility
+    if side == "gain":
+        log_beyond = lambda x: gross.logsf(shift + x)
+    else:
+        log_beyond = lambda x: gross.logcdf(shift - x)
+
+    def weight(log_q):
+        if isinstance(weighting, PrelecWeighting):
+            delta = weighting.delta_gain if side == "gain" else weighting.delta_loss
+            return math.exp(-delta * (-log_q) ** weighting.gamma)
+        return weighting.weight(side, math.exp(log_q))
+
+    if isinstance(utility, PowerUtility):
+        power = utility.alpha if side == "gain" else utility.beta
+        slope = lambda x: power * x ** (power - 1.0)
+    else:
+        eta = utility.eta_gain if side == "gain" else utility.eta_loss
+        slope = lambda x: math.exp(-eta * x)
+
+    if math.isfinite(outcome_max):
+        # the tail probability drops to zero at a bounded outcome: split toward it
+        edges = [0.0, 0.01, 0.1, 0.5 * outcome_max]
+        edges += [outcome_max * (1.0 - 10.0**-k) for k in range(1, 16)] + [outcome_max]
+    else:
+        edges = [0.0, 0.01, 0.1, 1.0, 10.0, math.inf]
+    value = sum(quad(lambda x: weight(log_beyond(x)) * slope(x), a, b,
+                     epsabs=1e-15, epsrel=1e-12, limit=400)[0]
+                for a, b in zip(edges, edges[1:]))
+    return value * (utility.loss_aversion if side == "loss" else 1.0)
+
+
+EXP_PRELEC = CptPreference(ExponentialUtility(1.0, 1.0, 2.0), PrelecWeighting(0.3, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("pref,law", [
+    pytest.param(EXP_PRELEC, Lognormal(0.0, 0.3), id="exponential-prelec-lognormal"),
+    pytest.param(EXP_PRELEC, Normal(0.0, 1.0), id="exponential-prelec-normal"),
+    pytest.param(CptPreference(POWER, TK), Lognormal(3.2932e-4, 7.4383e-3), id="power-tk-lognormal"),
+    pytest.param(CptPreference(POWER, TK), Normal(0.01, 0.1), id="power-tk-normal"),
+    pytest.param(CptPreference(POWER, TK), StudentT(6.0, 0.0, 0.05), id="power-tk-student-t"),
+])
+def test_finite_prospects_match_an_outcome_domain_quadrature(pref, law):
+    """Finite prospects are returned, and returned right.
+
+    A bounded utility keeps the prospect finite even under Prelec gamma
+    well below one half; power utility with TK weighting is finite against
+    lognormal, normal and Student-t(6) tails.
+    """
+    shift = 1.01
+    b = prospect_value(pref, law.gross_law().affine(-shift, 1.0))
+    if isinstance(law, Lognormal):
+        gross, loss_max = stats.lognorm(s=law.sigma, scale=math.exp(law.mu)), shift
+    elif isinstance(law, Normal):
+        gross, loss_max = stats.norm(loc=1.0 + law.mu, scale=law.sigma), math.inf
+    else:
+        gross, loss_max = stats.t(df=law.nu, loc=1.0 + law.loc, scale=law.scale), math.inf
+    assert b.gain == pytest.approx(_outcome_domain_side(pref, gross, shift, "gain"),
+                                   rel=1e-9, abs=1e-12)
+    assert b.loss == pytest.approx(_outcome_domain_side(pref, gross, shift, "loss", loss_max),
+                                   rel=1e-9, abs=1e-12)
