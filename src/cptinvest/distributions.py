@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, ndtri_exp, stdtr, stdtrit
+from scipy.special import gammaln, ndtr, ndtri, ndtri_exp, stdtr, stdtrit
 
 __all__ = [
     "SignedDistribution",
@@ -94,7 +94,10 @@ class LognormalBase:
         return math.exp(self.mu + self.sigma * float(ndtri_exp(log_q)))
 
     def isf_logq(self, log_q: float) -> float:
-        return math.exp(self.mu - self.sigma * float(ndtri_exp(log_q)))
+        try:
+            return math.exp(self.mu - self.sigma * float(ndtri_exp(log_q)))
+        except OverflowError:  # the quantile lies beyond the float range
+            return math.inf
 
     def ppf_array(self, q):
         return np.exp(self.mu + self.sigma * ndtri(q))
@@ -113,6 +116,12 @@ class LognormalBase:
         return 1.0 - self.cdf_array(x)
 
 
+# past |t| = 1e20 * max(nu, 1) the leading tail term is exact in double
+# precision (its relative correction is below nu**2 / (2 t**2)); stdtrit is not:
+# at nu = 3 it is off by 2x near q = exp(-400), and deeper it returns +inf
+_T_TAIL_START = 1e20
+
+
 class StudentTBase:
     """Standard Student-t with ``nu`` degrees of freedom."""
 
@@ -122,6 +131,10 @@ class StudentTBase:
         if nu <= 0:
             raise ValueError(f"student-t nu must be > 0, got {nu}")
         self.nu = nu
+        # lower tail F(t) ~ K * nu**((nu - 1)/2) * |t|**-nu,
+        # K = Gamma((nu + 1)/2) / (sqrt(nu pi) Gamma(nu/2)); this is its log coefficient
+        self._log_tail = (gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu)
+                          - 0.5 * math.log(nu * math.pi) + 0.5 * (nu - 1.0) * math.log(nu))
 
     def cdf(self, x: float) -> float:
         return float(stdtr(self.nu, x))
@@ -130,17 +143,22 @@ class StudentTBase:
         return float(stdtr(self.nu, -x))
 
     def ppf(self, q: float) -> float:
-        return float(stdtrit(self.nu, q))
+        return float(self.ppf_array(q))
 
     def isf(self, q: float) -> float:
         # symmetric about 0
-        return -float(stdtrit(self.nu, q))
+        return -float(self.ppf_array(q))
 
     def ppf_array(self, q):
-        return stdtrit(self.nu, q)
+        q = np.asarray(q, dtype=float)
+        t = stdtrit(self.nu, q)
+        with np.errstate(divide="ignore", over="ignore"):
+            tail = -np.exp((self._log_tail - np.log(q)) / self.nu)
+        deep = (q < 0.5) & ((tail < -_T_TAIL_START * max(self.nu, 1.0)) | (t == np.inf))
+        return np.where(deep, tail, t)
 
     def isf_array(self, q):
-        return -stdtrit(self.nu, q)
+        return -self.ppf_array(q)
 
     def cdf_array(self, x):
         return stdtr(self.nu, np.asarray(x, dtype=float))

@@ -241,6 +241,8 @@ EXP_PRELEC = CptPreference(ExponentialUtility(1.0, 1.0, 2.0), PrelecWeighting(0.
 @pytest.mark.parametrize("pref,law", [
     pytest.param(EXP_PRELEC, Lognormal(0.0, 0.3), id="exponential-prelec-lognormal"),
     pytest.param(EXP_PRELEC, Normal(0.0, 1.0), id="exponential-prelec-normal"),
+    # its quantile-domain tail passes the float range: the utility's bound takes over
+    pytest.param(EXP_PRELEC, Lognormal(0.0, 1.0), id="exponential-prelec-wide-lognormal"),
     pytest.param(CptPreference(POWER, TK), Lognormal(3.2932e-4, 7.4383e-3), id="power-tk-lognormal"),
     pytest.param(CptPreference(POWER, TK), Normal(0.01, 0.1), id="power-tk-normal"),
     pytest.param(CptPreference(POWER, TK), StudentT(6.0, 0.0, 0.05), id="power-tk-student-t"),
@@ -264,3 +266,19 @@ def test_finite_prospects_match_an_outcome_domain_quadrature(pref, law):
                                    rel=1e-9, abs=1e-12)
     assert b.loss == pytest.approx(_outcome_domain_side(pref, gross, shift, "loss", loss_max),
                                    rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu", [3.0, 6.0, 30.0])
+def test_bounded_utility_under_prelec_on_student_t_tails_is_refused(nu):
+    """Refused, not returned low.
+
+    Without log-tail quantiles the Prelec integral stops at q = exp(-700),
+    where the weight left beyond is exp(-700**0.3) = 8e-4 and the bounded
+    utility of the Student-t quantile is close to 1.  That remainder exceeds
+    the error target, so the gain side is refused; a quantile with the wrong
+    sign there used to hide it and return a value 0.5-0.7 % low.
+    """
+    dist = StudentT(nu, 0.0, 0.1).gross_law().affine(-1.01, 1.0)
+    with pytest.raises(ProspectDivergenceError) as err:
+        prospect_value(EXP_PRELEC, dist)
+    assert err.value.side == "gain"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betaln, stdtr
 
 from cptinvest.distributions import (
     ContinuousLaw,
@@ -107,6 +108,31 @@ def test_log_tail_quantiles_reach_beyond_float_q():
     deep = law.isf_logq(-800.0)  # q = exp(-800), not representable as a float
     assert math.isfinite(deep)
     assert deep > law.isf(1e-300)
+
+
+def test_log_tail_quantiles_past_the_float_range_are_infinite():
+    # exp(mu + sigma * 812) overflows; the quantile is +inf, not an OverflowError
+    assert LognormalBase(0.0, 1.0).isf_logq(-3.3e5) == math.inf
+
+
+@pytest.mark.parametrize("nu", [1.5, 3.0, 6.0, 30.0])
+def test_student_t_quantiles_keep_sign_and_accuracy_deep_in_the_tail(nu):
+    base = StudentTBase(nu)
+    s = np.arange(50.0, 741.0, 2.0)
+    q = np.exp(-s)
+    t = base.ppf_array(q)
+    assert (t < 0).all()
+    assert [base.ppf(x) for x in q] == list(t)
+    assert np.array_equal(base.isf_array(q), -t)
+    normal = q >= np.finfo(float).tiny
+    # stdtr returns 0 once t**2 overflows; past |t| = 1e150 the tail is
+    # F(t) = I_x(nu/2, 1/2) / 2 with x = nu / (nu + t**2) < 1e-299, whose
+    # series is its leading term x**(nu/2) / (nu/2 B(nu/2, 1/2)) to double precision
+    direct = normal & (np.abs(t) < 1e150)
+    np.testing.assert_allclose(stdtr(nu, t[direct]) / q[direct], 1.0, rtol=0.0, atol=1e-8)
+    far = normal & ~direct
+    log_f = 0.5 * nu * (math.log(nu) - 2.0 * np.log(-t[far])) - math.log(nu) - betaln(0.5 * nu, 0.5)
+    np.testing.assert_allclose(log_f, -s[far], rtol=0.0, atol=1e-8)
 
 
 def test_invalid_inputs_rejected():
