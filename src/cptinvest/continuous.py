@@ -13,7 +13,7 @@ toward a finite optimum rather than an ill-posed one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .choquet import GainLoss, distorted_tail_integral, rank_dependent_sum
 from .market import (
@@ -42,7 +42,6 @@ __all__ = [
     "prepare_zero_initial_inputs",
     "classify",
     "classify_zero_initial",
-    "ill_posed_condition_holds",
 ]
 
 _MIN_BAND = 1e-9
@@ -424,36 +423,3 @@ def solve(portfolio: Portfolio, market: MarketModel, pref: CptPreference) -> Sol
 def solve_zero_initial(x0: float, market: MarketModel, pref: CptPreference) -> Solution:
     """Optimal unconstrained trade from an all-cash position (y0 = 0)."""
     return solve_with_inputs(Portfolio(x0, 0.0), market, pref, zero_initial=True)[0]
-
-
-def ill_posed_condition_holds(inputs: PowerCaseInputs) -> bool:
-    """Literal unboundedness condition used by the comparison-of-problems test.
-
-    True when loss aversion sits strictly below the relevant ratio maximum
-    with equal curvature exponents (the published condition; the dispatcher
-    itself only treats the buy ray as ill-posed for the constrained problem).
-    """
-    if inputs.alpha != inputs.beta:
-        return False
-    interior_buy = 0.0 < inputs.p_loss_buy < 1.0
-    if not interior_buy:
-        return False
-    if inputs.p_loss_sell >= 1.0:
-        return inputs.loss_aversion < (inputs.ratio_buy or 0.0)
-    if 0.0 < inputs.p_loss_sell < 1.0:
-        ratio_max = inputs.ratio_max
-        return ratio_max is not None and inputs.loss_aversion < ratio_max
-    return False
-
-
-def inputs_with_scaled_buy(inputs: PowerCaseInputs, factor: float) -> PowerCaseInputs:
-    """Scale both buy-ray integrals; the dispatch outcome must be invariant."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    return replace(
-        inputs,
-        gain_buy=inputs.gain_buy * factor,
-        loss_buy=inputs.loss_buy * factor,
-        gain_buy_error=inputs.gain_buy_error * factor,
-        loss_buy_error=inputs.loss_buy_error * factor,
-    )

@@ -11,8 +11,6 @@ from cptinvest.continuous import (
     PowerCaseInputs,
     classify,
     classify_zero_initial,
-    ill_posed_condition_holds,
-    inputs_with_scaled_buy,
     interior_candidates,
     k_ratios,
     long_integrals,
@@ -140,6 +138,39 @@ class TestRatios:
         )
         assert inputs.ratio_sell is None
         assert k_ratios(inputs)[1] is None
+
+
+def ill_posed_condition_holds(inputs: PowerCaseInputs) -> bool:
+    """Literal unboundedness condition used by the comparison-of-problems test.
+
+    True when loss aversion sits strictly below the relevant ratio maximum
+    with equal curvature exponents (the published condition; the dispatcher
+    itself only treats the buy ray as ill-posed for the constrained problem).
+    """
+    if inputs.alpha != inputs.beta:
+        return False
+    interior_buy = 0.0 < inputs.p_loss_buy < 1.0
+    if not interior_buy:
+        return False
+    if inputs.p_loss_sell >= 1.0:
+        return inputs.loss_aversion < (inputs.ratio_buy or 0.0)
+    if 0.0 < inputs.p_loss_sell < 1.0:
+        ratio_max = inputs.ratio_max
+        return ratio_max is not None and inputs.loss_aversion < ratio_max
+    return False
+
+
+def inputs_with_scaled_buy(inputs: PowerCaseInputs, factor: float) -> PowerCaseInputs:
+    """Scale both buy-ray integrals; the dispatch outcome must be invariant."""
+    if factor <= 0:
+        raise ValueError("scale factor must be positive")
+    return dataclasses.replace(
+        inputs,
+        gain_buy=inputs.gain_buy * factor,
+        loss_buy=inputs.loss_buy * factor,
+        gain_buy_error=inputs.gain_buy_error * factor,
+        loss_buy_error=inputs.loss_buy_error * factor,
+    )
 
 
 def synthetic_inputs(**overrides):

@@ -141,6 +141,26 @@ def test_grid_rows_do_not_depend_on_their_neighbours(returns, weighting, utility
         assert evaluate_objective_grid(port, m, pref, thetas[i:i + 1])[0] == values[i]
 
 
+@pytest.mark.parametrize("returns", [Lognormal(0.05, 0.2), Normal(0.05, 0.2),
+                                     StudentT(5.0, 0.02, 0.1)], ids=_kind)
+def test_grid_rows_do_not_depend_on_their_neighbours_across_blocks(returns):
+    """Rows stay bitwise the same across row-block and 4096-row chunk boundaries."""
+    m = MarketModel(0.01, 0.02, returns)
+    pref = CptPreference(PowerUtility(0.7, 0.9, 2.25), TK)
+    port = Portfolio(1.0, 1.0)
+    thetas = np.linspace(-1.0, 10.0, 9001)
+    values = evaluate_objective_grid(port, m, pref, thetas)
+    assert np.isfinite(values).all()
+    order = np.random.default_rng(11).permutation(thetas.size)
+    assert np.array_equal(evaluate_objective_grid(port, m, pref, thetas[order]), values[order])
+    # buys are one sign class of 8182 rows: two chunks, each in blocks of up to 512
+    buys = np.nonzero(thetas > 0.0)[0]
+    assert buys.size > 4096
+    for pos in (0, 127, 128, 511, 512, 1023, 1024, 4095, 4096, 4607, 4608, buys.size - 1):
+        i = buys[pos]
+        assert evaluate_objective_grid(port, m, pref, thetas[i:i + 1])[0] == values[i]
+
+
 def test_grid_follows_the_polynomial_tail_of_student_t():
     # Student-t quantiles grow like q**(-1/nu), which steepens the endpoint
     # singularity of u(|Q|) w'(q); an unmatched substitution errs more at larger theta
