@@ -135,6 +135,13 @@ class StudentTBase:
         # K = Gamma((nu + 1)/2) / (sqrt(nu pi) Gamma(nu/2)); this is its log coefficient
         self._log_tail = (gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu)
                           - 0.5 * math.log(nu * math.pi) + 0.5 * (nu - 1.0) * math.log(nu))
+        # the level whose leading-term quantile is -_T_TAIL_START * max(nu, 1), below 1/2
+        self._q_deep = math.exp(self._log_tail - nu * math.log(_T_TAIL_START * max(nu, 1.0)))
+
+    def _tail_quantile(self, q):
+        """Leading-term lower-tail quantile -(K nu**((nu - 1)/2) / q)**(1/nu)."""
+        with np.errstate(divide="ignore", over="ignore"):
+            return -np.exp((self._log_tail - np.log(q)) / self.nu)
 
     def cdf(self, x: float) -> float:
         return float(stdtr(self.nu, x))
@@ -143,19 +150,22 @@ class StudentTBase:
         return float(stdtr(self.nu, -x))
 
     def ppf(self, q: float) -> float:
-        return float(self.ppf_array(q))
+        t = float(stdtrit(self.nu, q))
+        if q < self._q_deep or (t == math.inf and q < 0.5):
+            return float(self._tail_quantile(q))
+        return t
 
     def isf(self, q: float) -> float:
         # symmetric about 0
-        return -float(self.ppf_array(q))
+        return -self.ppf(q)
 
     def ppf_array(self, q):
         q = np.asarray(q, dtype=float)
-        t = stdtrit(self.nu, q)
-        with np.errstate(divide="ignore", over="ignore"):
-            tail = -np.exp((self._log_tail - np.log(q)) / self.nu)
-        deep = (q < 0.5) & ((tail < -_T_TAIL_START * max(self.nu, 1.0)) | (t == np.inf))
-        return np.where(deep, tail, t)
+        t = np.asarray(stdtrit(self.nu, q))
+        deep = (q < self._q_deep) | ((t == np.inf) & (q < 0.5))
+        if deep.any():
+            t[deep] = self._tail_quantile(q[deep])
+        return t
 
     def isf_array(self, q):
         return -self.ppf_array(q)
