@@ -185,7 +185,7 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         ):
             quantiles = law.isf_array(q) if use_upper_tail else law.ppf_array(q)
             w_prime = weighting.derivative_array(side, q)
-            # per-row work in L2-sized blocks; each row's arithmetic is unchanged
+            # per-row work in L2-sized blocks; a row's arithmetic does not depend on its block
             for lo in range(0, inv.size, _ROW_BLOCK):
                 blk = slice(lo, lo + _ROW_BLOCK)
                 rows = inv[blk]
