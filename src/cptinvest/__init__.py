@@ -24,7 +24,6 @@ from .choquet import GainLoss, ProspectDivergenceError, prospect_value
 from .continuous import (
     PowerCaseInputs,
     interior_candidates,
-    k_ratios,
     long_integrals,
     prepare_inputs,
     prepare_zero_initial_inputs,
@@ -47,8 +46,6 @@ from .market import (
     TradeDirection,
     check_no_arbitrage,
     excess_transform,
-    loss_set_probabilities,
-    reference_point,
     reference_wealth,
     terminal_wealth,
 )

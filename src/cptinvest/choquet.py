@@ -26,6 +26,7 @@ from .preferences import CptPreference, Side, WeightingPair
 __all__ = [
     "GainLoss",
     "ProspectDivergenceError",
+    "gain_loss",
     "prospect_value",
     "distorted_tail_integral",
     "rank_dependent_sum",
@@ -97,9 +98,26 @@ def distorted_tail_integral(
         return 0.0, 0.0
     upper = min(upper, 1.0)
     mid = 0.5 * upper
+    power = weighting.endpoint_exponent(side)
 
     def plain(q):
         return outcome(q) * weighting.derivative(side, q)
+
+    def at_end(end, sign, lo, hi):
+        """Integral over (lo, hi), one of whose ends is q = end.
+
+        w' blows up there when power < 1; q = end + sign * t**(1/power) then
+        keeps the integrand bounded at t = 0.
+        """
+        if power >= 1.0:
+            return _checked_quad(plain, lo, hi, side)
+        m = 1.0 / power
+
+        def integrand(t):
+            q = end + sign * t**m
+            return outcome(q) * weighting.derivative(side, q) * m * t ** (m - 1.0)
+
+        return _checked_quad(integrand, 0.0, (hi - lo) ** power, side)
 
     total = 0.0
     err = 0.0
@@ -134,35 +152,13 @@ def distorted_tail_integral(
         if tail_mass > 0.0:
             err += tail_mass * abs(outcome_at_s(cut))
     else:
-        power = weighting.endpoint_exponent(side)
-        if power >= 1.0:
-            v, e = _checked_quad(plain, 0.0, mid, side)
-            total += v
-            err += e
-        else:
-            m = 1.0 / power
-
-            def lower_integrand(t):
-                q = t**m
-                return outcome(q) * weighting.derivative(side, q) * m * t ** (m - 1.0)
-
-            v, e = _checked_quad(lower_integrand, 0.0, mid**power, side)
-            total += v
-            err += e
+        v, e = at_end(0.0, 1.0, 0.0, mid)
+        total += v
+        err += e
 
     # [mid, upper]: singular only when upper reaches 1
     if upper > 1.0 - 1e-11:
-        power = weighting.endpoint_exponent(side)
-        if power >= 1.0:
-            v, e = _checked_quad(plain, mid, upper, side)
-        else:
-            m = 1.0 / power
-
-            def upper_integrand(t):
-                q = upper - t**m
-                return outcome(q) * weighting.derivative(side, q) * m * t ** (m - 1.0)
-
-            v, e = _checked_quad(upper_integrand, 0.0, (upper - mid) ** power, side)
+        v, e = at_end(upper, -1.0, mid, upper)
     else:
         v, e = _checked_quad(plain, mid, upper, side)
     total += v
@@ -212,31 +208,38 @@ def rank_dependent_sum(
     return v_plus, v_minus
 
 
-def prospect_value(pref: CptPreference, dist) -> GainLoss:
-    """CPT value of a signed distribution relative to reference zero.
+def gain_loss(value, weighting: WeightingPair, dist) -> GainLoss:
+    """Gains and losses parts of a signed distribution under a value function.
 
-    The loss part is the utility of the losses, loss aversion included.
+    ``value(side, x)`` maps nonnegative magnitudes.  Discrete laws are exact
+    rank-dependent sums; continuous laws are two distorted upper-tail
+    integrals, with error estimates.
     """
-    utility = pref.utility
-    weighting = pref.weighting
     if dist.atoms is not None:
-        return GainLoss(*rank_dependent_sum(utility.value, weighting, dist.atoms))
+        return GainLoss(*rank_dependent_sum(value, weighting, dist.atoms))
 
     parts = []
     # the losses of dist are the gains of its negation, bit for bit
     for side, law in (("gain", dist), ("loss", dist.affine(0.0, -1.0))):
 
         def outcome(q, side=side, law=law):
-            return utility.value(side, max(law.isf(q), 0.0))
+            return value(side, max(law.isf(q), 0.0))
 
         outcome_logq = None
         if getattr(law, "has_log_tail_quantiles", False):
 
             def outcome_logq(s, side=side, law=law):
-                return utility.value(side, max(law.isf_logq(-s), 0.0))
+                return value(side, max(law.isf_logq(-s), 0.0))
 
         parts.append(distorted_tail_integral(outcome, weighting, side, law.sf(0.0),
                                              outcome_logq=outcome_logq))
     (v_plus, e_plus), (v_minus, e_minus) = parts
     return GainLoss(v_plus, v_minus, e_plus, e_minus)
 
+
+def prospect_value(pref: CptPreference, dist) -> GainLoss:
+    """CPT value of a signed distribution relative to reference zero.
+
+    The loss part is the utility of the losses, loss aversion included.
+    """
+    return gain_loss(pref.utility.value, pref.weighting, dist)

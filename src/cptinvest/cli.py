@@ -172,18 +172,7 @@ def write_sweep_csv(path: str, mode: str, axis: str, rows: list[SweepRow]) -> No
         writer = csv.writer(handle)
         writer.writerow(columns)
         for row in rows:
-            record = {
-                axis: row.value,
-                "ratio_buy": row.ratio_buy,
-                "ratio_sell": row.ratio_sell,
-                "theta_buy": row.theta_buy,
-                "theta_sell": row.theta_sell,
-                "theta_star": row.theta_star,
-                "case_id": row.case_id,
-                "prospect_star": row.prospect_star,
-                "boundary": row.boundary,
-                "error": row.error,
-            }
+            record = {axis: row.value, **vars(row)}
             writer.writerow([_cell(record[c]) for c in columns])
 
 
@@ -339,8 +328,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if arb.passed else 2
 
         if args.command == "verify":
-            config = RunConfig.from_dict({**config.to_dict(),
-                                          "solve": {**config.data["solve"], "oracle": True}})
+            config = config.replace_values(solve__oracle=True)
             summary = solve_once(config)
             _print_summary(summary)
             return 0 if summary["oracle"]["agreement"] == "match" else 3

@@ -170,7 +170,7 @@ class RunConfig:
         return json.dumps(self.data, indent=2, sort_keys=True)
 
     def replace_values(self, **section_updates) -> "RunConfig":
-        """New config with dotted-path overrides, e.g. ('market.lambda', 0.01)."""
+        """New config with path overrides, ``__`` between keys, e.g. ``market__lambda=0.01``."""
         data = json.loads(json.dumps(self.data))
         for dotted, value in section_updates.items():
             parts = dotted.split("__")

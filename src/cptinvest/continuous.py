@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .choquet import GainLoss, distorted_tail_integral, rank_dependent_sum
+from .choquet import GainLoss, gain_loss, rank_dependent_sum
 from .market import (
     MarketModel,
     Portfolio,
@@ -23,14 +23,13 @@ from .market import (
     check_no_arbitrage,
     excess_transform,
 )
-from .preferences import CptPreference, PowerUtility, WeightingPair
+from .preferences import CptPreference, PowerUtility
 from .solution import Solution
 
 __all__ = [
     "PowerCaseInputs",
     "long_integrals",
     "short_integrals",
-    "k_ratios",
     "interior_candidates",
     "prospect_along",
     "solve_long",
@@ -47,33 +46,16 @@ __all__ = [
 _MIN_BAND = 1e-9
 
 
-def _upper_tail_integral(law, exponent: float, weighting: WeightingPair, side: str):
-    """integral of z**exponent against the distorted upper tail of the law."""
-
-    def outcome(q):
-        return max(law.isf(q), 0.0) ** exponent
-
-    outcome_logq = None
-    if getattr(law, "has_log_tail_quantiles", False):
-
-        def outcome_logq(s):
-            return max(law.isf_logq(-s), 0.0) ** exponent
-
-    return distorted_tail_integral(outcome, weighting, side, law.sf(0.0),
-                                   outcome_logq=outcome_logq)
-
-
 def _require_power(pref: CptPreference) -> PowerUtility:
     if not isinstance(pref.utility, PowerUtility):
         raise TypeError("the continuous-case solver requires the power utility pair")
     return pref.utility
 
 
-def _atom_integrals(pref: CptPreference, atoms) -> GainLoss:
+def _unit_value(pref: CptPreference):
+    """The per-unit value function: x**alpha on gains, x**beta on losses."""
     u = _require_power(pref)
-    gain, loss = rank_dependent_sum(
-        lambda side, x: x ** (u.alpha if side == "gain" else u.beta), pref.weighting, atoms)
-    return GainLoss(gain, loss)
+    return lambda side, x: x ** (u.alpha if side == "gain" else u.beta)
 
 
 def long_integrals(pref: CptPreference, z_law) -> GainLoss:
@@ -81,14 +63,7 @@ def long_integrals(pref: CptPreference, z_law) -> GainLoss:
 
     The loss part leaves out loss aversion, which the dispatch applies.
     """
-    if z_law.atoms is not None:
-        return _atom_integrals(pref, z_law.atoms)
-    u = _require_power(pref)
-    # the lower tail of z is the upper tail of -z, bit for bit
-    gain, gain_err = _upper_tail_integral(z_law, u.alpha, pref.weighting, "gain")
-    loss, loss_err = _upper_tail_integral(z_law.affine(0.0, -1.0), u.beta,
-                                          pref.weighting, "loss")
-    return GainLoss(gain, loss, gain_err, loss_err)
+    return gain_loss(_unit_value(pref), pref.weighting, z_law)
 
 
 def short_integrals(pref: CptPreference, z_law) -> GainLoss:
@@ -96,7 +71,8 @@ def short_integrals(pref: CptPreference, z_law) -> GainLoss:
     if z_law.atoms is None:
         return long_integrals(pref, z_law.affine(0.0, -1.0))
     # negate the atoms as given: DiscreteLaw.affine would renormalise their masses
-    return _atom_integrals(pref, [(-x, p) for x, p in z_law.atoms])
+    return GainLoss(*rank_dependent_sum(_unit_value(pref), pref.weighting,
+                                        [(-x, p) for x, p in z_law.atoms]))
 
 
 @dataclass(frozen=True)
@@ -150,11 +126,6 @@ class PowerCaseInputs:
         loss = ray.loss
         err = (ray.gain_error + (ray.gain / loss) * ray.loss_error) / loss if loss > 0 else 0.0
         return max(_MIN_BAND, 10.0 * err)
-
-
-def k_ratios(inputs: PowerCaseInputs):
-    """(buy ratio, sell ratio, their max); entries are None when undefined."""
-    return inputs.ratio_buy, inputs.ratio_sell, inputs.ratio_max
 
 
 def _power_candidate(ratio: float, alpha: float, beta: float, k: float) -> float:

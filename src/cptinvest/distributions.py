@@ -121,6 +121,10 @@ class LognormalBase:
 # at nu = 3 it is off by 2x near q = exp(-400), and deeper it returns +inf
 _T_TAIL_START = 1e20
 
+# stdtr squares t, so from |t| = 1.34e154 on it returns exactly 0; past
+# |t| = 1e150 the CDF is the leading tail term, exact there
+_T_CDF_TAIL = 1e150
+
 
 class StudentTBase:
     """Standard Student-t with ``nu`` degrees of freedom."""
@@ -143,11 +147,17 @@ class StudentTBase:
         with np.errstate(divide="ignore", over="ignore"):
             return -np.exp((self._log_tail - np.log(q)) / self.nu)
 
+    def _tail_cdf(self, t):
+        """Leading-term lower-tail probability K nu**((nu - 1)/2) |t|**-nu, t < 0."""
+        return np.exp(self._log_tail - self.nu * np.log(-t))
+
     def cdf(self, x: float) -> float:
+        if x < -_T_CDF_TAIL:
+            return float(self._tail_cdf(x))
         return float(stdtr(self.nu, x))
 
     def sf(self, x: float) -> float:
-        return float(stdtr(self.nu, -x))
+        return self.cdf(-x)
 
     def ppf(self, q: float) -> float:
         t = float(stdtrit(self.nu, q))
@@ -171,10 +181,15 @@ class StudentTBase:
         return -self.ppf_array(q)
 
     def cdf_array(self, x):
-        return stdtr(self.nu, np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(stdtr(self.nu, x))
+        deep = x < -_T_CDF_TAIL
+        if deep.any():
+            out[deep] = self._tail_cdf(x[deep])
+        return out
 
     def sf_array(self, x):
-        return stdtr(self.nu, -np.asarray(x, dtype=float))
+        return self.cdf_array(-np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)

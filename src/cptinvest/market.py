@@ -20,7 +20,6 @@ from .distributions import (
     NormalBase,
     SignedDistribution,
     StudentTBase,
-    constant_law,
 )
 
 __all__ = [
@@ -36,11 +35,8 @@ __all__ = [
     "ArbitrageCheck",
     "terminal_wealth",
     "reference_wealth",
-    "reference_point",
     "check_no_arbitrage",
     "excess_transform",
-    "loss_set_probabilities",
-    "LossSetProbabilities",
 ]
 
 
@@ -192,15 +188,6 @@ def reference_wealth(p: Portfolio, m: MarketModel, gross: float) -> float:
     return terminal_wealth(p, m, 0.0, gross)
 
 
-def reference_point(p: Portfolio, m: MarketModel) -> SignedDistribution:
-    """Law of the reference wealth; a constant when y0 = 0."""
-    scale = p.y0 - m.lam * max(p.y0, 0.0)
-    shift = (1.0 + m.r) * p.x0
-    if scale == 0.0:
-        return constant_law(shift)
-    return m.returns.gross_law().affine(shift, scale)
-
-
 def excess_transform(m: MarketModel, direction: TradeDirection) -> SignedDistribution:
     """Per-unit wealth difference against the benchmark for the given direction."""
     gross = m.returns.gross_law()
@@ -256,27 +243,3 @@ def check_no_arbitrage(m: MarketModel) -> ArbitrageCheck:
         )
     return ArbitrageCheck(True)
 
-
-@dataclass(frozen=True)
-class LossSetProbabilities:
-    """Probability of ending in a loss for each pure trade direction."""
-
-    buy: float
-    sell: float
-    short: float
-
-
-def loss_set_probabilities(m: MarketModel) -> LossSetProbabilities:
-    """P(buying loses), P(selling loses), P(shorting loses).
-
-    Buying loses where its excess return is negative; selling or shorting
-    loses where the corresponding excess return is positive.
-    """
-    z_buy = excess_transform(m, TradeDirection.BUY)
-    z_sell = excess_transform(m, TradeDirection.SELL)
-    z_short = excess_transform(m, TradeDirection.SHORT)
-    return LossSetProbabilities(
-        buy=z_buy.prob_below(0.0),
-        sell=z_sell.prob_above(0.0),
-        short=z_short.prob_above(0.0),
-    )

@@ -44,8 +44,6 @@ class PowerUtility:
     beta: float = 0.88
     loss_aversion: float = 2.25
 
-    bounded = False
-
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
@@ -76,10 +74,6 @@ class PowerUtility:
         power = self.alpha if side == "gain" else self.beta
         return power, power
 
-    def limit(self, side: Side) -> float:
-        _check_side(side)
-        return math.inf
-
 
 @dataclass(frozen=True)
 class ExponentialUtility:
@@ -88,8 +82,6 @@ class ExponentialUtility:
     eta_gain: float = 1.0
     eta_loss: float = 1.0
     loss_aversion: float = 2.25
-
-    bounded = True
 
     def __post_init__(self):
         if not (0.0 < self.eta_gain and 0.0 < self.eta_loss):
@@ -117,10 +109,6 @@ class ExponentialUtility:
         """Power-law exponents at zero magnitude (linear) and at infinity (bounded)."""
         _check_side(side)
         return 1.0, 0.0
-
-    def limit(self, side: Side) -> float:
-        _check_side(side)
-        return 1.0 if side == "gain" else self.loss_aversion
 
 
 UtilityPair = Union[PowerUtility, ExponentialUtility]

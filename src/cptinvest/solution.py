@@ -54,10 +54,6 @@ class Solution:
                    boundary=boundary)
 
     @property
-    def is_finite(self) -> bool:
-        return self.kind in (SolutionKind.FINITE_POINT, SolutionKind.INTERVAL)
-
-    @property
     def representative_theta(self) -> float:
         """A concrete theta: the point itself, or the finite interval end."""
         if self.kind is SolutionKind.FINITE_POINT:

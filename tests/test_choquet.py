@@ -238,23 +238,26 @@ def _outcome_domain_side(pref, gross, shift, side, outcome_max=math.inf):
 EXP_PRELEC = CptPreference(ExponentialUtility(1.0, 1.0, 2.0), PrelecWeighting(0.3, 1.0, 1.0))
 
 
-@pytest.mark.parametrize("pref,law", [
-    pytest.param(EXP_PRELEC, Lognormal(0.0, 0.3), id="exponential-prelec-lognormal"),
-    pytest.param(EXP_PRELEC, Normal(0.0, 1.0), id="exponential-prelec-normal"),
+@pytest.mark.parametrize("pref,law,shift", [
+    pytest.param(EXP_PRELEC, Lognormal(0.0, 0.3), 1.01, id="exponential-prelec-lognormal"),
+    pytest.param(EXP_PRELEC, Normal(0.0, 1.0), 1.01, id="exponential-prelec-normal"),
     # its quantile-domain tail passes the float range: the utility's bound takes over
-    pytest.param(EXP_PRELEC, Lognormal(0.0, 1.0), id="exponential-prelec-wide-lognormal"),
-    pytest.param(CptPreference(POWER, TK), Lognormal(3.2932e-4, 7.4383e-3), id="power-tk-lognormal"),
-    pytest.param(CptPreference(POWER, TK), Normal(0.01, 0.1), id="power-tk-normal"),
-    pytest.param(CptPreference(POWER, TK), StudentT(6.0, 0.0, 0.05), id="power-tk-student-t"),
+    pytest.param(EXP_PRELEC, Lognormal(0.0, 1.0), 1.01, id="exponential-prelec-wide-lognormal"),
+    pytest.param(CptPreference(POWER, TK), Lognormal(3.2932e-4, 7.4383e-3), 1.01,
+                 id="power-tk-lognormal"),
+    pytest.param(CptPreference(POWER, TK), Normal(0.01, 0.1), 1.01, id="power-tk-normal"),
+    pytest.param(CptPreference(POWER, TK), StudentT(6.0, 0.0, 0.05), 1.01,
+                 id="power-tk-student-t"),
+    # P(gain) rounds to 1, so the gain side substitutes at the upper end q = 1
+    pytest.param(CptPreference(POWER, TK), Normal(0.0, 0.01), 0.5, id="power-tk-all-gain"),
 ])
-def test_finite_prospects_match_an_outcome_domain_quadrature(pref, law):
+def test_finite_prospects_match_an_outcome_domain_quadrature(pref, law, shift):
     """Finite prospects are returned, and returned right.
 
     A bounded utility keeps the prospect finite even under Prelec gamma
     well below one half; power utility with TK weighting is finite against
     lognormal, normal and Student-t(6) tails.
     """
-    shift = 1.01
     b = prospect_value(pref, law.gross_law().affine(-shift, 1.0))
     if isinstance(law, Lognormal):
         gross, loss_max = stats.lognorm(s=law.sigma, scale=math.exp(law.mu)), shift

@@ -12,7 +12,6 @@ from cptinvest.continuous import (
     classify,
     classify_zero_initial,
     interior_candidates,
-    k_ratios,
     long_integrals,
     prepare_inputs,
     prepare_zero_initial_inputs,
@@ -114,10 +113,9 @@ class TestIntegrals:
 class TestRatios:
     def test_bull_market_regression_values(self):
         inputs = prepare_inputs(Portfolio(1.0, 1.0), BULL, REFERENCE_PREF)
-        ratio_buy, ratio_sell, ratio_max = k_ratios(inputs)
-        assert ratio_buy == pytest.approx(2.5139612, abs=2e-6)
-        assert ratio_sell == pytest.approx(0.3957013, abs=2e-6)
-        assert ratio_max == ratio_buy
+        assert inputs.ratio_buy == pytest.approx(2.5139612, abs=2e-6)
+        assert inputs.ratio_sell == pytest.approx(0.3957013, abs=2e-6)
+        assert inputs.ratio_max == inputs.ratio_buy
 
     def test_no_cost_symmetric_ratios_coincide(self):
         m = MarketModel(0.02, 0.0, Normal(0.02, 0.2))
@@ -137,7 +135,6 @@ class TestRatios:
             loss_aversion=2.0, y0=1.0,
         )
         assert inputs.ratio_sell is None
-        assert k_ratios(inputs)[1] is None
 
 
 def ill_posed_condition_holds(inputs: PowerCaseInputs) -> bool:

