@@ -42,6 +42,9 @@ _MAX_PANELS = 2000
 _QUAD_EPSABS = 1e-12
 _QUAD_EPSREL = 2e-10
 
+# the largest double below 1: q = 1 - t**m rounds to 1 past it
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
 
 class ProspectDivergenceError(ArithmeticError):
     """Raised when one side of a prospect integral fails to converge."""
@@ -112,12 +115,22 @@ def distorted_tail_integral(
         if power >= 1.0:
             return _checked_quad(plain, lo, hi, side)
         m = 1.0 / power
+        clamped = False
 
         def integrand(t):
+            nonlocal clamped
             q = end + sign * t**m
+            if q == 1.0:
+                # t**m is below one ulp of 1: take the last q below it
+                clamped = True
+                q = _BELOW_ONE
             return outcome(q) * weighting.derivative(side, q) * m * t ** (m - 1.0)
 
-        return _checked_quad(integrand, 0.0, (hi - lo) ** power, side)
+        value, error = _checked_quad(integrand, 0.0, (hi - lo) ** power, side)
+        if clamped:
+            # the outcome falls as q rises: bound the sliver of weight past _BELOW_ONE
+            error += (1.0 - weighting.weight(side, _BELOW_ONE)) * abs(outcome(_BELOW_ONE))
+        return value, error
 
     total = 0.0
     err = 0.0

@@ -13,7 +13,7 @@ toward a finite optimum rather than an ill-posed one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .choquet import GainLoss, gain_loss, rank_dependent_sum
 from .market import (
@@ -121,12 +121,6 @@ class PowerCaseInputs:
         ratios = [r for r in (self.ratio_buy, self.ratio_sell) if r is not None]
         return max(ratios) if ratios else None
 
-    def _ratio_band(self, side: str) -> float:
-        ray = self._ray(side)
-        loss = ray.loss
-        err = (ray.gain_error + (ray.gain / loss) * ray.loss_error) / loss if loss > 0 else 0.0
-        return max(_MIN_BAND, 10.0 * err)
-
 
 def _power_candidate(ratio: float, alpha: float, beta: float, k: float) -> float:
     """(alpha * ratio / (beta * k)) ** (1 / (beta - alpha)), overflow-safe."""
@@ -199,139 +193,108 @@ def _value_band(inputs: PowerCaseInputs, *thetas: float) -> float:
     return max(_MIN_BAND * scale, 10.0 * err)
 
 
-def solve_long(inputs: PowerCaseInputs) -> Solution:
-    """Optimum over the buy ray theta >= 0."""
-    k = inputs.loss_aversion
-    if inputs.p_loss_buy >= 1.0:
-        return Solution.point(0.0, "T3.2-1a", 0.0)
-    if inputs.alpha < inputs.beta:
-        theta = _power_candidate(inputs.ratio_buy or 0.0, inputs.alpha, inputs.beta, k)
-        return Solution.point(theta, "T3.2-2", prospect_along(inputs, theta))
-    ratio = inputs.ratio_buy
+def _ray_end(inputs: PowerCaseInputs, end: float, case_id: str) -> Solution:
+    """Trade to the end of a ray: the sell floor -y0, or without bound."""
+    if end == math.inf:
+        return Solution.plus_infinity(case_id, math.inf)
+    if end == -math.inf:
+        return Solution.minus_infinity(case_id, math.inf)
+    return Solution.point(end, case_id, prospect_along(inputs, end))
+
+
+def _solve_ray(inputs: PowerCaseInputs, side: str, floor: float = -math.inf) -> Solution:
+    """Optimum over one ray: T3.2 on the buy ray [0, inf), T3.3 on the sell ray [floor, 0].
+
+    The sell floor is -y0, or -inf when the sale is a short.
+    """
+    buy = side == "buy"
+    prefix, end = ("T3.2-", math.inf) if buy else ("T3.3-", floor)
+    p_loss = inputs.p_loss_buy if buy else inputs.p_loss_sell
+    if p_loss <= 0.0 and not buy:
+        # selling never loses; sell everything owned
+        return _ray_end(inputs, end, prefix + "4a")
+    if p_loss >= 1.0:
+        return Solution.point(0.0, prefix + "1a", 0.0)
+    ratio = inputs._ratio(side)
     if ratio is None:
-        raise ValueError("buy ratio undefined despite loss probability below one")
-    band = inputs._ratio_band("buy")
+        raise ValueError(f"{side} ratio undefined despite loss probability below one")
+    k = inputs.loss_aversion
+    if inputs.alpha < inputs.beta:
+        size = _power_candidate(ratio, inputs.alpha, inputs.beta, k)
+        limit = abs(end)
+        # a candidate within the band of the floor keeps its value, flagged
+        band = max(_MIN_BAND, _MIN_BAND * abs(inputs.y0))
+        if size > limit + band:
+            return _ray_end(inputs, end, prefix + "4c")
+        if math.isinf(size):
+            raise ValueError(f"the {side} ray's interior candidate overflows the float range")
+        theta = size if buy else -size
+        return Solution.point(theta, prefix + "2", prospect_along(inputs, theta),
+                              boundary=abs(size - limit) <= band)
+    # equal exponents: no trade, the ray's end, or a flat interval
+    gl = inputs._ray(side)
+    band = max(_MIN_BAND, 10.0 * ((gl.gain_error + ratio * gl.loss_error) / gl.loss))
     if k > ratio + band:
-        return Solution.point(0.0, "T3.2-1b", 0.0)
+        return Solution.point(0.0, prefix + "1b", 0.0)
     if k < ratio - band:
-        return Solution.plus_infinity("T3.2-4", math.inf)
-    return Solution.interval(0.0, math.inf, "T3.2-3", 0.0, boundary=True)
+        return _ray_end(inputs, end, prefix + ("4" if buy else "4b"))
+    return Solution.interval(min(0.0, end), max(0.0, end), prefix + "3", 0.0, boundary=True)
+
+
+def solve_long(inputs: PowerCaseInputs) -> Solution:
+    """Optimum over the buy ray theta >= 0 (T3.2)."""
+    return _solve_ray(inputs, "buy")
 
 
 def solve_short(inputs: PowerCaseInputs) -> Solution:
-    """Optimum over the constrained sell segment -y0 <= theta <= 0."""
-    k = inputs.loss_aversion
-    y0 = inputs.y0
-    if inputs.p_loss_sell <= 0.0:
-        return Solution.point(-y0, "T3.3-4a", prospect_along(inputs, -y0))
-    if inputs.p_loss_sell >= 1.0:
-        return Solution.point(0.0, "T3.3-1a", 0.0)
-    if inputs.alpha < inputs.beta:
-        _, theta = interior_candidates(inputs)
-        if theta < -y0:
-            return Solution.point(-y0, "T3.3-4c", prospect_along(inputs, -y0))
-        return Solution.point(theta, "T3.3-2", prospect_along(inputs, theta))
-    ratio = inputs.ratio_sell
-    band = inputs._ratio_band("sell")
-    if k > ratio + band:
-        return Solution.point(0.0, "T3.3-1b", 0.0)
-    if k < ratio - band:
-        return Solution.point(-y0, "T3.3-4b", prospect_along(inputs, -y0))
-    return Solution.interval(-y0, 0.0, "T3.3-3", 0.0, boundary=True)
+    """Optimum over the constrained sell segment -y0 <= theta <= 0 (T3.3)."""
+    return _solve_ray(inputs, "sell", -inputs.y0)
+
+
+# T3.1/T3.4 case of each pair of T3.2 (buy) and T3.3 (sell) cases; for the two
+# pairs of interior candidates it is the sale's case, taken when the sale is worth more
+_MERGED = {
+    ("1a", "1a"): "1a", ("1a", "1b"): "1b", ("1a", "4b"): "4b", ("1a", "3"): "6a",
+    ("1a", "2"): "3a", ("1a", "4c"): "4c",
+    ("1b", "1a"): "1c", ("4", "1a"): "8a", ("3", "1a"): "5a", ("2", "1a"): "2a",
+    ("1b", "1b"): "1d", ("1b", "3"): "6b", ("1b", "4b"): "4e",
+    ("3", "1b"): "5b", ("3", "3"): "7", ("3", "4b"): "4e",
+    ("4", "1b"): "8b", ("4", "3"): "8b", ("4", "4b"): "8b",
+    ("2", "2"): "3b", ("2", "4c"): "4d",
+}
 
 
 def classify(inputs: PowerCaseInputs) -> Solution:
-    """Case dispatch: T3.1 with the sell ray ending at -y0, T3.4 when it is unbounded."""
+    """Case dispatch: T3.1 with the sell ray ending at -y0, T3.4 when it is unbounded.
+
+    Both rays are solved on their own (T3.2, T3.3) and their cases merged.
+    """
     unbounded = inputs.sell_unbounded
     if inputs.p_loss_buy <= 0.0 or (unbounded and inputs.p_loss_sell <= 0.0):
         raise ValueError("the buy ray, and an unbounded sell ray, must carry loss "
                          "probability under no-arbitrage")
-    alpha, beta, k, y0 = inputs.alpha, inputs.beta, inputs.loss_aversion, inputs.y0
     prefix = "T3.4-" if unbounded else "T3.1-"
-    floor = -math.inf if unbounded else -y0
-    buy_all_loss = inputs.p_loss_buy >= 1.0
-    sell_all_loss = inputs.p_loss_sell >= 1.0
-
-    def buy_end(case: str) -> Solution:
-        return Solution.plus_infinity(prefix + case, math.inf)
-
-    def sell_end(case: str, boundary: bool = False) -> Solution:
-        if unbounded:
-            return Solution.minus_infinity(prefix + case, math.inf, boundary=boundary)
-        return Solution.point(floor, prefix + case, prospect_along(inputs, floor),
-                              boundary=boundary)
-
-    def knife(side: str, cases: str) -> Solution:
-        """Equal exponents on one ray: no trade, the ray's end or a flat interval."""
-        no_trade, end, flat = cases.split()
-        if side == "buy":
-            ratio, lo, hi, ray_end = inputs.ratio_buy, 0.0, math.inf, buy_end
-        else:
-            ratio, lo, hi, ray_end = inputs.ratio_sell, floor, 0.0, sell_end
-        band = inputs._ratio_band(side)
-        if k > ratio + band:
-            return Solution.point(0.0, prefix + no_trade, 0.0)
-        if k < ratio - band:
-            return ray_end(end)
-        return Solution.interval(lo, hi, prefix + flat, 0.0, boundary=True)
-
-    def clamped_sell(theta_sell: float, free: str, clamped: str):
-        """The interior sell candidate, held at the floor: (trade, case, near the floor)."""
-        theta_band = max(_MIN_BAND, _MIN_BAND * abs(y0))
-        if theta_sell < floor - theta_band:
-            return floor, clamped, False
-        return theta_sell, free, abs(theta_sell - floor) <= theta_band
-
-    if inputs.p_loss_sell <= 0.0:
-        # selling never loses; sell everything owned
-        return sell_end("4a")
-
-    if buy_all_loss and sell_all_loss:
-        return Solution.point(0.0, prefix + "1a", 0.0)
-
-    if buy_all_loss:
-        if alpha == beta:
-            return knife("sell", "1b 4b 6a")
-        theta, case, near_edge = clamped_sell(interior_candidates(inputs)[1], "3a", "4c")
-        return Solution.point(theta, prefix + case, prospect_along(inputs, theta),
-                              boundary=near_edge)
-
-    if sell_all_loss:
-        if alpha == beta:
-            return knife("buy", "1c 8a 5a")
-        theta_buy, _ = interior_candidates(inputs)
-        return Solution.point(theta_buy, prefix + "2a", prospect_along(inputs, theta_buy))
-
-    # both loss probabilities interior
-    if alpha == beta:
-        ratio_buy, ratio_sell = inputs.ratio_buy, inputs.ratio_sell
-        band_buy, band_sell = inputs._ratio_band("buy"), inputs._ratio_band("sell")
-        if k < ratio_buy - band_buy:
-            # the sell ray may be unbounded too; the buy direction is reported
-            return buy_end("8b")
-        if k <= ratio_buy + band_buy:
-            if k > ratio_sell + band_sell:
-                return Solution.interval(0.0, math.inf, prefix + "5b", 0.0, boundary=True)
-            if k >= ratio_sell - band_sell:
-                return Solution.interval(floor, math.inf, prefix + "7", 0.0, boundary=True)
-            # buy ray is flat at zero while selling has positive value
-            return sell_end("4e", boundary=True)
-        if k > ratio_sell + band_sell:
-            return Solution.point(0.0, prefix + "1d", 0.0)
-        if k >= ratio_sell - band_sell:
-            return Solution.interval(floor, 0.0, prefix + "6b", 0.0, boundary=True)
-        # loss aversion between the two ratios: trade down to the sell floor
-        return sell_end("4e")
-
-    theta_buy, theta_sell = interior_candidates(inputs)
-    value_buy = prospect_along(inputs, theta_buy)
-    sell_point, sell_case, sell_boundary = clamped_sell(theta_sell, "3b", "4d")
-    value_sell = prospect_along(inputs, sell_point)
-    value_band = _value_band(inputs, theta_buy, sell_point)
-    if value_buy >= value_sell - value_band:
-        tie = abs(value_buy - value_sell) <= value_band
-        return Solution.point(theta_buy, prefix + "2b", value_buy, boundary=tie)
-    return Solution.point(sell_point, prefix + sell_case, value_sell, boundary=sell_boundary)
+    floor = -math.inf if unbounded else -inputs.y0
+    sell = _solve_ray(inputs, "sell", floor)
+    sell_case = sell.case_id[5:]
+    if sell_case == "4a":
+        return replace(sell, case_id=prefix + "4a")
+    buy = _solve_ray(inputs, "buy")
+    buy_case = buy.case_id[5:]
+    case = _MERGED[buy_case, sell_case]
+    if case == "7":
+        # both rays flat at zero
+        return Solution.interval(floor, math.inf, prefix + case, 0.0, boundary=True)
+    if case in ("3b", "4d"):
+        value_band = _value_band(inputs, buy.theta, sell.theta)
+        if buy.prospect >= sell.prospect - value_band:
+            tie = abs(buy.prospect - sell.prospect) <= value_band
+            return replace(buy, case_id=prefix + "2b", boundary=tie)
+    elif buy_case == "4" or sell_case in ("1a", "1b"):
+        # the buy ray decides: it is ill-posed (the sale may be too), or the sale cannot gain
+        return replace(buy, case_id=prefix + case)
+    # a flat buy ray leaves the sale's corner a knife edge
+    return replace(sell, case_id=prefix + case, boundary=sell.boundary or buy_case == "3")
 
 
 def classify_zero_initial(inputs: PowerCaseInputs) -> Solution:

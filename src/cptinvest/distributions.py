@@ -29,8 +29,6 @@ __all__ = [
 class NormalBase:
     """Standard normal base; inverse CDF via scipy's rational approximation."""
 
-    continuous = True
-
     def cdf(self, x: float) -> float:
         return float(ndtr(x))
 
@@ -65,8 +63,6 @@ class NormalBase:
 
 class LognormalBase:
     """Law of exp(mu + sigma * N) with N standard normal."""
-
-    continuous = True
 
     def __init__(self, mu: float, sigma: float):
         if sigma <= 0:
@@ -113,7 +109,11 @@ class LognormalBase:
         return out
 
     def sf_array(self, x):
-        return 1.0 - self.cdf_array(x)
+        x = np.asarray(x, dtype=float)
+        out = np.ones_like(x)
+        pos = x > 0
+        out[pos] = ndtr(-(np.log(x[pos]) - self.mu) / self.sigma)
+        return out
 
 
 # past |t| = 1e20 * max(nu, 1) the leading tail term is exact in double
@@ -128,8 +128,6 @@ _T_CDF_TAIL = 1e150
 
 class StudentTBase:
     """Standard Student-t with ``nu`` degrees of freedom."""
-
-    continuous = True
 
     def __init__(self, nu: float):
         if nu <= 0:

@@ -25,8 +25,6 @@ POWER = PowerUtility(0.88, 0.88, 2.25)
 class _UniformBase:
     """Uniform(0,1) base distribution for closed-form cross-checks."""
 
-    continuous = True
-
     def cdf(self, x):
         return min(max(x, 0.0), 1.0)
 
@@ -269,6 +267,22 @@ def test_finite_prospects_match_an_outcome_domain_quadrature(pref, law, shift):
                                    rel=1e-9, abs=1e-12)
     assert b.loss == pytest.approx(_outcome_domain_side(pref, gross, shift, "loss", loss_max),
                                    rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma,sigma", [(0.4, 0.3), (0.45, 0.05)])
+def test_gains_certain_to_float_precision_are_refused_not_misread(gamma, sigma):
+    """P(gain) rounds to 1, so deep in the upper-end substitution q = 1 - t**(1/gamma)
+    rounds to 1, where no quantile exists.  The integrand stops at the last q below 1;
+    the weight left beyond it, 1 - w(1 - 2**-53) (about 1e-6 at gamma 0.4, 1e-7 at
+    0.45), times the outcome there exceeds the error target, so the gain side is
+    refused instead of raising a ValueError about the quantile level.
+    """
+    pref = CptPreference(PowerUtility(), TverskyKahnemanWeighting(gamma, gamma))
+    law = Lognormal(0.0, sigma).gross_law()
+    assert law.sf(0.0) == 1.0
+    with pytest.raises(ProspectDivergenceError) as err:
+        prospect_value(pref, law)
+    assert err.value.side == "gain"
 
 
 @pytest.mark.parametrize("nu", [3.0, 6.0, 30.0])

@@ -232,6 +232,20 @@ class TestCommandLine:
         assert captured.out == ""
         assert captured.err.startswith("error: prospect loss integral did not converge: ")
 
+    def test_gains_certain_to_float_precision_exit_with_code_4(self, tmp_path, capsys):
+        # the buy excess return's P(gain) rounds to 1 and TK gamma 0.4 leaves
+        # about 1e-6 of weight past the last quantile level below 1
+        payload = {**BULL,
+                   "market": {"r": 0.0, "lambda": 0.0,
+                              "returns": {"kind": "lognormal", "mu": 0.5, "sigma": 0.05}},
+                   "preference": {**BULL["preference"], "alpha": 0.6, "beta": 0.8,
+                                  "gamma": 0.4, "delta": 0.4}}
+        code = main(["solve", "--config", self._write(tmp_path, payload)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: prospect gain integral did not converge: ")
+
     def test_estimate_command(self, tmp_path, capsys):
         prices = tmp_path / "px.csv"
         prices.write_text(

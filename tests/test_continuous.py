@@ -410,30 +410,37 @@ def _reference_case_labels(inp, sell_bound):
     return labels
 
 
+def _random_case_inputs(rng):
+    """Constrained-problem inputs with loss probabilities at 0, 1 or inside, and
+    equal or distinct exponents; the buy ray always carries loss probability."""
+    p_loss_buy = 1.0 if rng.random() < 0.3 else rng.uniform(0.05, 0.95)
+    if p_loss_buy >= 1.0:
+        roll = rng.random()
+        p_loss_sell = 0.0 if roll < 0.2 else (1.0 if roll < 0.4 else rng.uniform(0.05, 0.95))
+    else:
+        p_loss_sell = 1.0 if rng.random() < 0.3 else rng.uniform(0.05, 0.95)
+    alpha = rng.uniform(0.3, 0.95)
+    beta = alpha if rng.random() < 0.5 else rng.uniform(alpha + 0.02, 1.0)
+    return PowerCaseInputs(
+        p_loss_buy=p_loss_buy,
+        p_loss_sell=p_loss_sell,
+        gain_buy=0.0 if p_loss_buy >= 1.0 else rng.uniform(0.01, 2.0),
+        loss_buy=rng.uniform(0.01, 2.0),
+        gain_sell=0.0 if p_loss_sell >= 1.0 else rng.uniform(0.01, 2.0),
+        loss_sell=0.0 if p_loss_sell <= 0.0 else rng.uniform(0.01, 2.0),
+        alpha=alpha, beta=beta,
+        loss_aversion=rng.uniform(1.01, 4.0),
+        y0=rng.uniform(0.1, 3.0),
+    )
+
+
 @pytest.mark.parametrize("sell_unbounded", [False, True])
 def test_case_dispatch_fires_exactly_one_case_on_randomized_inputs(sell_unbounded):
     rng = random.Random(20240612)
     checked = 0
     for _ in range(10_000):
-        p_loss_buy = 1.0 if rng.random() < 0.3 else rng.uniform(0.05, 0.95)
-        if p_loss_buy >= 1.0:
-            roll = rng.random()
-            p_loss_sell = 0.0 if roll < 0.2 else (1.0 if roll < 0.4 else rng.uniform(0.05, 0.95))
-        else:
-            p_loss_sell = 1.0 if rng.random() < 0.3 else rng.uniform(0.05, 0.95)
-        alpha = rng.uniform(0.3, 0.95)
-        beta = alpha if rng.random() < 0.5 else rng.uniform(alpha + 0.02, 1.0)
-        inp = PowerCaseInputs(
-            p_loss_buy=p_loss_buy,
-            p_loss_sell=p_loss_sell,
-            gain_buy=0.0 if p_loss_buy >= 1.0 else rng.uniform(0.01, 2.0),
-            loss_buy=rng.uniform(0.01, 2.0),
-            gain_sell=0.0 if p_loss_sell >= 1.0 else rng.uniform(0.01, 2.0),
-            loss_sell=0.0 if p_loss_sell <= 0.0 else rng.uniform(0.01, 2.0),
-            alpha=alpha, beta=beta,
-            loss_aversion=rng.uniform(1.01, 4.0),
-            y0=rng.uniform(0.1, 3.0),
-        )
+        inp = _random_case_inputs(rng)
+        p_loss_sell = inp.p_loss_sell
         dispatch, sell_bound = classify, -inp.y0
         if sell_unbounded:
             # the all-cash inputs, as prepare_zero_initial_inputs builds them
@@ -456,6 +463,58 @@ def test_case_dispatch_fires_exactly_one_case_on_randomized_inputs(sell_unbounde
             assert sol.theta == sell_bound, (inp, sol)
         checked += 1
     assert checked > 9000
+
+
+def test_a_ray_that_only_loses_leaves_the_dispatch_to_the_other_ray():
+    """The merge contract of T3.1/T3.4: when one ray's loss probability is 1,
+    classify returns the other ray's T3.2 or T3.3 optimum, relabelled only.
+
+    Where the buy ray only loses, half the interior sell candidates are moved
+    to within 1e-10 relative of the floor -y0, inside the band where the
+    trade is kept and flagged.
+    """
+    rng = random.Random(20240613)
+    compared = {"buy": 0, "sell": 0, "sell near the floor": 0}
+    for _ in range(4000):
+        inp = _random_case_inputs(rng)
+        near_floor = (inp.alpha < inp.beta and inp.p_loss_buy >= 1.0
+                      and 0.0 < inp.p_loss_sell < 1.0 and rng.random() < 0.5)
+        if near_floor:
+            size = -interior_candidates(inp)[1]
+            inp = dataclasses.replace(inp, y0=size * (1.0 + rng.uniform(-1e-10, 1e-10)))
+        for problem in (inp, dataclasses.replace(inp, y0=0.0, sell_unbounded=True)):
+            if problem.p_loss_sell >= 1.0:
+                ray, other = "buy", solve_long(problem)
+            elif problem.p_loss_buy >= 1.0 and problem.p_loss_sell > 0.0 \
+                    and not problem.sell_unbounded:
+                ray, other = "sell", solve_short(problem)
+            else:
+                continue
+            sol = classify(problem)
+            assert (sol.kind, sol.theta, sol.lo, sol.hi, sol.prospect, sol.boundary) == \
+                (other.kind, other.theta, other.lo, other.hi, other.prospect, other.boundary), \
+                (problem, sol, other)
+            compared["sell near the floor" if near_floor and ray == "sell" else ray] += 1
+    assert min(compared.values()) > 100, compared
+
+
+def test_an_overflowing_interior_candidate_is_refused_naming_its_ray():
+    """Here the optimal buy is about 1e455, past the float range: refused, not
+    lost to a sale worth 0.  A sell candidate that large binds at -y0 instead."""
+    m = MarketModel(0.0, 0.01, Lognormal(0.3, 0.1))
+    pref = CptPreference(PowerUtility(0.80, 0.805, 2.25), TverskyKahnemanWeighting())
+    assert prepare_inputs(Portfolio(1.0, 1.0), m, pref).ratio_buy == pytest.approx(426.5, rel=1e-3)
+    with pytest.raises(ValueError, match="buy ray"):
+        solve(Portfolio(1.0, 1.0), m, pref)
+    with pytest.raises(ValueError, match="buy ray"):
+        solve_zero_initial(1.0, m, pref)
+
+    big_sell = synthetic_inputs(alpha=0.8, beta=0.805, gain_sell=500.0, loss_sell=1.0)
+    sol = solve_short(big_sell)
+    assert (sol.case_id, sol.theta) == ("T3.3-4c", -1.0)
+    assert classify(dataclasses.replace(big_sell, p_loss_buy=1.0, gain_buy=0.0)).theta == -1.0
+    with pytest.raises(ValueError, match="sell ray"):
+        classify(dataclasses.replace(big_sell, y0=0.0, sell_unbounded=True))
 
 
 def test_scaling_buy_integrals_preserves_case_and_trade():

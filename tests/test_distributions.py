@@ -103,6 +103,13 @@ def test_vectorized_quantiles_match_scalar():
     np.testing.assert_allclose(law.cdf_array(xs), [law.cdf(x) for x in xs], rtol=1e-13)
 
 
+def test_lognormal_survival_array_keeps_the_upper_tail():
+    # sf(10) is 5.68e-31 here, far below the spacing of 1 - cdf
+    base = LognormalBase(0.0, 0.2)
+    xs = np.array([-1.0, 0.0, 1e-3, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0])
+    np.testing.assert_allclose(base.sf_array(xs), [base.sf(x) for x in xs], rtol=1e-14, atol=0.0)
+
+
 def test_log_tail_quantiles_reach_beyond_float_q():
     law = ContinuousLaw(LognormalBase(0.0, 0.2))
     deep = law.isf_logq(-800.0)  # q = exp(-800), not representable as a float
