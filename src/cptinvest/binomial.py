@@ -14,7 +14,7 @@ candidates and toward the buy side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .choquet import prospect_value
 from .distributions import DiscreteLaw
@@ -223,13 +223,16 @@ def candidate_applies(inputs: BinomialInputs, side: str) -> bool:
             and inputs.zeta < ray.interior)
 
 
+def _candidate(ray: _Ray, inputs: BinomialInputs) -> float:
+    return ray.sign * math.log(ray.interior / inputs.zeta) / (inputs.eta * ray.gap)
+
+
 def candidate_trade(inputs: BinomialInputs, side: str) -> float:
     """Interior candidate of one side (> 0 for a buy, < 0 for a sale); needs
     gain weight > loss weight > 0 and loss aversion below the interior threshold."""
     if not candidate_applies(inputs, side):
         raise ValueError(f"interior {side} candidate undefined outside its regime")
-    ray = _ray(inputs, side)
-    return ray.sign * math.log(ray.interior / inputs.zeta) / (inputs.eta * ray.gap)
+    return _candidate(_ray(inputs, side), inputs)
 
 
 def prospect_at(inputs: BinomialInputs, theta: float) -> float:
@@ -275,7 +278,7 @@ def solve_ray(inputs: BinomialInputs, side: str) -> Solution:
     if zeta >= ray.interior or _close(zeta, ray.interior):
         return Solution.point(0.0, case + "1d", 0.0,
                               boundary=_close(zeta, ray.interior))
-    theta = candidate_trade(inputs, side)
+    theta = _candidate(ray, inputs)
     return Solution.point(theta, case + "4", prospect_at(inputs, theta))
 
 
@@ -285,6 +288,42 @@ def _group(sol: Solution) -> str:
     if sol.kind.name in ("PLUS_INFINITY", "MINUS_INFINITY"):
         return "unbounded"
     return "zero" if sol.prospect == 0.0 else "interior"
+
+
+# T4.3 case of each pair of (buy, sell) ray groups; where both rays trade it is
+# the pair (buy wins, sell wins).  Two interior candidates cannot coexist, since
+# (1-lam)(u+d) > 2(1+r) and 2(1-lam)(1+r) > u+d exclude each other.
+_MERGED = {
+    ("zero", "zero"): "1", ("interval", "zero"): "4", ("zero", "interval"): "5",
+    ("interval", "interval"): "6",
+    ("interior", "zero"): "2a", ("interior", "interval"): "2a",
+    ("zero", "interior"): "3a", ("interval", "interior"): "3a",
+    ("unbounded", "zero"): "7a", ("unbounded", "interval"): "7a",
+    ("zero", "unbounded"): "8a", ("interval", "unbounded"): "8a",
+    ("unbounded", "unbounded"): ("7b", "8b"), ("unbounded", "interior"): ("7c", "3b"),
+    ("interior", "unbounded"): ("2b", "8c"), ("interior", "interior"): ("2c", "3c"),
+}
+_IDLE = ("zero", "interval")
+
+
+def _merge_rays(buy: Solution, sell: Solution) -> Solution:
+    """T4.3: the better ray, relabelled, or the union of two idle rays."""
+    gb, gs = _group(buy), _group(sell)
+    case = _MERGED[gb, gs]
+    carried = buy.boundary or sell.boundary
+    if gb in _IDLE and gs in _IDLE:
+        if case == "1":
+            return Solution.point(0.0, "T4.3-1", 0.0, boundary=carried)
+        return Solution.interval(-math.inf if gs == "interval" else 0.0,
+                                 math.inf if gb == "interval" else 0.0,
+                                 "T4.3-" + case, 0.0, boundary=True)
+    if gb in _IDLE or gs in _IDLE:
+        return replace(sell if gb in _IDLE else buy, case_id="T4.3-" + case, boundary=carried)
+    tie = _close(buy.prospect, sell.prospect)
+    # a tie goes to the finite candidate first, then to the buy
+    buy_wins = (gb == "interior" or gs == "unbounded") if tie else buy.prospect > sell.prospect
+    winner, label = (buy, case[0]) if buy_wins else (sell, case[1])
+    return replace(winner, case_id="T4.3-" + label, boundary=tie or carried)
 
 
 def solve_binomial_with_inputs(x0: float, market: MarketModel,
@@ -300,53 +339,6 @@ def solve_binomial_with_inputs(x0: float, market: MarketModel,
 def solve_binomial(x0: float, market: MarketModel, pref: CptPreference) -> Solution:
     """Optimal trade over the whole line, merging the buy and sell rays."""
     return solve_binomial_with_inputs(x0, market, pref)[0]
-
-
-def _merge_rays(buy: Solution, sell: Solution) -> Solution:
-    gb, gs = _group(buy), _group(sell)
-    carried = buy.boundary or sell.boundary
-
-    def point(theta, case, prospect, boundary=False):
-        return Solution.point(theta, case, prospect, boundary=boundary or carried)
-
-    if gb == "zero" and gs == "zero":
-        return point(0.0, "T4.3-1", 0.0)
-    if gb == "interval" and gs == "zero":
-        return Solution.interval(0.0, math.inf, "T4.3-4", 0.0, boundary=True)
-    if gb == "zero" and gs == "interval":
-        return Solution.interval(-math.inf, 0.0, "T4.3-5", 0.0, boundary=True)
-    if gb == "interval" and gs == "interval":
-        return Solution.interval(-math.inf, math.inf, "T4.3-6", 0.0, boundary=True)
-
-    if gb == "interior" and gs in ("zero", "interval"):
-        return point(buy.theta, "T4.3-2a", buy.prospect)
-    if gs == "interior" and gb in ("zero", "interval"):
-        return point(sell.theta, "T4.3-3a", sell.prospect)
-    if gb == "unbounded" and gs in ("zero", "interval"):
-        return Solution.plus_infinity("T4.3-7a", buy.prospect, boundary=carried)
-    if gs == "unbounded" and gb in ("zero", "interval"):
-        return Solution.minus_infinity("T4.3-8a", sell.prospect, boundary=carried)
-
-    tie = _close(buy.prospect, sell.prospect)
-    if gb == "unbounded" and gs == "unbounded":
-        if tie:
-            return Solution.plus_infinity("T4.3-7b", buy.prospect, boundary=True)
-        if buy.prospect > sell.prospect:
-            return Solution.plus_infinity("T4.3-7b", buy.prospect, boundary=carried)
-        return Solution.minus_infinity("T4.3-8b", sell.prospect, boundary=carried)
-    if gb == "unbounded" and gs == "interior":
-        # ties resolve toward the finite candidate
-        if tie or sell.prospect > buy.prospect:
-            return point(sell.theta, "T4.3-3b", sell.prospect, boundary=tie)
-        return Solution.plus_infinity("T4.3-7c", buy.prospect, boundary=carried)
-    if gb == "interior" and gs == "unbounded":
-        if tie or buy.prospect >= sell.prospect:
-            return point(buy.theta, "T4.3-2b", buy.prospect, boundary=tie)
-        return Solution.minus_infinity("T4.3-8c", sell.prospect, boundary=carried)
-    # both interior: ties resolve toward the buy side
-    if tie or buy.prospect >= sell.prospect:
-        return point(buy.theta, "T4.3-2c", buy.prospect, boundary=tie)
-    return point(sell.theta, "T4.3-3c", sell.prospect)
 
 
 def lambda_bar(m: MarketModel) -> float:

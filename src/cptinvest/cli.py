@@ -95,33 +95,29 @@ def _solve_for_mode(config: RunConfig):
                                          zero_initial=config.mode == "zero-initial")
 
 
-def _continuous_row(config: RunConfig, value: float) -> SweepRow:
-    sol, inputs = _solve_for_mode(config)
-    theta_buy = theta_sell = None
+def _interior_candidates(inputs: cont_solver.PowerCaseInputs) -> tuple[float, float] | None:
+    """Both interior candidates, or None when alpha >= beta or the sale has no losses."""
     if inputs.alpha < inputs.beta and inputs.ratio_sell is not None:
-        theta_buy, theta_sell = cont_solver.interior_candidates(inputs)
-    return SweepRow(
-        value=value,
-        ratio_buy=inputs.ratio_buy,
-        ratio_sell=inputs.ratio_sell,
-        theta_buy=theta_buy,
-        theta_sell=theta_sell,
-        theta_star=_encode_theta(sol),
-        case_id=sol.case_id,
-        prospect_star=_encode_prospect(sol.prospect),
-        boundary=sol.boundary,
-    )
+        return cont_solver.interior_candidates(inputs)
+    return None
 
 
-def _binomial_row(config: RunConfig, value: float) -> SweepRow:
+def _sweep_row(config: RunConfig, value: float) -> SweepRow:
     sol, inputs = _solve_for_mode(config)
-    theta_buy, theta_sell = (bin_solver.candidate_trade(inputs, side)
-                             if bin_solver.candidate_applies(inputs, side) else None
-                             for side in ("buy", "sell"))
+    if config.mode == "binomial":
+        ratios = (None, None)
+        candidates = [bin_solver.candidate_trade(inputs, side)
+                      if bin_solver.candidate_applies(inputs, side) else None
+                      for side in ("buy", "sell")]
+    else:
+        ratios = (inputs.ratio_buy, inputs.ratio_sell)
+        candidates = _interior_candidates(inputs) or (None, None)
     return SweepRow(
         value=value,
-        theta_buy=theta_buy,
-        theta_sell=theta_sell,
+        ratio_buy=ratios[0],
+        ratio_sell=ratios[1],
+        theta_buy=candidates[0],
+        theta_sell=candidates[1],
         theta_star=_encode_theta(sol),
         case_id=sol.case_id,
         prospect_star=_encode_prospect(sol.prospect),
@@ -138,11 +134,7 @@ def run_sweep(config: RunConfig, axis: str, grid: list[float]) -> list[SweepRow]
     rows = []
     for value in grid:
         try:
-            point = _axis_override(config, axis, value)
-            if config.mode == "binomial":
-                rows.append(_binomial_row(point, value))
-            else:
-                rows.append(_continuous_row(point, value))
+            rows.append(_sweep_row(_axis_override(config, axis, value), value))
         except (ConfigError, ValueError, TypeError, ProspectDivergenceError) as exc:
             rows.append(SweepRow(value=value, error=str(exc).replace("\n", "; ")))
     return rows
@@ -215,12 +207,12 @@ def solve_once(config: RunConfig) -> dict:
         diag = {
             "p_loss_buy": inputs.p_loss_buy,
             "p_loss_sell": inputs.p_loss_sell,
-            "gain_buy": inputs.gain_buy, "loss_buy": inputs.loss_buy,
-            "gain_sell": inputs.gain_sell, "loss_sell": inputs.loss_sell,
+            "gain_buy": inputs.buy.gain, "loss_buy": inputs.buy.loss,
+            "gain_sell": inputs.sell.gain, "loss_sell": inputs.sell.loss,
             "ratio_buy": inputs.ratio_buy, "ratio_sell": inputs.ratio_sell,
         }
-        if inputs.alpha < inputs.beta and inputs.ratio_sell is not None:
-            diag["theta_buy"], diag["theta_sell"] = cont_solver.interior_candidates(inputs)
+        if candidates := _interior_candidates(inputs):
+            diag["theta_buy"], diag["theta_sell"] = candidates
         summary["diagnostics"] = diag
 
     if config.oracle:

@@ -77,31 +77,21 @@ def short_integrals(pref: CptPreference, z_law) -> GainLoss:
 
 @dataclass(frozen=True)
 class PowerCaseInputs:
-    """Everything the case dispatch consumes, with quadrature error estimates."""
+    """Everything the case dispatch consumes; the ray records carry quadrature errors."""
 
     p_loss_buy: float
     p_loss_sell: float
-    gain_buy: float
-    loss_buy: float
-    gain_sell: float
-    loss_sell: float
+    buy: GainLoss
+    sell: GainLoss
     alpha: float
     beta: float
     loss_aversion: float
     y0: float
     sell_unbounded: bool = False
-    gain_buy_error: float = 0.0
-    loss_buy_error: float = 0.0
-    gain_sell_error: float = 0.0
-    loss_sell_error: float = 0.0
 
     def _ray(self, side: str) -> GainLoss:
         """Per-unit integrals and error estimates of the "buy" or "sell" ray."""
-        if side == "buy":
-            return GainLoss(self.gain_buy, self.loss_buy,
-                            self.gain_buy_error, self.loss_buy_error)
-        return GainLoss(self.gain_sell, self.loss_sell,
-                        self.gain_sell_error, self.loss_sell_error)
+        return self.buy if side == "buy" else self.sell
 
     def _ratio(self, side: str) -> float | None:
         ray = self._ray(side)
@@ -115,11 +105,6 @@ class PowerCaseInputs:
     @property
     def ratio_sell(self) -> float | None:
         return self._ratio("sell")
-
-    @property
-    def ratio_max(self) -> float | None:
-        ratios = [r for r in (self.ratio_buy, self.ratio_sell) if r is not None]
-        return max(ratios) if ratios else None
 
 
 def _power_candidate(ratio: float, alpha: float, beta: float, k: float) -> float:
@@ -307,18 +292,14 @@ def _prepare(market: MarketModel, pref: CptPreference, y0: float,
     u = _require_power(pref)
     z_buy = excess_transform(market, TradeDirection.BUY)
     z_sell = excess_transform(market, sell_direction)
-    buy = long_integrals(pref, z_buy)
-    sell = short_integrals(pref, z_sell)
     return PowerCaseInputs(
         p_loss_buy=z_buy.prob_below(0.0),
         p_loss_sell=z_sell.prob_above(0.0),
-        gain_buy=buy.gain, loss_buy=buy.loss,
-        gain_sell=sell.gain, loss_sell=sell.loss,
+        buy=long_integrals(pref, z_buy),
+        sell=short_integrals(pref, z_sell),
         alpha=u.alpha, beta=u.beta, loss_aversion=u.loss_aversion,
         y0=y0,
         sell_unbounded=sell_direction is TradeDirection.SHORT,
-        gain_buy_error=buy.gain_error, loss_buy_error=buy.loss_error,
-        gain_sell_error=sell.gain_error, loss_sell_error=sell.loss_error,
     )
 
 

@@ -272,7 +272,7 @@ class ContinuousLaw:
 
 
 class DiscreteLaw:
-    """Finite-support law; quantiles use midpoint steps at probability jumps."""
+    """Finite-support law: sorted atoms with their masses and cumulative masses."""
 
     def __init__(self, values, probs):
         pairs: dict[float, float] = {}
@@ -305,9 +305,6 @@ class DiscreteLaw:
         i = bisect.bisect_right(self._xs, x)
         return self._cum[i - 1] if i > 0 else 0.0
 
-    def sf(self, x: float) -> float:
-        return 1.0 - self.cdf(x)
-
     def prob_below(self, x: float) -> float:
         """P(X < x), strict."""
         i = bisect.bisect_left(self._xs, x)
@@ -316,17 +313,6 @@ class DiscreteLaw:
     def prob_above(self, x: float) -> float:
         """P(X > x), strict."""
         return 1.0 - self.cdf(x)
-
-    def ppf(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile level must be in (0, 1), got {q}")
-        i = bisect.bisect_left(self._cum, q)
-        if i < len(self._xs) and self._cum[i] == q and i + 1 < len(self._xs):
-            return 0.5 * (self._xs[i] + self._xs[i + 1])
-        return self._xs[min(i, len(self._xs) - 1)]
-
-    def isf(self, q: float) -> float:
-        return self.ppf(1.0 - q)
 
     def affine(self, shift: float, scale: float) -> "DiscreteLaw":
         if scale == 0.0:
@@ -349,5 +335,5 @@ def constant_law(c: float) -> DiscreteLaw:
     return DiscreteLaw([c], [1.0])
 
 
-# Anything with cdf/sf/ppf/isf/prob_below/prob_above/atoms/affine.
+# Anything with cdf/prob_below/prob_above/atoms/affine; continuous laws add sf and quantiles.
 SignedDistribution = ContinuousLaw | DiscreteLaw

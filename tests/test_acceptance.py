@@ -432,14 +432,14 @@ def test_criterion_10_factorization_identity():
         if rng.random() < 0.5:
             theta = rng.uniform(0.01, 5.0)
             factored = prospect_along(inputs, theta)
-            scale = (inputs.gain_buy * theta**alpha
-                     + inputs.loss_aversion * inputs.loss_buy * theta**beta)
+            scale = (inputs.buy.gain * theta**alpha
+                     + inputs.loss_aversion * inputs.buy.loss * theta**beta)
         else:
             theta = -rng.uniform(0.01, 1.0) * y0
             size = -theta
             factored = prospect_along(inputs, theta)
-            scale = (inputs.gain_sell * size**alpha
-                     + inputs.loss_aversion * inputs.loss_sell * size**beta)
+            scale = (inputs.sell.gain * size**alpha
+                     + inputs.loss_aversion * inputs.sell.loss * size**beta)
         direct = evaluate_objective(port, market, pref, theta)
         if abs(direct - factored) > 1e-7 * max(scale, 1e-12):
             failures.append(

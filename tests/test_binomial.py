@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cptinvest.binomial import (
     Payoff2,
+    candidate_applies,
     candidate_trade,
     lambda_bar,
     prepare_binomial_inputs,
@@ -30,7 +31,7 @@ from cptinvest.preferences import (
     PrelecWeighting,
     TverskyKahnemanWeighting,
 )
-from cptinvest.solution import SolutionKind
+from cptinvest.solution import Solution, SolutionKind
 
 TK = TverskyKahnemanWeighting(0.61, 0.69)
 
@@ -333,6 +334,53 @@ class TestSubSolvers:
         assert {"T4.2-1b", "T4.2-1c", "T4.2-1d", "T4.2-3a", "T4.2-3b", "T4.2-4"} <= fired
 
 
+def _knife_edge_problem(rng):
+    """A random admissible market and preference, or None, with the merge's knife
+    edges drawn on purpose: equal pseudo weights on one ray (both rays when
+    lam = 0, and even odds then make both flat at one loss aversion), and loss
+    aversion at a threshold, within 1e-13 of it, below all of them, or near one."""
+    r = rng.uniform(0.0, 0.08)
+    lam = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 0.1)
+    keep = 1.0 - lam
+    u = keep * (1.0 + r) + rng.uniform(0.01, 0.6)
+    roll = rng.random()
+    if roll < 0.2:
+        d = 2.0 * (1.0 + r) / keep - u  # equal buy weights
+    elif roll < 0.4:
+        d = 2.0 * keep * (1.0 + r) - u  # equal sell weights
+    else:
+        d = rng.uniform(0.3, u - 0.02)
+    even = lam == 0.0 and roll < 0.4 and rng.random() < 0.3
+    p = 0.5 if even else rng.uniform(0.05, 0.95)
+    roll = rng.random()
+    if roll < 0.4:
+        w = TverskyKahnemanWeighting(rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))
+    elif roll < 0.7:
+        w = PrelecWeighting(rng.uniform(0.35, 0.95), rng.uniform(0.5, 2.0),
+                            rng.uniform(0.5, 2.0))
+    else:
+        w = IdentityWeighting()
+    if not 0.0 < d < u:
+        return None
+    m = MarketModel(r, lam, Binomial(u, d, p))
+    if not check_no_arbitrage(m).passed:
+        return None
+    thr = zeta_thresholds(m, preference(weighting=w))
+    levels = [x for x in (thr.buy_unbounded, thr.buy_interior,
+                          thr.sell_unbounded, thr.sell_interior) if x is not None and x > 1.0]
+    if not levels:
+        return None
+    zeta = rng.choice(levels)
+    roll = rng.random()
+    if roll < 0.25:
+        zeta *= 1.0 + rng.uniform(-1e-13, 1e-13)
+    elif roll < 0.6:
+        zeta = 1.0 + (min(levels) - 1.0) * rng.uniform(0.0, 1.0)
+    elif roll < 0.8:
+        zeta *= rng.uniform(0.6, 1.4)
+    return m, preference(eta=rng.uniform(0.2, 3.0), zeta=max(zeta, 1.0 + 1e-9), weighting=w)
+
+
 class TestFullBinomialSolve:
     def test_costs_above_the_threshold_stop_trading(self):
         m = market(u=1.1, d=0.9, r=0.0, lam=0.15)
@@ -397,6 +445,91 @@ class TestFullBinomialSolve:
             assert report.matched, (sol, report.detail)
         assert SolutionKind.FINITE_POINT in kinds
         assert SolutionKind.PLUS_INFINITY in kinds or SolutionKind.MINUS_INFINITY in kinds
+
+    def test_merge_keeps_the_better_ray_or_the_union_of_idle_rays(self):
+        """T4.3 against both rays' own optima (T4.1, T4.2) on knife-edge problems.
+
+        A trading ray has a nonzero prospect.  With none, the answer is no trade
+        or the union of the flat rays' intervals; otherwise it is one trading
+        ray's optimum, the better one, with a 1e-12 relative tie going to the
+        finite optimum first and then to the buy.  Both rays never have interior
+        candidates: a buy needs (1-lam)(u+d) > 2(1+r), a sale 2(1-lam)(1+r) > u+d.
+        """
+        rng = random.Random(20240614)
+        fired, ties, checked = set(), 0, 0
+        finite = SolutionKind.FINITE_POINT
+        for _ in range(6000):
+            problem = _knife_edge_problem(rng)
+            if problem is None:
+                continue
+            m, pref = problem
+            inputs = prepare_binomial_inputs(1.0, m, pref)
+            assert not (candidate_applies(inputs, "buy") and candidate_applies(inputs, "sell"))
+            buy, sell = solve_ray(inputs, "buy"), solve_ray(inputs, "sell")
+            sol = solve_binomial(1.0, m, pref)
+            fired.add(sol.case_id)
+            checked += 1
+            trading = [ray for ray in (buy, sell)
+                       if ray.kind is not SolutionKind.INTERVAL and ray.prospect != 0.0]
+            scale = max(1.0, abs(buy.prospect), abs(sell.prospect))
+            tie = len(trading) == 2 and abs(buy.prospect - sell.prospect) <= 1e-12 * scale
+            ties += tie
+            assert sol.boundary == (buy.boundary or sell.boundary or tie), (m, pref, sol)
+            if not trading:
+                ends = [0.0] + [end for ray in (buy, sell)
+                                if ray.kind is SolutionKind.INTERVAL for end in (ray.lo, ray.hi)]
+                lo, hi = min(ends), max(ends)
+                if lo == hi:
+                    assert sol == Solution.point(0.0, "T4.3-1", 0.0, boundary=sol.boundary)
+                else:
+                    assert (sol.kind, sol.lo, sol.hi, sol.prospect) == \
+                        (SolutionKind.INTERVAL, lo, hi, 0.0), (m, pref, sol)
+                continue
+            winner = buy if sol.theta == buy.theta else sell
+            assert winner in trading, (m, pref, sol)
+            assert (sol.theta, sol.kind, sol.prospect) == \
+                (winner.theta, winner.kind, winner.prospect), (m, pref, sol)
+            if tie:
+                only_sale_finite = buy.kind is not finite and sell.kind is finite
+                assert winner is (sell if only_sale_finite else buy), (m, pref, sol)
+            elif len(trading) == 2:
+                loser = sell if winner is buy else buy
+                assert winner.prospect > loser.prospect, (m, pref, sol)
+            # a finite buy is 2*, a finite sale 3*, an unbounded buy 7*, an unbounded sale 8*
+            digit = {(True, True): "2", (False, True): "3",
+                     (True, False): "7", (False, False): "8"}[winner is buy, sol.kind is finite]
+            assert sol.case_id[5] == digit, (m, pref, sol)
+        assert checked > 4000
+        assert ties > 0
+        assert fired == {"T4.3-" + label for label in (
+            "1", "2a", "2b", "3a", "3b", "4", "5", "6", "7a", "7b", "7c", "8a", "8b", "8c")}
+
+    @pytest.mark.parametrize("m, w, bracket, label", [
+        (market(u=1.08, d=0.8, p=0.4, r=0.016), TverskyKahnemanWeighting(0.94, 0.68),
+         (1.3, 1.31), "T4.3-3b"),
+        (market(u=1.48, d=0.77, p=0.57, r=0.048, lam=0.003),
+         TverskyKahnemanWeighting(0.92, 0.46), (1.849, 1.858), "T4.3-2b"),
+    ])
+    def test_a_value_tie_goes_to_the_finite_optimum(self, m, w, bracket, label):
+        """Loss aversion bisected to where one ray's unbounded limit equals the
+        other ray's interior value: the interior trade is kept, flagged boundary."""
+        def gap(zeta):
+            inputs = prepare_binomial_inputs(1.0, m, preference(zeta=zeta, weighting=w))
+            buy, sell = solve_ray(inputs, "buy"), solve_ray(inputs, "sell")
+            assert {buy.case_id[5:], sell.case_id[5:]} == {"3b", "4"}, (zeta, buy, sell)
+            return buy.prospect - sell.prospect
+
+        lo, hi = bracket
+        rising = gap(hi) > 0.0
+        assert (gap(lo) > 0.0) != rising
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (lo, mid) if (gap(mid) > 0.0) == rising else (mid, hi)
+        assert abs(gap(lo)) <= 1e-12
+        sol = solve_binomial(1.0, m, preference(zeta=lo, weighting=w))
+        assert (sol.case_id, sol.kind, sol.boundary) == (label, SolutionKind.FINITE_POINT, True)
 
     def test_unbounded_solutions_certified_by_ladder(self):
         m = market(u=1.3, d=0.8, r=0.05, lam=0.0, p=0.2)

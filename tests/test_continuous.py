@@ -43,7 +43,7 @@ from cptinvest.preferences import (
     PrelecWeighting,
     TverskyKahnemanWeighting,
 )
-from cptinvest.choquet import ProspectDivergenceError, prospect_value
+from cptinvest.choquet import GainLoss, ProspectDivergenceError, prospect_value
 from cptinvest.solution import SolutionKind
 
 TK = TverskyKahnemanWeighting(0.61, 0.69)
@@ -115,7 +115,6 @@ class TestRatios:
         inputs = prepare_inputs(Portfolio(1.0, 1.0), BULL, REFERENCE_PREF)
         assert inputs.ratio_buy == pytest.approx(2.5139612, abs=2e-6)
         assert inputs.ratio_sell == pytest.approx(0.3957013, abs=2e-6)
-        assert inputs.ratio_max == inputs.ratio_buy
 
     def test_no_cost_symmetric_ratios_coincide(self):
         m = MarketModel(0.02, 0.0, Normal(0.02, 0.2))
@@ -126,10 +125,9 @@ class TestRatios:
         m = MarketModel(0.02, 0.03, Normal(0.02, 0.2))
         inputs = prepare_inputs(Portfolio(1.0, 1.0), m, REFERENCE_PREF)
         assert inputs.ratio_sell > inputs.ratio_buy
-        assert inputs.ratio_max == inputs.ratio_sell
 
     def test_undefined_ratio_reported_as_none(self):
-        inputs = PowerCaseInputs(
+        inputs = synthetic_inputs(
             p_loss_buy=1.0, p_loss_sell=0.0, gain_buy=0.0, loss_buy=0.5,
             gain_sell=0.4, loss_sell=0.0, alpha=0.8, beta=0.9,
             loss_aversion=2.0, y0=1.0,
@@ -152,8 +150,8 @@ def ill_posed_condition_holds(inputs: PowerCaseInputs) -> bool:
     if inputs.p_loss_sell >= 1.0:
         return inputs.loss_aversion < (inputs.ratio_buy or 0.0)
     if 0.0 < inputs.p_loss_sell < 1.0:
-        ratio_max = inputs.ratio_max
-        return ratio_max is not None and inputs.loss_aversion < ratio_max
+        ratios = [r for r in (inputs.ratio_buy, inputs.ratio_sell) if r is not None]
+        return bool(ratios) and inputs.loss_aversion < max(ratios)
     return False
 
 
@@ -161,22 +159,23 @@ def inputs_with_scaled_buy(inputs: PowerCaseInputs, factor: float) -> PowerCaseI
     """Scale both buy-ray integrals; the dispatch outcome must be invariant."""
     if factor <= 0:
         raise ValueError("scale factor must be positive")
-    return dataclasses.replace(
-        inputs,
-        gain_buy=inputs.gain_buy * factor,
-        loss_buy=inputs.loss_buy * factor,
-        gain_buy_error=inputs.gain_buy_error * factor,
-        loss_buy_error=inputs.loss_buy_error * factor,
-    )
+    buy = inputs.buy
+    return dataclasses.replace(inputs, buy=GainLoss(
+        buy.gain * factor, buy.loss * factor, buy.gain_error * factor, buy.loss_error * factor))
 
 
 def synthetic_inputs(**overrides):
+    """PowerCaseInputs from flat fields: gain_buy, loss_buy, gain_sell, loss_sell and
+    optional *_error estimates become the two ray records."""
     base = dict(
         p_loss_buy=0.4, p_loss_sell=0.5, gain_buy=0.5, loss_buy=0.4,
         gain_sell=0.45, loss_sell=0.5, alpha=0.7, beta=0.88,
         loss_aversion=2.25, y0=1.0,
     )
     base.update(overrides)
+    for side in ("buy", "sell"):
+        base[side] = GainLoss(*(base.pop(f"{part}_{side}{suffix}", 0.0)
+                                for suffix in ("", "_error") for part in ("gain", "loss")))
     return PowerCaseInputs(**base)
 
 
@@ -248,7 +247,7 @@ class TestSubSolvers:
 
     def test_sell_ray_knife_edge_gives_interval(self):
         inp = synthetic_inputs(alpha=0.88, beta=0.88, gain_sell=0.9, loss_sell=0.4)
-        knife = PowerCaseInputs(**{**inp.__dict__, "loss_aversion": 0.9 / 0.4})
+        knife = dataclasses.replace(inp, loss_aversion=0.9 / 0.4)
         sol = solve_short(knife)
         assert sol.kind is SolutionKind.INTERVAL
         assert (sol.lo, sol.hi) == (-1.0, 0.0)
@@ -325,15 +324,15 @@ class TestFactorization:
         for theta in [0.25, 1.0, 3.0]:
             direct = evaluate_objective(port, m, pref, theta)
             factored = prospect_along(inputs, theta)
-            scale = max(1e-12, abs(inputs.gain_buy * theta**inputs.alpha)
-                        + inputs.loss_aversion * inputs.loss_buy * theta**inputs.beta)
+            scale = max(1e-12, abs(inputs.buy.gain * theta**inputs.alpha)
+                        + inputs.loss_aversion * inputs.buy.loss * theta**inputs.beta)
             assert abs(direct - factored) <= 1e-7 * scale
         for theta in [-0.2 * y0, -0.9 * y0]:
             direct = evaluate_objective(port, m, pref, theta)
             factored = prospect_along(inputs, theta)
             size = -theta
-            scale = max(1e-12, abs(inputs.gain_sell * size**inputs.alpha)
-                        + inputs.loss_aversion * inputs.loss_sell * size**inputs.beta)
+            scale = max(1e-12, abs(inputs.sell.gain * size**inputs.alpha)
+                        + inputs.loss_aversion * inputs.sell.loss * size**inputs.beta)
             assert abs(direct - factored) <= 1e-7 * scale
 
 
@@ -421,7 +420,7 @@ def _random_case_inputs(rng):
         p_loss_sell = 1.0 if rng.random() < 0.3 else rng.uniform(0.05, 0.95)
     alpha = rng.uniform(0.3, 0.95)
     beta = alpha if rng.random() < 0.5 else rng.uniform(alpha + 0.02, 1.0)
-    return PowerCaseInputs(
+    return synthetic_inputs(
         p_loss_buy=p_loss_buy,
         p_loss_sell=p_loss_sell,
         gain_buy=0.0 if p_loss_buy >= 1.0 else rng.uniform(0.01, 2.0),
@@ -512,7 +511,8 @@ def test_an_overflowing_interior_candidate_is_refused_naming_its_ray():
     big_sell = synthetic_inputs(alpha=0.8, beta=0.805, gain_sell=500.0, loss_sell=1.0)
     sol = solve_short(big_sell)
     assert (sol.case_id, sol.theta) == ("T3.3-4c", -1.0)
-    assert classify(dataclasses.replace(big_sell, p_loss_buy=1.0, gain_buy=0.0)).theta == -1.0
+    no_buy_gain = dataclasses.replace(big_sell.buy, gain=0.0)
+    assert classify(dataclasses.replace(big_sell, p_loss_buy=1.0, buy=no_buy_gain)).theta == -1.0
     with pytest.raises(ValueError, match="sell ray"):
         classify(dataclasses.replace(big_sell, y0=0.0, sell_unbounded=True))
 
@@ -564,8 +564,8 @@ class TestZeroInitial:
         constrained = prepare_inputs(Portfolio(1.0, 1.0), m, pref)
         unconstrained = prepare_zero_initial_inputs(1.0, m, pref)
         assert unconstrained.p_loss_sell == pytest.approx(constrained.p_loss_sell)
-        assert unconstrained.gain_sell == pytest.approx(constrained.gain_sell, rel=1e-9)
-        assert unconstrained.loss_sell == pytest.approx(constrained.loss_sell, rel=1e-9)
+        assert unconstrained.sell.gain == pytest.approx(constrained.sell.gain, rel=1e-9)
+        assert unconstrained.sell.loss == pytest.approx(constrained.sell.loss, rel=1e-9)
 
     def test_short_loss_probability_always_positive(self):
         rng = random.Random(5)
@@ -776,4 +776,6 @@ def test_finite_prelec_integrals_near_one_half_are_accepted(law, weighting, util
             lambda t: gross.logsf(one_r + t / keep), weighting, "loss", utility.beta),
     }
     for name, value in expected.items():
-        assert getattr(inputs, name) == pytest.approx(value, rel=1e-9, abs=1e-12), name
+        part, side = name.split("_")
+        assert getattr(getattr(inputs, side), part) == pytest.approx(value, rel=1e-9,
+                                                                     abs=1e-12), name

@@ -32,7 +32,7 @@ def test_survival_is_complement():
     ]
     for law in laws:
         for x in [-3.0, -1.0, 0.0, 0.4, 2.5, 7.0]:
-            assert law.cdf(x) + law.sf(x) == pytest.approx(1.0, abs=1e-12)
+            assert law.cdf(x) + law.prob_above(x) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(
@@ -71,14 +71,6 @@ def test_discrete_law_merges_and_normalizes():
     assert law.cdf(1.0) == 0.5
     assert law.prob_below(1.0) == 0.0
     assert law.prob_above(1.0) == 0.5
-    assert law.sf(2.0) == 0.0
-
-
-def test_discrete_midpoint_quantiles():
-    law = DiscreteLaw([0.0, 1.0], [0.5, 0.5])
-    assert law.ppf(0.25) == 0.0
-    assert law.ppf(0.75) == 1.0
-    assert law.ppf(0.5) == 0.5  # midpoint at the jump
 
 
 def test_constant_law():

@@ -73,7 +73,7 @@ def test_factorization_of_the_unit_buy():
     inputs = prepare_inputs(port, m, pref)
     direct = evaluate_objective(port, m, pref, 1.0)
     assert direct == pytest.approx(
-        inputs.gain_buy - pref.loss_aversion * inputs.loss_buy, rel=1e-7
+        inputs.buy.gain - pref.loss_aversion * inputs.buy.loss, rel=1e-7
     )
 
 
