@@ -224,6 +224,11 @@ def candidate_applies(inputs: BinomialInputs, side: str) -> bool:
 
 
 def _candidate(ray: _Ray, inputs: BinomialInputs) -> float:
+    # gain weight > loss weight means gap > 0, but the two are rounded apart
+    if not ray.gap > 0.0:
+        side = "buy" if ray.sign > 0 else "sell"
+        raise ValueError(f"interior {side} candidate undefined: the {side} ray's "
+                         f"payoff gap {ray.gap!r} is not positive")
     return ray.sign * math.log(ray.interior / inputs.zeta) / (inputs.eta * ray.gap)
 
 

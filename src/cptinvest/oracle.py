@@ -34,9 +34,11 @@ __all__ = [
 
 _LADDER = (1.0, 10.0, 100.0, 1000.0)
 _LIMIT_TOL = 1e-9
-# grid rows per block of per-row temporaries: 256 rows x 192 nodes of float64 is
-# 384 KiB, so the few alive at once stay in a 2 MiB L2 instead of streaming from L3
-_ROW_BLOCK = 256
+# grid rows per block of per-row temporaries, sized against allocator page faults, not
+# L2 misses: 32 rows x 384 nodes of float64 is 96 KiB, under glibc's default 128 KiB
+# mmap threshold; 256-row blocks of 192 nodes (384 KiB) took 3 600-4 500 minor page
+# faults and 7-12 ms of system time per 4001-row grid, 32-row blocks 60-200 and < 1.5 ms
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -167,9 +169,7 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         # q-nodes depend on a row only through upper, shared along a trade ray:
         # quantiles and w' once per level, the utility pathwise per row
         levels, inv = np.unique(upper[live], return_inverse=True)
-        half = 0.5 * levels[:, None]
-        b_live, s_live = b[live], s[live]
-        pieces = np.zeros(inv.size)
+        half = 0.5 * levels
         kink, growth = utility.growth_powers(side)
         # near q = 0 the integrand behaves like q**(endpoint - 1 - growth/nu)
         tail = weighting.endpoint_exponent(side) - growth / nu
@@ -177,24 +177,33 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
             raise ProspectDivergenceError(side, f"quantile tail nu={nu:g} is too heavy")
         m_w = 1.0 / tail
         m_u = 1.0 / kink
-        for q, jac in (
-            (half * nodes[None, :] ** m_w,
-             m_w * nodes ** (m_w - 1.0) * node_weights),
-            (levels[:, None] - half * nodes[None, :] ** m_u,
-             m_u * nodes ** (m_u - 1.0) * node_weights),
-        ):
-            quantiles = law.isf_array(q) if use_upper_tail else law.ppf_array(q)
-            w_prime = weighting.derivative_array(side, q)
-            # per-row work in L2-sized blocks; a row's arithmetic does not depend on its block
-            for lo in range(0, inv.size, _ROW_BLOCK):
-                blk = slice(lo, lo + _ROW_BLOCK)
-                rows = inv[blk]
-                d_vals = b_live[blk, None] + s_live[blk, None] * quantiles[rows]
-                magnitude = np.maximum(d_vals if side == "gain" else -d_vals, 0.0)
-                integrand = utility.value_array(side, magnitude) * w_prime[rows]
-                pieces[blk] = pieces[blk] + half[rows, 0] * (integrand * jac[None, :]).sum(axis=1)
+        # one row of nodes per level: the tail-end piece, then the upper-end piece
+        q = np.concatenate([half[:, None] * nodes ** m_w,
+                            levels[:, None] - half[:, None] * nodes ** m_u], axis=1)
+        jac = np.concatenate([m * nodes ** (m - 1.0) * node_weights for m in (m_w, m_u)])
+        quantiles = law.isf_array(q) if use_upper_tail else law.ppf_array(q)
+        w_prime = weighting.derivative_array(side, q)
+        # rows sorted by level, so a block inside one level broadcasts that level's
+        # nodes; a loss magnitude -(b + s*Q) is exactly (-b) + (-s)*Q
+        by_level = np.argsort(inv, kind="stable")
+        rows, ks = np.nonzero(live)[0][by_level], inv[by_level]
+        b_rows, s_rows = (b[rows], s[rows]) if side == "gain" else (-b[rows], -s[rows])
+        sums = np.empty((rows.size, 2))
+        # a row's arithmetic and its order do not depend on its block
+        for lo in range(0, rows.size, _ROW_BLOCK):
+            blk = slice(lo, lo + _ROW_BLOCK)
+            k = ks[blk]
+            if k[0] == k[-1]:
+                k = k[0]  # one level: broadcast its nodes, no gather
+            d = s_rows[blk, None] * quantiles[k]
+            d += b_rows[blk, None]
+            integrand = utility.value_array(side, np.maximum(d, 0.0, out=d))
+            integrand *= w_prime[k]
+            integrand *= jac
+            sums[blk] = integrand.reshape(-1, 2, nodes.size).sum(axis=2)
+        h = half[ks]  # pieces add as (0 + lower) + upper: an all-zero row gives +0.0
         result = np.zeros_like(b)
-        result[live] = pieces
+        result[rows] = (0.0 + h * sums[:, 0]) + h * sums[:, 1]
         return result
 
     chunk = 4096

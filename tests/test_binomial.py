@@ -206,6 +206,20 @@ class TestCandidates:
             with pytest.raises(ValueError):
                 candidate_trade(inputs, side)
 
+    def test_a_payoff_gap_rounded_to_zero_is_refused(self):
+        # buy_down exceeds buy_up by 1.07e-12, past the 1e-12 comparison band, while
+        # (1-lam)(u+d) - 2(1+r) rounds to exactly 0.0
+        m = MarketModel(0.0, 0.10424306650568119,
+                        Binomial(1.1164901313438287, 1.1162584248945973, 0.12020121465490022))
+        pref = CptPreference(ExponentialUtility(2.9645016195189533, 2.9645016195189533,
+                                                7.319383484359439), IdentityWeighting())
+        inputs = prepare_binomial_inputs(1.0, m, pref)
+        assert candidate_applies(inputs, "buy")
+        for call in (lambda: solve_ray(inputs, "buy"), lambda: candidate_trade(inputs, "buy"),
+                     lambda: solve_binomial(1.0, m, pref)):
+            with pytest.raises(ValueError, match="buy ray's payoff gap 0.0"):
+                call()
+
 
 class TestSubSolvers:
     def test_nonpositive_buy_down_means_no_buying(self):

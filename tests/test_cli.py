@@ -30,6 +30,18 @@ BINOM = {
     "solve": {"mode": "binomial", "oracle": False},
 }
 
+# the buy ray's pseudo weights put it in the interior regime, but its payoff
+# gap (1-lam)(u+d) - 2(1+r) rounds to exactly 0.0
+ZERO_GAP = {
+    **BINOM,
+    "market": {"r": 0.0, "lambda": 0.10424306650568119,
+               "returns": {"kind": "binomial", "u": 1.1164901313438287,
+                           "d": 1.1162584248945973, "p": 0.12020121465490022}},
+    "preference": {"utility": "exponential", "eta_gain": 2.9645016195189533,
+                   "eta_loss": 2.9645016195189533, "loss_aversion": 7.319383484359439,
+                   "weighting": "identity"},
+}
+
 
 class TestConfig:
     def test_defaults_fill_in(self):
@@ -127,6 +139,12 @@ class TestSweep:
         rows = run_sweep(config, "zeta", [1.1, 1.3])
         assert all(row.error is None for row in rows)
 
+    def test_a_zero_payoff_gap_is_a_row_error(self):
+        # above the buy ray's interior threshold the buy does not trade
+        rows = run_sweep(RunConfig.from_dict(ZERO_GAP), "zeta", [7.319383484359439, 8.0])
+        assert "buy ray's payoff gap 0.0" in rows[0].error
+        assert rows[1].error is None and rows[1].case_id == "T4.3-1"
+
     def test_csv_round_trip_and_tokens(self, tmp_path):
         config = RunConfig.from_dict(BULL)
         rows = run_sweep(config, "lambda", sweep_grid(0.0, 0.02, 4))
@@ -211,6 +229,12 @@ class TestCommandLine:
             records = list(csv.DictReader(handle))
         assert len(records) == 8
         assert list(records[0])[0] == "lambda"
+
+    def test_zero_payoff_gap_exits_with_code_2(self, tmp_path, capsys):
+        code = main(["solve", "--config", self._write(tmp_path, ZERO_GAP)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: interior buy candidate undefined: ")
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         code = main(["solve", "--config",

@@ -17,6 +17,7 @@ from cptinvest.market import (
 )
 from cptinvest.oracle import (
     GridSpec,
+    _affine_coefficients,
     difference_law,
     evaluate_objective,
     evaluate_objective_grid,
@@ -109,11 +110,17 @@ def test_vectorized_grid_matches_scalar_for_discrete_laws(returns, weighting, ut
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
 
-def test_vectorized_grid_matches_scalar_for_continuous():
-    m = MarketModel(0.01, 0.01, Lognormal(0.05, 0.2))
-    pref = CptPreference(PowerUtility(0.7, 0.85, 2.0), TK)
+@pytest.mark.parametrize("returns, pref", [
+    (Lognormal(0.05, 0.2), CptPreference(PowerUtility(0.7, 0.85, 2.0), TK)),
+    (Normal(0.05, 0.2), CptPreference(ExponentialUtility(1.5, 1.5, 1.2), IdentityWeighting())),
+    (StudentT(5.0, 0.02, 0.1), CptPreference(ExponentialUtility(1.5, 1.5, 1.2),
+                                             IdentityWeighting())),
+], ids=["lognormal-tk-power", "normal-identity-exp", "student-t-identity-exp"])
+def test_vectorized_grid_matches_scalar_for_continuous(returns, pref):
+    m = MarketModel(0.01, 0.01, returns)
     port = Portfolio(1.0, 1.0)
-    thetas = np.array([-0.9, -0.3, 0.0, 0.4, 2.0])
+    # -1.6 sells short past the holdings
+    thetas = np.array([-1.6, -0.9, -0.3, 0.0, 0.4, 2.0])
     fast = evaluate_objective_grid(port, m, pref, thetas)
     slow = [evaluate_objective(port, m, pref, t) for t in thetas]
     # the fixed-node path targets oracle accuracy, an order under tol = 1e-5
@@ -131,7 +138,8 @@ def test_grid_rows_do_not_depend_on_their_neighbours(returns, weighting, utility
     m = MarketModel(0.01, 0.02, returns)
     pref = CptPreference(utility, weighting)
     port = Portfolio(1.0, 1.0)
-    thetas = np.linspace(-1.0, 10.0, 4001)
+    # below -y0 the slope theta + lam*y0 varies, so each short sale has its own level
+    thetas = np.linspace(-3.0, 10.0, 4001)
     values = evaluate_objective_grid(port, m, pref, thetas)
     assert np.isfinite(values).all()
     rng = np.random.default_rng(7)
@@ -144,7 +152,7 @@ def test_grid_rows_do_not_depend_on_their_neighbours(returns, weighting, utility
 @pytest.mark.parametrize("returns", [Lognormal(0.05, 0.2), Normal(0.05, 0.2),
                                      StudentT(5.0, 0.02, 0.1)], ids=_kind)
 def test_grid_rows_do_not_depend_on_their_neighbours_across_blocks(returns):
-    """Rows stay bitwise the same across row-block and 4096-row chunk boundaries."""
+    """Rows stay bitwise the same across row-block, level-group and 4096-row chunk boundaries."""
     m = MarketModel(0.01, 0.02, returns)
     pref = CptPreference(PowerUtility(0.7, 0.9, 2.25), TK)
     port = Portfolio(1.0, 1.0)
@@ -153,11 +161,21 @@ def test_grid_rows_do_not_depend_on_their_neighbours_across_blocks(returns):
     assert np.isfinite(values).all()
     order = np.random.default_rng(11).permutation(thetas.size)
     assert np.array_equal(evaluate_objective_grid(port, m, pref, thetas[order]), values[order])
-    # buys are one sign class of 8182 rows: two chunks, each in blocks of up to 256
+    # buys are one sign class of 8182 rows: two chunks, each sorted by level (rounding
+    # splits the ray's one gain probability into a few dozen) and cut into blocks of 32
     buys = np.nonzero(thetas > 0.0)[0]
     assert buys.size > 4096
-    for pos in (0, 255, 256, 511, 512, 4095, 4096, 4351, 4352, buys.size - 1):
-        i = buys[pos]
+    base, slope = _affine_coefficients(port, m, thetas[buys])
+    levels = m.returns.gross_law().sf_array(-base / slope)
+    by_level = np.concatenate([start + np.argsort(levels[start:start + 4096], kind="stable")
+                               for start in (0, 4096)])
+    group_edges = np.nonzero(np.diff(levels[by_level]) != 0.0)[0]
+    assert group_edges.size > 10
+    positions = [buys[pos] for pos in (0, 255, 256, 511, 512, 4095, 4096, 4351, 4352,
+                                       buys.size - 1)]
+    positions += [buys[by_level[pos]] for pos in (31, 32, 63, 64, 4127, 4128)]
+    positions += [buys[by_level[pos]] for edge in group_edges for pos in (edge, edge + 1)]
+    for i in positions:
         assert evaluate_objective_grid(port, m, pref, thetas[i:i + 1])[0] == values[i]
 
 
