@@ -58,17 +58,7 @@ def sweep_grid(start: float, stop: float, count: int) -> list[float]:
 def _encode_theta(sol: Solution) -> str:
     if sol.kind is SolutionKind.PLUS_INFINITY:
         return "+inf"
-    if sol.kind is SolutionKind.MINUS_INFINITY:
-        return "-inf"
     return repr(float(sol.representative_theta))
-
-
-def _encode_prospect(value: float) -> str:
-    if value == math.inf:
-        return "inf"
-    if value == -math.inf:
-        return "-inf"
-    return repr(float(value))
 
 
 def _axis_override(config: RunConfig, axis: str, value: float) -> RunConfig:
@@ -120,7 +110,7 @@ def _sweep_row(config: RunConfig, value: float) -> SweepRow:
         theta_sell=candidates[1],
         theta_star=_encode_theta(sol),
         case_id=sol.case_id,
-        prospect_star=_encode_prospect(sol.prospect),
+        prospect_star=repr(float(sol.prospect)),
         boundary=sol.boundary,
     )
 
@@ -186,11 +176,11 @@ def solve_once(config: RunConfig) -> dict:
         "case_id": sol.case_id,
         "kind": sol.kind.value,
         "theta_star": _encode_theta(sol),
-        "prospect_star": _encode_prospect(sol.prospect),
+        "prospect_star": repr(float(sol.prospect)),
         "boundary": sol.boundary,
     }
     if sol.kind is SolutionKind.INTERVAL:
-        summary["interval"] = [_encode_prospect(sol.lo), _encode_prospect(sol.hi)]
+        summary["interval"] = [repr(float(sol.lo)), repr(float(sol.hi))]
 
     if config.mode == "binomial":
         pp, thr = inputs.pseudo, inputs.thresholds

@@ -10,7 +10,7 @@ monotone growth along a geometric ladder toward the stated limit prospect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -206,20 +206,16 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         result[rows] = (0.0 + h * sums[:, 0]) + h * sums[:, 1]
         return result
 
-    chunk = 4096
     for sign in (1.0, -1.0):
         rows = (slope > 0.0) if sign > 0 else (slope < 0.0)
         if not rows.any():
             continue
-        idx = np.nonzero(rows)[0]
-        for start in range(0, idx.size, chunk):
-            sel = idx[start:start + chunk]
-            b = base[sel]
-            s = slope[sel]
-            cross = -b / s  # gross return where the difference changes sign
-            prob_gain = law.sf_array(cross) if sign > 0 else law.cdf_array(cross)
-            out[sel] = (side_value("gain", b, s, prob_gain, sign > 0)
-                        - side_value("loss", b, s, 1.0 - prob_gain, sign < 0))
+        b = base[rows]
+        s = slope[rows]
+        cross = -b / s  # gross return where the difference changes sign
+        prob_gain = law.sf_array(cross) if sign > 0 else law.cdf_array(cross)
+        out[rows] = (side_value("gain", b, s, prob_gain, sign > 0)
+                     - side_value("loss", b, s, 1.0 - prob_gain, sign < 0))
     return out
 
 
@@ -273,24 +269,19 @@ def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference,
                 spec: GridSpec) -> GridSearchResult:
     """Deterministic refined grid argmax of the objective."""
     lo, hi = spec.lo, spec.hi
-    grid = np.linspace(lo, hi, spec.n_points)
-    values = evaluate_objective_grid(p, m, pref, grid)
-    n_evals = spec.n_points
-    best = int(np.argmax(values))
-    best_theta = float(grid[best])
-    best_value = float(values[best])
-    step = (hi - lo) / (spec.n_points - 1)
-
-    for _ in range(spec.refinement_rounds):
-        sub_lo = max(lo, best_theta - 2.0 * step)
-        sub_hi = min(hi, best_theta + 2.0 * step)
-        step = step / 10.0
-        count = max(3, int(round((sub_hi - sub_lo) / step)) + 1)
+    sub_lo, sub_hi, count = lo, hi, spec.n_points
+    n_evals = 0
+    for refinement in range(spec.refinement_rounds + 1):
+        if refinement:
+            sub_lo = max(lo, best_theta - 2.0 * step)
+            sub_hi = min(hi, best_theta + 2.0 * step)
+            step = step / 10.0
+            count = max(3, int(round((sub_hi - sub_lo) / step)) + 1)
         grid = np.linspace(sub_lo, sub_hi, count)
         values = evaluate_objective_grid(p, m, pref, grid)
         n_evals += count
         best = int(np.argmax(values))
-        if values[best] >= best_value:
+        if not refinement or values[best] >= best_value:
             best_theta = float(grid[best])
             best_value = float(values[best])
         step = (sub_hi - sub_lo) / (count - 1)
@@ -310,7 +301,7 @@ def _ladder_scale(pref: CptPreference) -> float:
 
 
 def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
-                       pref: CptPreference, spec: GridSpec, tol: float) -> OracleReport:
+                       pref: CptPreference, spec: GridSpec, tol: float) -> tuple[bool, str]:
     """Certify a claimed unbounded optimum along a geometric ladder.
 
     For bounded (exponential) utilities the objective may dip before rising
@@ -335,42 +326,24 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
     if not math.isfinite(solution.prospect):
         increasing = all(b > a for a, b in zip(values, values[1:]))
         if not increasing:
-            return OracleReport(
-                "mismatch",
-                f"objective not strictly increasing along the ladder: {values}",
-                solution.theta, solution.prospect,
-            )
-        return OracleReport("match", "monotone ladder certification passed",
-                            solution.theta, solution.prospect)
+            return False, f"objective not strictly increasing along the ladder: {values}"
+        return True, "monotone ladder certification passed"
 
     gap = abs(values[-1] - solution.prospect)
     if gap > _LIMIT_TOL:
-        return OracleReport(
-            "mismatch",
-            f"ladder end misses the limit prospect by {gap:.3e}",
-            solution.theta, solution.prospect,
-        )
+        return False, f"ladder end misses the limit prospect by {gap:.3e}"
     if values[-1] < values[-2] - _LIMIT_TOL:
-        return OracleReport(
-            "mismatch",
-            f"objective not approaching the limit from below: {values}",
-            solution.theta, solution.prospect,
-        )
+        return False, f"objective not approaching the limit from below: {values}"
     grid = np.linspace(spec.lo, spec.hi, min(spec.n_points, 2001))
     best = float(evaluate_objective_grid(p, m, pref, grid).max())
     if best > solution.prospect + tol:
-        return OracleReport(
-            "mismatch",
-            f"a finite trade beats the claimed limit: {best:.10g} vs "
-            f"{solution.prospect:.10g}",
-            solution.theta, solution.prospect,
-        )
-    return OracleReport("match", "ladder limit and grid dominance certification passed",
-                        solution.theta, solution.prospect)
+        return False, (f"a finite trade beats the claimed limit: {best:.10g} vs "
+                       f"{solution.prospect:.10g}")
+    return True, "ladder limit and grid dominance certification passed"
 
 
 def _certify_interval(solution: Solution, p: Portfolio, m: MarketModel,
-                      pref: CptPreference, tol: float) -> OracleReport:
+                      pref: CptPreference, tol: float) -> tuple[bool, str]:
     lo = solution.lo if math.isfinite(solution.lo) else solution.hi - 10.0
     hi = min(solution.hi, lo + 10.0)
     worst_gap = 0.0
@@ -381,14 +354,29 @@ def _certify_interval(solution: Solution, p: Portfolio, m: MarketModel,
             worst_gap = gap
             worst_theta = float(theta)
     if worst_gap > tol:
-        return OracleReport(
-            "mismatch",
-            f"objective deviates by {worst_gap:.3e} from the reported prospect "
-            f"at theta={worst_theta:.6g}",
-            solution.representative_theta, solution.prospect,
-        )
-    return OracleReport("match", "interval is flat at the reported prospect",
-                        solution.representative_theta, solution.prospect)
+        return False, (f"objective deviates by {worst_gap:.3e} from the reported prospect "
+                       f"at theta={worst_theta:.6g}")
+    return True, "interval is flat at the reported prospect"
+
+
+def _certify_point(solution: Solution, result: GridSearchResult, p: Portfolio,
+                   m: MarketModel, pref: CptPreference, tol: float) -> tuple[bool, str]:
+    gap = result.max_value - solution.prospect
+    if abs(gap) > tol:
+        return False, (f"grid maximum {result.max_value:.10g} vs reported "
+                       f"{solution.prospect:.10g} (gap {gap:.3e}, worst theta "
+                       f"{result.argmax_theta:.6g})")
+    direct = evaluate_objective(p, m, pref, solution.theta)
+    if abs(direct - solution.prospect) > tol:
+        return False, (f"objective at the reported theta is {direct:.10g}, not the reported "
+                       f"prospect {solution.prospect:.10g}")
+    theta_gap = abs(result.argmax_theta - solution.theta)
+    if theta_gap > result.final_step * (1.0 + 1e-9) and result.max_value > direct + tol:
+        # a distant argmax only disqualifies when it is strictly better
+        # (machine-flat plateaus put the grid argmax arbitrarily far away)
+        return False, (f"grid argmax {result.argmax_theta:.6g} sits {theta_gap:.3e} away "
+                       f"with a strictly better value {result.max_value:.10g}")
+    return True, "grid search confirms the reported optimum"
 
 
 def verify(solution: Solution, p: Portfolio, m: MarketModel, pref: CptPreference,
@@ -400,39 +388,14 @@ def verify(solution: Solution, p: Portfolio, m: MarketModel, pref: CptPreference
     solutions must pass the geometric-ladder certification.
     """
     tol = _default_tol(m) if tol_value is None else tol_value
+    search = ()
     if solution.kind in (SolutionKind.PLUS_INFINITY, SolutionKind.MINUS_INFINITY):
-        return _certify_unbounded(solution, p, m, pref, spec, tol)
-    if solution.kind is SolutionKind.INTERVAL:
-        return _certify_interval(solution, p, m, pref, tol)
-
-    result = grid_search(p, m, pref, spec)
-
-    def report(agreement: str, detail: str) -> OracleReport:
-        return OracleReport(agreement, detail, solution.theta, solution.prospect,
-                            result.argmax_theta, result.max_value, result.final_step,
-                            result.n_evaluations)
-
-    gap = result.max_value - solution.prospect
-    if abs(gap) > tol:
-        return report(
-            "mismatch",
-            f"grid maximum {result.max_value:.10g} vs reported {solution.prospect:.10g} "
-            f"(gap {gap:.3e}, worst theta {result.argmax_theta:.6g})",
-        )
-    direct = evaluate_objective(p, m, pref, solution.theta)
-    if abs(direct - solution.prospect) > tol:
-        return report(
-            "mismatch",
-            f"objective at the reported theta is {direct:.10g}, not the reported "
-            f"prospect {solution.prospect:.10g}",
-        )
-    theta_gap = abs(result.argmax_theta - solution.theta)
-    if theta_gap > result.final_step * (1.0 + 1e-9) and result.max_value > direct + tol:
-        # a distant argmax only disqualifies when it is strictly better
-        # (machine-flat plateaus put the grid argmax arbitrarily far away)
-        return report(
-            "mismatch",
-            f"grid argmax {result.argmax_theta:.6g} sits {theta_gap:.3e} away "
-            f"with a strictly better value {result.max_value:.10g}",
-        )
-    return report("match", "grid search confirms the reported optimum")
+        ok, detail = _certify_unbounded(solution, p, m, pref, spec, tol)
+    elif solution.kind is SolutionKind.INTERVAL:
+        ok, detail = _certify_interval(solution, p, m, pref, tol)
+    else:
+        result = grid_search(p, m, pref, spec)
+        search = astuple(result)
+        ok, detail = _certify_point(solution, result, p, m, pref, tol)
+    return OracleReport("match" if ok else "mismatch", detail,
+                        solution.representative_theta, solution.prospect, *search)

@@ -711,6 +711,20 @@ def test_divergent_student_t_tails_raise_naming_the_side(law, utility, side):
         assert excinfo.value.side == side
 
 
+
+@pytest.mark.xfail(strict=True, reason="the sigma-domain tail stops at 700, and what it "
+                   "leaves out is small enough that quad meets its target on a divergent "
+                   "integral")
+def test_prelec_against_a_student_t_tail_is_refused():
+    # Student-t quantiles grow like q**(-1/nu), so in sigma = -ln q the gain
+    # integrand e**(alpha*sigma/nu) * delta*gamma*sigma**(gamma-1) * e**(-delta*sigma**gamma)
+    # is not integrable for any gamma < 1
+    m = MarketModel(0.01, 0.01, StudentT(30.0, 0.0238, 0.1333))
+    pref = CptPreference(PowerUtility(0.383, 0.425, 1.754),
+                         PrelecWeighting(0.5857, 0.678, 0.769))
+    with pytest.raises(ProspectDivergenceError):
+        solve(Portfolio(1.0, 1.0), m, pref)
+
 def _prelec_outcome_integral(log_prob_beyond, weighting, side, power, t_max=math.inf):
     """Outcome-domain Choquet integral of |z|**power on one side of zero.
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def test_grid_rows_do_not_depend_on_their_neighbours(returns, weighting, utility
 @pytest.mark.parametrize("returns", [Lognormal(0.05, 0.2), Normal(0.05, 0.2),
                                      StudentT(5.0, 0.02, 0.1)], ids=_kind)
 def test_grid_rows_do_not_depend_on_their_neighbours_across_blocks(returns):
-    """Rows stay bitwise the same across row-block, level-group and 4096-row chunk boundaries."""
+    """Rows stay bitwise the same across row-block and level-group boundaries."""
     m = MarketModel(0.01, 0.02, returns)
     pref = CptPreference(PowerUtility(0.7, 0.9, 2.25), TK)
     port = Portfolio(1.0, 1.0)
@@ -161,14 +162,13 @@ def test_grid_rows_do_not_depend_on_their_neighbours_across_blocks(returns):
     assert np.isfinite(values).all()
     order = np.random.default_rng(11).permutation(thetas.size)
     assert np.array_equal(evaluate_objective_grid(port, m, pref, thetas[order]), values[order])
-    # buys are one sign class of 8182 rows: two chunks, each sorted by level (rounding
-    # splits the ray's one gain probability into a few dozen) and cut into blocks of 32
+    # buys are one sign class of 8182 rows, sorted by level (rounding splits the
+    # ray's one gain probability into a few dozen) and cut into blocks of 32
     buys = np.nonzero(thetas > 0.0)[0]
     assert buys.size > 4096
     base, slope = _affine_coefficients(port, m, thetas[buys])
     levels = m.returns.gross_law().sf_array(-base / slope)
-    by_level = np.concatenate([start + np.argsort(levels[start:start + 4096], kind="stable")
-                               for start in (0, 4096)])
+    by_level = np.argsort(levels, kind="stable")
     group_edges = np.nonzero(np.diff(levels[by_level]) != 0.0)[0]
     assert group_edges.size > 10
     positions = [buys[pos] for pos in (0, 255, 256, 511, 512, 4095, 4096, 4351, 4352,
@@ -263,6 +263,77 @@ def test_verify_interval_solutions():
     report = verify(sol, CASH, m, pref, GridSpec(-10, 10, 2001, 1))
     assert report.matched, report.detail
 
+
+
+KNIFE_EDGE = MarketModel(0.05, 0.0, Binomial(1.3, 0.8, 0.2))
+BULL = MarketModel(0.05, 0.01, Lognormal(0.13, 0.20))  # ill-posed for the power utility
+POWER_PREF = CptPreference(PowerUtility(0.88, 0.88, 2.25), TK)
+HOLDING = Portfolio(1.0, 1.0)
+
+
+def _exp_pref(eta_gain, eta_loss, zeta):
+    return CptPreference(ExponentialUtility(eta_gain, eta_loss, zeta), TK)
+
+
+@pytest.mark.parametrize("solution, port, m, pref, tol_value, agreement, detail", [
+    pytest.param(Solution.point(2.544270288356109, "T4.3-2a", 0.19457710331104786),
+                 CASH, BINOM, EXP_PREF, None,
+                 "match", "grid search confirms the reported optimum", id="point-match"),
+    pytest.param(Solution.point(2.544270288356109, "T4.3-2a", 0.2), CASH, BINOM, EXP_PREF, None,
+                 "mismatch", "grid maximum 0.1945771033 vs reported 0.2 "
+                 "(gap -5.423e-03, worst theta 2.54425)", id="point-grid-maximum"),
+    pytest.param(Solution.point(3.0, "T4.3-2a", 0.19457710331104786),
+                 CASH, BINOM, EXP_PREF, None,
+                 "mismatch", "objective at the reported theta is 0.192010289, not the "
+                 "reported prospect 0.1945771033", id="point-objective-at-theta"),
+    # a wide tolerance passes both value checks, but the argmax is still better
+    pytest.param(Solution.point(2.0, "T4.3-2a", 0.192), CASH, BINOM, EXP_PREF, 0.003,
+                 "mismatch", "grid argmax 2.54425 sits 5.443e-01 away with a strictly "
+                 "better value 0.1945771033", id="point-distant-argmax"),
+    pytest.param(Solution.interval(0.0, math.inf, "T4.3-4", 0.0, boundary=True),
+                 CASH, KNIFE_EDGE, _exp_pref(1.5, 1.5, 2.3633427534449534), None,
+                 "match", "interval is flat at the reported prospect", id="interval-match"),
+    pytest.param(Solution.interval(0.0, 1.0, "T4.3-4", 0.0), CASH, BINOM, EXP_PREF, None,
+                 "mismatch", "objective deviates by 1.426e-01 from the reported prospect "
+                 "at theta=1", id="interval-not-flat"),
+    pytest.param(Solution.plus_infinity("T3.1-8b", math.inf), HOLDING, BULL, POWER_PREF, None,
+                 "match", "monotone ladder certification passed", id="infinite-match"),
+    pytest.param(Solution.minus_infinity("T3.1-8b", math.inf), HOLDING, BULL, POWER_PREF, None,
+                 "mismatch", "objective not strictly increasing along the ladder: "
+                 "[-0.37271320811205044, -2.9742828621192485, -22.67414200165596, "
+                 "-172.08587202815767]", id="infinite-not-increasing"),
+    pytest.param(Solution.plus_infinity("T4.3-7a", 0.3478435528938286),
+                 CASH, KNIFE_EDGE, _exp_pref(2.0, 2.0, 1.01), None,
+                 "match", "ladder limit and grid dominance certification passed",
+                 id="limit-match"),
+    pytest.param(Solution.plus_infinity("T4.3-7a", 0.35),
+                 CASH, KNIFE_EDGE, _exp_pref(2.0, 2.0, 1.01), None,
+                 "mismatch", "ladder end misses the limit prospect by 2.156e-03",
+                 id="limit-missed"),
+    # slow loss saturation: the sale's objective still falls at the last rung
+    pytest.param(Solution.minus_infinity("T4.3-7a", -0.22130668009531557),
+                 CASH, KNIFE_EDGE, _exp_pref(2.0, 0.01, 1.01), None,
+                 "mismatch", "objective not approaching the limit from below: "
+                 "[0.05683658253058647, 0.23096543344368425, 0.18137273729530823, "
+                 "-0.22130668009531557]", id="limit-from-above"),
+    # the ladder saturates at the limit, but a small buy does better
+    pytest.param(Solution.plus_infinity("T4.3-7a", -0.18749405646786),
+                 CASH, BINOM, _exp_pref(1.5, 6.0, 1.2), None,
+                 "mismatch", "a finite trade beats the claimed limit: 0.008453359662 vs "
+                 "-0.1874940565", id="limit-beaten"),
+])
+def test_every_verdict_branch_of_verify(solution, port, m, pref, tol_value, agreement, detail):
+    spec = GridSpec(-5.0, 5.0, 801, 2)
+    report = verify(solution, port, m, pref, spec, tol_value)
+    assert (report.agreement, report.detail) == (agreement, detail)
+    assert report.closed_form_theta == solution.representative_theta
+    assert report.closed_form_value == solution.prospect
+    search = astuple(report)[4:]
+    if solution.kind is SolutionKind.FINITE_POINT:
+        assert search == astuple(grid_search(port, m, pref, spec))
+        assert type(report.final_step) is float
+    else:
+        assert search == (None,) * 4
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
