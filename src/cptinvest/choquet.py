@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .preferences import CptPreference, Side, WeightingPair
 
 __all__ = [
@@ -67,6 +65,14 @@ class GainLoss:
     @property
     def total(self) -> float:
         return self.gain - self.loss
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call: discrete laws and the
+    oracle's fixed-node grid never integrate adaptively, so they skip its import."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 def _checked_quad(f, a: float, b: float, side: str):

@@ -34,11 +34,19 @@ __all__ = [
 
 _LADDER = (1.0, 10.0, 100.0, 1000.0)
 _LIMIT_TOL = 1e-9
-# grid rows per block of per-row temporaries, sized against allocator page faults, not
-# L2 misses: 32 rows x 384 nodes of float64 is 96 KiB, under glibc's default 128 KiB
-# mmap threshold; 256-row blocks of 192 nodes (384 KiB) took 3 600-4 500 minor page
-# faults and 7-12 ms of system time per 4001-row grid, 32-row blocks 60-200 and < 1.5 ms
-_ROW_BLOCK = 32
+# grid rows per block of the per-row work, which runs in place in one _ROW_BLOCK x 384
+# float64 buffer (384 KiB) allocated once per side_value call: fresh temporaries of that
+# size per block each came from mmap, about 13 000 minor page faults and 20 ms of system
+# time per 4001-row grid, against none with the reused buffer.  Of 32 to 512 rows, 128
+# and 256 ran fastest (three 4001-row grids in 77 ms, 90 ms at 32); 128 faults less
+_ROW_BLOCK = 128
+# mantissa bits kept of a grid row's crossing -b/s.  All rows on a trade ray cross at
+# one gross return ((1+r)/(1-lam) for buys, 1+r for sales down to -y0) and differ only
+# by rounding, at most ~2**-37 relative (the cancellation in held - y0 at small theta);
+# 32 bits give them one level, so quantiles and w' are computed once per ray.  The
+# integrand vanishes at the crossing, so moving it by <= 2**-32 relative moves a row
+# by about eps**(1 + kink), ~1e-15.  Short sales past the holdings keep distinct levels
+_CROSSING_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,12 @@ def _affine_coefficients(p: Portfolio, m: MarketModel, thetas: np.ndarray):
     return base, slope
 
 
+def _ray_crossing(cross: np.ndarray) -> np.ndarray:
+    """Each row's sign-change gross return, its mantissa rounded to _CROSSING_BITS."""
+    mantissa, exponent = np.frexp(cross)
+    return np.ldexp(np.round(np.ldexp(mantissa, _CROSSING_BITS)), exponent - _CROSSING_BITS)
+
+
 def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
                                thetas: np.ndarray) -> np.ndarray:
     """Fixed-node Choquet evaluation of the whole theta grid at once.
@@ -166,8 +180,8 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         live = upper > 1e-300
         if not live.any():
             return np.zeros_like(b)
-        # q-nodes depend on a row only through upper, shared along a trade ray:
-        # quantiles and w' once per level, the utility pathwise per row
+        # q-nodes depend on a row only through upper, one level per trade ray:
+        # quantiles and weights once per level, the utility pathwise per row
         levels, inv = np.unique(upper[live], return_inverse=True)
         half = 0.5 * levels
         kink, growth = utility.growth_powers(side)
@@ -182,28 +196,31 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
                             levels[:, None] - half[:, None] * nodes ** m_u], axis=1)
         jac = np.concatenate([m * nodes ** (m - 1.0) * node_weights for m in (m_w, m_u)])
         quantiles = law.isf_array(q) if use_upper_tail else law.ppf_array(q)
-        w_prime = weighting.derivative_array(side, q)
+        # w', the Jacobian and the half-width folded into one weight per node
+        weights = weighting.derivative_array(side, q)
+        weights *= jac
+        weights *= half[:, None]
         # rows sorted by level, so a block inside one level broadcasts that level's
         # nodes; a loss magnitude -(b + s*Q) is exactly (-b) + (-s)*Q
         by_level = np.argsort(inv, kind="stable")
         rows, ks = np.nonzero(live)[0][by_level], inv[by_level]
         b_rows, s_rows = (b[rows], s[rows]) if side == "gain" else (-b[rows], -s[rows])
-        sums = np.empty((rows.size, 2))
+        sums = np.empty(rows.size)
+        block = np.empty((min(rows.size, _ROW_BLOCK), q.shape[1]))
         # a row's arithmetic and its order do not depend on its block
         for lo in range(0, rows.size, _ROW_BLOCK):
             blk = slice(lo, lo + _ROW_BLOCK)
             k = ks[blk]
+            d = block[:k.size]
             if k[0] == k[-1]:
                 k = k[0]  # one level: broadcast its nodes, no gather
-            d = s_rows[blk, None] * quantiles[k]
+            np.multiply(s_rows[blk, None], quantiles[k], out=d)
             d += b_rows[blk, None]
-            integrand = utility.value_array(side, np.maximum(d, 0.0, out=d))
-            integrand *= w_prime[k]
-            integrand *= jac
-            sums[blk] = integrand.reshape(-1, 2, nodes.size).sum(axis=2)
-        h = half[ks]  # pieces add as (0 + lower) + upper: an all-zero row gives +0.0
+            utility.value_array(side, np.maximum(d, 0.0, out=d), out=d)
+            d *= weights[k]
+            d.sum(axis=1, out=sums[blk])
         result = np.zeros_like(b)
-        result[rows] = (0.0 + h * sums[:, 0]) + h * sums[:, 1]
+        result[rows] = sums
         return result
 
     for sign in (1.0, -1.0):
@@ -212,7 +229,8 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
             continue
         b = base[rows]
         s = slope[rows]
-        cross = -b / s  # gross return where the difference changes sign
+        # gross return where the difference changes sign, rounded to one level per ray
+        cross = _ray_crossing(-b / s)
         prob_gain = law.sf_array(cross) if sign > 0 else law.cdf_array(cross)
         out[rows] = (side_value("gain", b, s, prob_gain, sign > 0)
                      - side_value("loss", b, s, 1.0 - prob_gain, sign < 0))

@@ -62,11 +62,13 @@ class PowerUtility:
             return x**self.alpha
         return self.loss_aversion * x**self.beta
 
-    def value_array(self, side: Side, x: np.ndarray) -> np.ndarray:
-        """Vectorized ``value`` on an array of nonnegative magnitudes."""
+    def value_array(self, side: Side, x: np.ndarray, out=None) -> np.ndarray:
+        """Vectorized ``value`` on an array of nonnegative magnitudes; ``out``
+        (which may be ``x``) receives the result, as in numpy ufuncs."""
         _check_side(side)
-        out = np.power(x, self.alpha if side == "gain" else self.beta)
-        return out if side == "gain" else self.loss_aversion * out
+        if side == "gain":
+            return np.power(x, self.alpha, out=out)
+        return np.multiply(np.power(x, self.beta, out=out), self.loss_aversion, out=out)
 
     def growth_powers(self, side: Side) -> tuple[float, float]:
         """Power-law exponents of the utility at zero magnitude and at infinity."""
@@ -99,11 +101,13 @@ class ExponentialUtility:
             return -math.expm1(-self.eta_gain * x)
         return -self.loss_aversion * math.expm1(-self.eta_loss * x)
 
-    def value_array(self, side: Side, x: np.ndarray) -> np.ndarray:
-        """Vectorized ``value`` on an array of nonnegative magnitudes."""
+    def value_array(self, side: Side, x: np.ndarray, out=None) -> np.ndarray:
+        """Vectorized ``value`` on an array of nonnegative magnitudes; ``out``
+        (which may be ``x``) receives the result, as in numpy ufuncs."""
         _check_side(side)
-        out = -np.expm1(-(self.eta_gain if side == "gain" else self.eta_loss) * x)
-        return out if side == "gain" else self.loss_aversion * out
+        eta = self.eta_gain if side == "gain" else self.eta_loss
+        out = np.negative(np.expm1(np.multiply(-eta, x, out=out), out=out), out=out)
+        return out if side == "gain" else np.multiply(out, self.loss_aversion, out=out)
 
     def growth_powers(self, side: Side) -> tuple[float, float]:
         """Power-law exponents at zero magnitude (linear) and at infinity (bounded)."""

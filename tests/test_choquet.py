@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
+import cptinvest
 from cptinvest.choquet import ProspectDivergenceError, prospect_value, rank_dependent_sum
 from cptinvest.distributions import ContinuousLaw, DiscreteLaw, constant_law
 from cptinvest.market import Lognormal, Normal, StudentT
@@ -299,3 +304,29 @@ def test_bounded_utility_under_prelec_on_student_t_tails_is_refused(nu):
     with pytest.raises(ProspectDivergenceError) as err:
         prospect_value(EXP_PRELEC, dist)
     assert err.value.side == "gain"
+
+
+_LAZY_QUAD_SCRIPT = """
+import sys
+import cptinvest as ci
+
+pref = ci.CptPreference(ci.ExponentialUtility(1.5, 1.5, 1.2), ci.TverskyKahnemanWeighting(0.61, 0.69))
+two_state = ci.MarketModel(0.0, 0.02, ci.Binomial(1.5, 0.95, 0.55))
+sol = ci.solve_binomial(1.0, two_state, pref)
+report = ci.verify(sol, ci.Portfolio(1.0, 0.0), two_state, pref, ci.GridSpec(-5.0, 5.0, 401))
+assert report.matched, report
+ci.prospect_value(pref, ci.Empirical((0.9, 0.97, 1.0, 1.04, 1.3)).gross_law())
+assert "scipy.integrate" not in sys.modules, "loaded by discrete laws"
+power = ci.CptPreference(ci.PowerUtility(0.7, 0.9, 2.25), pref.weighting)
+ci.solve(ci.Portfolio(1.0, 1.0), ci.MarketModel(0.01, 0.01, ci.Lognormal(0.05, 0.2)), power)
+assert "scipy.integrate" in sys.modules, "a continuous solve integrates adaptively"
+"""
+
+
+def test_discrete_laws_never_import_the_adaptive_integrator():
+    """``choquet.quad`` imports ``scipy.integrate`` on its first call only."""
+    src = str(Path(cptinvest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _LAZY_QUAD_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -7,6 +7,7 @@ import pytest
 from cptinvest.binomial import prepare_binomial_inputs, solve_binomial, solve_ray
 from cptinvest.choquet import ProspectDivergenceError, prospect_value
 from cptinvest.continuous import prepare_inputs, solve
+from cptinvest.distributions import ContinuousLaw
 from cptinvest.market import (
     Binomial,
     Empirical,
@@ -17,8 +18,10 @@ from cptinvest.market import (
     StudentT,
 )
 from cptinvest.oracle import (
+    _ROW_BLOCK,
     GridSpec,
     _affine_coefficients,
+    _ray_crossing,
     difference_law,
     evaluate_objective,
     evaluate_objective_grid,
@@ -157,26 +160,56 @@ def test_grid_rows_do_not_depend_on_their_neighbours_across_blocks(returns):
     m = MarketModel(0.01, 0.02, returns)
     pref = CptPreference(PowerUtility(0.7, 0.9, 2.25), TK)
     port = Portfolio(1.0, 1.0)
-    thetas = np.linspace(-1.0, 10.0, 9001)
+    # short sales past the holdings (theta < -1) give each row its own level
+    thetas = np.linspace(-1.1, 10.0, 9001)
     values = evaluate_objective_grid(port, m, pref, thetas)
     assert np.isfinite(values).all()
     order = np.random.default_rng(11).permutation(thetas.size)
     assert np.array_equal(evaluate_objective_grid(port, m, pref, thetas[order]), values[order])
-    # buys are one sign class of 8182 rows, sorted by level (rounding splits the
-    # ray's one gain probability into a few dozen) and cut into blocks of 32
-    buys = np.nonzero(thetas > 0.0)[0]
-    assert buys.size > 4096
-    base, slope = _affine_coefficients(port, m, thetas[buys])
-    levels = m.returns.gross_law().sf_array(-base / slope)
-    by_level = np.argsort(levels, kind="stable")
-    group_edges = np.nonzero(np.diff(levels[by_level]) != 0.0)[0]
-    assert group_edges.size > 10
-    positions = [buys[pos] for pos in (0, 255, 256, 511, 512, 4095, 4096, 4351, 4352,
-                                       buys.size - 1)]
-    positions += [buys[by_level[pos]] for pos in (31, 32, 63, 64, 4127, 4128)]
-    positions += [buys[by_level[pos]] for edge in group_edges for pos in (edge, edge + 1)]
-    for i in positions:
+    law = m.returns.gross_law()
+    base, slope = _affine_coefficients(port, m, thetas)
+    buys, sales = np.nonzero(slope > 0.0)[0], np.nonzero(slope < 0.0)[0]
+    # buys: over 8000 rows on one ray, in dozens of blocks; sales: one ray plus ~80
+    # short sales, each on its own level, so the blocks there span levels
+    assert buys.size > 40 * _ROW_BLOCK
+    assert np.unique(_ray_crossing(-base[sales] / slope[sales])).size > 50
+    positions = set()
+    for rows, gain_level in ((buys, law.sf_array), (sales, law.cdf_array)):
+        # each side sorts a sign class's rows by the grid's own levels, then cuts
+        # them into blocks; a block that spans levels gathers their nodes
+        gain = gain_level(_ray_crossing(-base[rows] / slope[rows]))
+        for upper in (gain, 1.0 - gain):
+            by_level = np.argsort(upper, kind="stable")
+            group_edges = np.nonzero(np.diff(upper[by_level]) != 0.0)[0]
+            block_edges = np.arange(_ROW_BLOCK, rows.size, _ROW_BLOCK)
+            for pos in (0, rows.size - 1, *(block_edges - 1), *block_edges,
+                        *group_edges, *(group_edges + 1)):
+                positions.add(rows[by_level[pos]])
+    for i in sorted(positions):
         assert evaluate_objective_grid(port, m, pref, thetas[i:i + 1])[0] == values[i]
+
+
+@pytest.mark.parametrize("returns", [Lognormal(0.05, 0.2), Normal(0.05, 0.2),
+                                     StudentT(5.0, 0.02, 0.1)], ids=_kind)
+def test_grid_computes_one_level_per_trade_ray(returns, monkeypatch):
+    """Rows on a trade ray share its crossing up to rounding, so they share one level:
+    one row of 384 quantiles per side and sign class, two where the ray's crossing
+    straddles a rounding edge."""
+    sizes = []
+    for name in ("isf_array", "ppf_array"):
+        original = getattr(ContinuousLaw, name)
+
+        def spy(law, q, original=original):
+            sizes.append(np.size(q))
+            return original(law, q)
+
+        monkeypatch.setattr(ContinuousLaw, name, spy)
+    m = MarketModel(0.01, 0.02, returns)
+    pref = CptPreference(PowerUtility(0.7, 0.9, 2.25), TK)
+    # no short sales: every sale lies on the one ray of 1 + r, every buy on (1+r)/(1-lam)
+    evaluate_objective_grid(Portfolio(1.0, 1.0), m, pref, np.linspace(-1.0, 10.0, 9001))
+    assert len(sizes) == 4  # gain and loss side of the buys and of the sales
+    assert max(sizes) <= 2 * 384, sizes
 
 
 def test_grid_follows_the_polynomial_tail_of_student_t():

@@ -151,3 +151,22 @@ def test_nan_parameters_are_rejected(build):
     # a comparison with NaN is false, so a check written as `x <= lo` lets it pass
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("utility", [PowerUtility(0.7, 0.9, 2.25),
+                                     ExponentialUtility(1.5, 0.8, 1.2)],
+                         ids=["power", "exponential"])
+@pytest.mark.parametrize("side", ["gain", "loss"])
+def test_value_array_writes_into_out_bitwise_as_the_allocating_call(utility, side):
+    import numpy as np
+
+    x = np.array([0.0, 5e-324, 1e-300, 1e-9, 0.3, 1.0, 2.5, 40.0, 1e300]).reshape(3, 3)
+    expected = utility.value_array(side, x)
+    buf = np.full_like(x, np.nan)
+    assert utility.value_array(side, x, out=buf) is buf
+    assert buf.tobytes() == expected.tobytes()
+    assert x[2, 2] == 1e300  # the input is left alone
+    # the numpy convention: the output may alias the input
+    aliased = x.copy()
+    assert utility.value_array(side, aliased, out=aliased) is aliased
+    assert aliased.tobytes() == expected.tobytes()
