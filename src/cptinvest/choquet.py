@@ -90,24 +90,24 @@ def _checked_quad(f, a: float, b: float, side: str):
     return value, abserr
 
 
-def distorted_tail_integral(
-    outcome,
-    weighting: WeightingPair,
-    side: Side,
-    upper: float,
-    outcome_logq=None,
-) -> tuple[float, float]:
-    """Integrate outcome(q) * w'(q) over (0, upper), 0 <= upper <= 1.
+def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
+                            law) -> tuple[float, float]:
+    """Integrate value(side, max(Q(1 - q), 0)) * w'(q) over (0, law.sf(0)).
 
-    ``outcome`` must be smooth on (0, upper); ``outcome_logq(s)`` optionally
-    evaluates outcome at q = exp(-s) without forming q, enabling the deep
-    lower tail of exp-log weightings.  Returns (value, error_estimate).
+    Q(1 - q) is the law's upper-tail quantile ``law.isf(q)``; where the law
+    has log-tail quantiles it is taken at q = exp(-s) without forming q,
+    enabling the deep lower tail of exp-log weightings.  Returns (value,
+    error_estimate).
     """
+    upper = law.sf(0.0)
     if upper <= 0.0:
         return 0.0, 0.0
     upper = min(upper, 1.0)
     mid = 0.5 * upper
     power = weighting.endpoint_exponent(side)
+
+    def outcome(q):
+        return value(side, max(law.isf(q), 0.0))
 
     def plain(q):
         return outcome(q) * weighting.derivative(side, q)
@@ -132,11 +132,11 @@ def distorted_tail_integral(
                 q = _BELOW_ONE
             return outcome(q) * weighting.derivative(side, q) * m * t ** (m - 1.0)
 
-        value, error = _checked_quad(integrand, 0.0, (hi - lo) ** power, side)
+        v, e = _checked_quad(integrand, 0.0, (hi - lo) ** power, side)
         if clamped:
             # the outcome falls as q rises: bound the sliver of weight past _BELOW_ONE
-            error += (1.0 - weighting.weight(side, _BELOW_ONE)) * abs(outcome(_BELOW_ONE))
-        return value, error
+            e += (1.0 - weighting.weight(side, _BELOW_ONE)) * abs(outcome(_BELOW_ONE))
+        return v, e
 
     total = 0.0
     err = 0.0
@@ -148,12 +148,13 @@ def distorted_tail_integral(
         s_lo = -math.log(mid)
         delta = weighting.delta_gain if side == "gain" else weighting.delta_loss
         s_hi = (45.0 / delta) ** (1.0 / weighting.gamma)
-        if outcome_logq is None:
+        log_quantiles = law.has_log_tail_quantiles
+        if not log_quantiles:
             s_hi = min(s_hi, 700.0)  # q must stay representable
 
         def outcome_at_s(s):
-            if outcome_logq is not None:
-                return outcome_logq(s)
+            if log_quantiles:
+                return value(side, max(law.isf_logq(-s), 0.0))
             return outcome(math.exp(-s))
 
         def log_integrand(s):
@@ -237,22 +238,9 @@ def gain_loss(value, weighting: WeightingPair, dist) -> GainLoss:
     if dist.atoms is not None:
         return GainLoss(*rank_dependent_sum(value, weighting, dist.atoms))
 
-    parts = []
     # the losses of dist are the gains of its negation, bit for bit
-    for side, law in (("gain", dist), ("loss", dist.affine(0.0, -1.0))):
-
-        def outcome(q, side=side, law=law):
-            return value(side, max(law.isf(q), 0.0))
-
-        outcome_logq = None
-        if getattr(law, "has_log_tail_quantiles", False):
-
-            def outcome_logq(s, side=side, law=law):
-                return value(side, max(law.isf_logq(-s), 0.0))
-
-        parts.append(distorted_tail_integral(outcome, weighting, side, law.sf(0.0),
-                                             outcome_logq=outcome_logq))
-    (v_plus, e_plus), (v_minus, e_minus) = parts
+    v_plus, e_plus = distorted_tail_integral(value, weighting, "gain", dist)
+    v_minus, e_minus = distorted_tail_integral(value, weighting, "loss", dist.affine(0.0, -1.0))
     return GainLoss(v_plus, v_minus, e_plus, e_minus)
 
 

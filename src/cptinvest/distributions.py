@@ -26,32 +26,36 @@ __all__ = [
 ]
 
 
-class NormalBase:
+class _SymmetricBase:
+    """Base law symmetric about 0: its upper tail is the lower one reflected."""
+
+    def sf(self, x: float) -> float:
+        return self.cdf(-x)
+
+    def isf(self, q: float) -> float:
+        return -self.ppf(q)
+
+    def sf_array(self, x):
+        return self.cdf_array(-np.asarray(x, dtype=float))
+
+    def isf_array(self, q):
+        return -self.ppf_array(q)
+
+
+class NormalBase(_SymmetricBase):
     """Standard normal base; inverse CDF via scipy's rational approximation."""
 
     def cdf(self, x: float) -> float:
         return float(ndtr(x))
 
-    def sf(self, x: float) -> float:
-        return float(ndtr(-x))
-
-    def ppf_array(self, q):
-        return ndtri(q)
-
-    def isf_array(self, q):
-        return -ndtri(q)
+    def ppf(self, q: float) -> float:
+        return float(ndtri(q))
 
     def cdf_array(self, x):
         return ndtr(x)
 
-    def sf_array(self, x):
-        return ndtr(-np.asarray(x, dtype=float))
-
-    def ppf(self, q: float) -> float:
-        return float(ndtri(q))
-
-    def isf(self, q: float) -> float:
-        return -float(ndtri(q))
+    def ppf_array(self, q):
+        return ndtri(q)
 
     def ppf_logq(self, log_q: float) -> float:
         """Quantile at q = exp(log_q), stable for arbitrarily deep tails."""
@@ -126,7 +130,7 @@ _T_TAIL_START = 1e20
 _T_CDF_TAIL = 1e150
 
 
-class StudentTBase:
+class StudentTBase(_SymmetricBase):
     """Standard Student-t with ``nu`` degrees of freedom."""
 
     def __init__(self, nu: float):
@@ -154,18 +158,11 @@ class StudentTBase:
             return float(self._tail_cdf(x))
         return float(stdtr(self.nu, x))
 
-    def sf(self, x: float) -> float:
-        return self.cdf(-x)
-
     def ppf(self, q: float) -> float:
         t = float(stdtrit(self.nu, q))
         if q < self._q_deep or (t == math.inf and q < 0.5):
             return float(self._tail_quantile(q))
         return t
-
-    def isf(self, q: float) -> float:
-        # symmetric about 0
-        return -self.ppf(q)
 
     def ppf_array(self, q):
         q = np.asarray(q, dtype=float)
@@ -175,9 +172,6 @@ class StudentTBase:
             t[deep] = self._tail_quantile(q[deep])
         return t
 
-    def isf_array(self, q):
-        return -self.ppf_array(q)
-
     def cdf_array(self, x):
         x = np.asarray(x, dtype=float)
         out = np.asarray(stdtr(self.nu, x))
@@ -185,9 +179,6 @@ class StudentTBase:
         if deep.any():
             out[deep] = self._tail_cdf(x[deep])
         return out
-
-    def sf_array(self, x):
-        return self.cdf_array(-np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -318,13 +309,6 @@ class DiscreteLaw:
         if scale == 0.0:
             return constant_law(shift)
         return DiscreteLaw([shift + scale * x for x in self._xs], self._ps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiscreteLaw)
-            and self._xs == other._xs
-            and self._ps == other._ps
-        )
 
     def __repr__(self):
         inside = ", ".join(f"{x!r}: {p!r}" for x, p in self.atoms)

@@ -10,6 +10,7 @@ monotone growth along a geometric ladder toward the stated limit prospect.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 
@@ -59,6 +60,14 @@ class GridSpec:
     refinement_rounds: int = 2
 
     def __post_init__(self):
+        for name in ("n_points", "refinement_rounds"):
+            count = getattr(self, name)
+            try:
+                operator.index(count)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {count!r}") from None
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"grid bounds and span must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.n_points < 3:

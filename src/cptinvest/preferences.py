@@ -150,9 +150,10 @@ class TverskyKahnemanWeighting:
         g = self._exponent(side)
         if not 0.0 < q < 1.0:
             raise ValueError(f"derivative defined on (0, 1) only, got {q}")
-        a = q**g + (1.0 - q) ** g
+        qg = q**g
+        a = qg + (1.0 - q) ** g
         da = g * q ** (g - 1.0) - g * (1.0 - q) ** (g - 1.0)
-        return self.weight(side, q) * (g / q - da / (g * a))
+        return qg / a ** (1.0 / g) * (g / q - da / (g * a))
 
     def derivative_array(self, side: Side, q) -> np.ndarray:
         """Vectorized derivative on arrays with entries strictly inside (0, 1)."""
@@ -203,7 +204,7 @@ class PrelecWeighting:
         if not 0.0 < q < 1.0:
             raise ValueError(f"derivative defined on (0, 1) only, got {q}")
         t = -math.log(q)
-        return self.weight(side, q) * d * self.gamma * t ** (self.gamma - 1.0) / q
+        return math.exp(-d * t**self.gamma) * d * self.gamma * t ** (self.gamma - 1.0) / q
 
     def log_tail_density(self, side: Side, s: float) -> float:
         """w'(q) * q at q = exp(-s), computed from s to avoid overflow."""

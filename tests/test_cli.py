@@ -2,13 +2,16 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 
 import pytest
 
 from cptinvest import binomial, cli, continuous
 from cptinvest.cli import main, run_sweep, solve_once, sweep_grid, write_sweep_csv
 from cptinvest.config import DEFAULT_CONFIG, ConfigError, RunConfig
-from cptinvest.market import Empirical, MarketModel
+from cptinvest.market import Empirical, MarketModel, Normal
+from cptinvest.oracle import GridSpec
+from cptinvest.preferences import PrelecWeighting
 
 BULL = {
     "market": {"r": 0.05, "lambda": 0.01,
@@ -29,6 +32,29 @@ BINOM = {
     "portfolio": {"x0": 1.0, "y0": 0.0},
     "solve": {"mode": "binomial", "oracle": False},
 }
+
+# an interior buy, T3.1-2b near theta 0.04, under TK and under Prelec
+INTERIOR = {
+    "market": {"r": 0.02, "lambda": 0.01,
+               "returns": {"kind": "lognormal", "mu": 0.06, "sigma": 0.2}},
+    "preference": {"utility": "power", "alpha": 0.8, "beta": 0.88,
+                   "loss_aversion": 2.25, "weighting": "tk",
+                   "gamma": 0.61, "delta": 0.69},
+    "portfolio": {"x0": 1.0, "y0": 1.0},
+}
+
+# GridSpec fields the config accepts but the grid search cannot run
+BAD_GRIDS = [
+    pytest.param({"lo": -1, "hi": 10, "n_points": 41.5},
+                 "n_points must be an integer, got 41.5", id="fractional-points"),
+    pytest.param({"lo": -1, "hi": 10, "refinement_rounds": 1.5},
+                 "refinement_rounds must be an integer, got 1.5", id="fractional-rounds"),
+    pytest.param({"lo": -1, "hi": math.inf},
+                 "grid bounds and span must be finite, got [-1, inf]", id="infinite-bound"),
+    pytest.param({"lo": -1e308, "hi": 1e308},
+                 "grid bounds and span must be finite, got [-1e+308, 1e+308]",
+                 id="overflowing-span"),
+]
 
 # the buy ray's pseudo weights put it in the interior regime, but its payoff
 # gap (1-lam)(u+d) - 2(1+r) rounds to exactly 0.0
@@ -94,6 +120,44 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             RunConfig.from_dict({"market": {"mu": 0.1}})
+
+    @pytest.mark.parametrize("grid, problem", BAD_GRIDS)
+    def test_grid_counts_must_be_integers_and_bounds_finite(self, grid, problem):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({**BULL, "solve": {"grid": grid}})
+        assert err.value.problems == [f"solve.grid: {problem}"]
+
+
+_ZERO_INITIAL = {"portfolio": {"x0": 1.0, "y0": 0.0}, "solve": {"mode": "zero-initial"}}
+
+
+@pytest.mark.parametrize("payload, expected", [
+    ({"market": {"returns": {"kind": "normal", "mu": 0.002, "sigma": 0.02}}},
+     ("market", MarketModel(1.3380e-05, 0.01, Normal(0.002, 0.02)))),
+    ({"market": {"returns": {"kind": "empirical", "values": [1.04, 0.97, 1.01]}}},
+     ("market", MarketModel(1.3380e-05, 0.01, Empirical((0.97, 1.01, 1.04))))),
+    ({"preference": {"weighting": "prelec", "gamma": 0.65, "delta_gain": 0.9,
+                     "delta_loss": 1.1}},
+     ("preference.weighting", PrelecWeighting(0.65, 0.9, 1.1))),
+    ({**_ZERO_INITIAL, "portfolio": {"x0": 1.0, "y0": 0.5}},
+     "zero-initial mode requires portfolio.y0 = 0"),
+    ({**_ZERO_INITIAL, "preference": {"utility": "exponential"}},
+     "zero-initial mode requires the power utility"),
+    ({**BINOM, "portfolio": {"x0": 1.0, "y0": 1.0}}, "binomial mode requires portfolio.y0 = 0"),
+    ({**BINOM, "market": BULL["market"]}, "binomial mode requires a binomial return law"),
+    ({**BINOM, "preference": {**BINOM["preference"], "eta_loss": 2.0}},
+     "binomial mode requires equal gain/loss curvature"),
+], ids=["normal", "empirical", "prelec", "zero-initial-y0", "zero-initial-exponential",
+        "binomial-y0", "binomial-law", "binomial-curvature"])
+def test_config_builds_each_kind_and_names_each_mode_problem(payload, expected):
+    """A parsed kind builds its domain object; a mode problem is the only one reported."""
+    if isinstance(expected, str):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(payload)
+        assert err.value.problems == [expected]
+    else:
+        path, built = expected
+        assert operator.attrgetter(path)(RunConfig.from_dict(payload)) == built
 
 
 class TestSweep:
@@ -209,6 +273,43 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert code == 0
         assert "match" in out
+
+    @pytest.mark.parametrize("weighting, grid, spec", [
+        # no solve.grid: the continuous default runs from the sell floor -y0
+        ({}, None, GridSpec(-1.0, 10.0, 4001, 2)),
+        # the exp-log weighting's rows each take two adaptive integrals: 41 + 41 of them
+        ({"weighting": "prelec", "gamma": 0.65, "delta_gain": 1.0, "delta_loss": 1.0},
+         {"lo": -1.0, "hi": 1.0, "n_points": 41, "refinement_rounds": 1},
+         GridSpec(-1.0, 1.0, 41, 1)),
+    ], ids=["tk-auto-grid", "prelec-config-grid"])
+    def test_verify_command_on_a_continuous_config(self, tmp_path, capsys, monkeypatch,
+                                                   weighting, grid, spec):
+        used = []
+        verify = cli.verify
+
+        def recording_verify(sol, portfolio, market, pref, grid_spec):
+            used.append(grid_spec)
+            return verify(sol, portfolio, market, pref, grid_spec)
+
+        monkeypatch.setattr(cli, "verify", recording_verify)
+        payload = {**INTERIOR, "preference": {**INTERIOR["preference"], **weighting},
+                   "solve": {"grid": grid}}
+        code = main(["verify", "--config", self._write(tmp_path, payload)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "case:        T3.1-2b\n" in out
+        assert "oracle:      match (grid search confirms the reported optimum)" in out
+        assert used == [spec]
+
+    @pytest.mark.parametrize("grid, problem", BAD_GRIDS)
+    def test_a_grid_the_search_cannot_run_exits_with_code_2(self, tmp_path, capsys,
+                                                            grid, problem):
+        payload = {**BULL, "solve": {"grid": grid}}
+        code = main(["verify", "--config", self._write(tmp_path, payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"  - solve.grid: {problem}" in captured.err
 
     def test_check_arb_command(self, tmp_path, capsys):
         code = main(["check-arb", "--config", self._write(tmp_path, BINOM)])

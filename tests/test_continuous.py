@@ -464,6 +464,33 @@ def test_case_dispatch_fires_exactly_one_case_on_randomized_inputs(sell_unbounde
     assert checked > 9000
 
 
+@pytest.mark.parametrize("problem, case_id, floor", [
+    ({}, "T3.1-7", -1.0),
+    ({"sell_unbounded": True, "y0": 0.0}, "T3.4-7", -math.inf),
+], ids=["constrained", "all-cash"])
+def test_both_rays_flat_at_zero_give_one_interval_over_both(problem, case_id, floor):
+    """Equal exponents and loss aversion at both rays' gain/loss ratio: every trade
+    on either ray is worth 0, so the answer is the floor-to-infinity interval."""
+    inp = synthetic_inputs(alpha=0.88, beta=0.88, loss_aversion=1.25, gain_buy=0.5,
+                           loss_buy=0.4, gain_sell=0.5, loss_sell=0.4, **problem)
+    sol = classify(inp)
+    assert (sol.kind, sol.case_id, sol.lo, sol.hi, sol.prospect, sol.boundary) == \
+        (SolutionKind.INTERVAL, case_id, floor, math.inf, 0.0, True)
+
+
+@pytest.mark.parametrize("overrides, value", [
+    ({}, -math.inf),  # alpha < beta: the losses' power wins
+    ({"alpha": 0.88, "beta": 0.88, "loss_aversion": 1.25}, 0.0),
+    ({"alpha": 0.88, "beta": 0.88, "loss_aversion": 1.1}, math.inf),
+    ({"alpha": 0.88, "beta": 0.88, "loss_aversion": 1.5}, -math.inf),
+], ids=["distinct-exponents", "knife-edge", "gain-heavy", "loss-heavy"])
+def test_prospect_along_an_unbounded_trade_takes_the_limit_of_its_ray(overrides, value):
+    inp = synthetic_inputs(gain_buy=0.5, loss_buy=0.4, gain_sell=0.5, loss_sell=0.4,
+                           **overrides)
+    assert prospect_along(inp, math.inf) == value
+    assert prospect_along(inp, -math.inf) == value
+
+
 def test_a_ray_that_only_loses_leaves_the_dispatch_to_the_other_ray():
     """The merge contract of T3.1/T3.4: when one ray's loss probability is 1,
     classify returns the other ray's T3.2 or T3.3 optimum, relabelled only.
