@@ -50,6 +50,7 @@ from .market import (
     terminal_wealth,
 )
 from .oracle import (
+    GridRangeError,
     GridSpec,
     OracleReport,
     evaluate_objective,

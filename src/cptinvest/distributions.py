@@ -64,6 +64,12 @@ class NormalBase(_SymmetricBase):
     def isf_logq(self, log_q: float) -> float:
         return -float(ndtri_exp(log_q))
 
+    def ppf_logq_array(self, log_q):
+        return ndtri_exp(log_q)
+
+    def isf_logq_array(self, log_q):
+        return -ndtri_exp(log_q)
+
 
 class LognormalBase:
     """Law of exp(mu + sigma * N) with N standard normal."""
@@ -98,6 +104,12 @@ class LognormalBase:
             return math.exp(self.mu - self.sigma * float(ndtri_exp(log_q)))
         except OverflowError:  # the quantile lies beyond the float range
             return math.inf
+
+    def ppf_logq_array(self, log_q):
+        return np.exp(self.mu + self.sigma * ndtri_exp(log_q))
+
+    def isf_logq_array(self, log_q):
+        return np.exp(self.mu - self.sigma * ndtri_exp(log_q))
 
     def ppf_array(self, q):
         return np.exp(self.mu + self.sigma * ndtri(q))
@@ -248,6 +260,17 @@ class ContinuousLaw:
         if self.scale > 0:
             return self.shift + self.scale * self.base.isf_logq(log_q)
         return self.shift + self.scale * self.base.ppf_logq(log_q)
+
+    def ppf_logq_array(self, log_q):
+        """Vectorized lower-tail quantiles at q = exp(log_q); requires a log-tail base."""
+        if self.scale > 0:
+            return self.shift + self.scale * self.base.ppf_logq_array(log_q)
+        return self.shift + self.scale * self.base.isf_logq_array(log_q)
+
+    def isf_logq_array(self, log_q):
+        if self.scale > 0:
+            return self.shift + self.scale * self.base.isf_logq_array(log_q)
+        return self.shift + self.scale * self.base.ppf_logq_array(log_q)
 
     def prob_below(self, x: float) -> float:
         return self.cdf(x)

@@ -16,13 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .choquet import ProspectDivergenceError, prospect_value, rank_weights
+from .choquet import _BELOW_ONE, ProspectDivergenceError, prospect_value, rank_weights
 from .distributions import DiscreteLaw, constant_law
 from .market import MarketModel, Portfolio, reference_wealth, terminal_wealth
-from .preferences import CptPreference, ExponentialUtility
+from .preferences import CptPreference, ExponentialUtility, PrelecWeighting
 from .solution import Solution, SolutionKind
 
 __all__ = [
+    "GridRangeError",
     "GridSpec",
     "GridSearchResult",
     "OracleReport",
@@ -35,11 +36,11 @@ __all__ = [
 
 _LADDER = (1.0, 10.0, 100.0, 1000.0)
 _LIMIT_TOL = 1e-9
-# grid rows per block of the per-row work, which runs in place in one _ROW_BLOCK x 384
-# float64 buffer (384 KiB) allocated once per side_value call: fresh temporaries of that
-# size per block each came from mmap, about 13 000 minor page faults and 20 ms of system
-# time per 4001-row grid, against none with the reused buffer.  Of 32 to 512 rows, 128
-# and 256 ran fastest (three 4001-row grids in 77 ms, 90 ms at 32); 128 faults less
+# grid rows per block of the per-row work, which runs in place in one _ROW_BLOCK x 160
+# float64 buffer (160 KiB; 192 KiB for Prelec rows) allocated once per side_value call.
+# With rows of 384 nodes, fresh temporaries per block each came from mmap, about 13 000
+# minor page faults and 20 ms of system time per 4001-row grid, against none with the
+# reused buffer; of 32 to 512 rows, 128 and 256 ran fastest, and 128 faulted less
 _ROW_BLOCK = 128
 # mantissa bits kept of a grid row's crossing -b/s.  All rows on a trade ray cross at
 # one gross return ((1+r)/(1-lam) for buys, 1+r for sales down to -y0) and differ only
@@ -48,6 +49,14 @@ _ROW_BLOCK = 128
 # integrand vanishes at the crossing, so moving it by <= 2**-32 relative moves a row
 # by about eps**(1 + kink), ~1e-15.  Short sales past the holdings keep distinct levels
 _CROSSING_BITS = 32
+# sigma = -ln q up to which q = e**-sigma stays a normal float
+_SIGMA_MAX = 700.0
+_LN2 = math.log(2.0)
+
+
+class GridRangeError(ValueError):
+    """A grid row past floating point: its wealth difference overflows, or its tail
+    reaches levels the law's quantiles cannot take."""
 
 
 @dataclass(frozen=True)
@@ -132,14 +141,13 @@ def evaluate_objective(p: Portfolio, m: MarketModel, pref: CptPreference,
 
 
 @lru_cache(maxsize=8)
-def _gauss_nodes(n_panels: int, order: int):
-    # panels graded toward 0, where slowly varying log factors concentrate
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 1.0, n_panels + 1) ** 3
+def _gauss_nodes(n_panels: int, grading: float = 1.0):
+    """16-point Gauss-Legendre nodes and weights on [0, 1], panel edges (i/n_panels)**grading."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, 1.0, n_panels + 1) ** grading
     nodes = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b)
                             for a, b in zip(edges[:-1], edges[1:])])
-    weights = np.concatenate([np.full(order, 0.5 * (b - a)) * w
-                              for a, b in zip(edges[:-1], edges[1:])])
+    weights = np.concatenate([0.5 * (b - a) * w for a, b in zip(edges[:-1], edges[1:])])
     return nodes, weights
 
 
@@ -163,9 +171,10 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
     """Fixed-node Choquet evaluation of the whole theta grid at once.
 
     Each theta's wealth difference is an affine map of the gross return, so
-    its quantile function reuses the return law's quantiles; gains and losses
-    are integrated on shared Gauss-Legendre nodes after substituting out the
-    singularities at both ends, the tail one including quantile growth.
+    its quantile function reuses the return law's quantiles.  A side of
+    probability ``level`` splits at level/2: the tail end is integrated in
+    sigma = -ln q, the upper end after substituting out the singularities at
+    q = level.
     """
     law = m.returns.gross_law()
     base, slope = _affine_coefficients(p, m, thetas)
@@ -181,11 +190,41 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         )
 
     weighting = pref.weighting
-    nodes, node_weights = _gauss_nodes(12, 16)
+    prelec = isinstance(weighting, PrelecWeighting)
+    # tail-end panels: 6 under TK and identity, 8 under Prelec, whose spans reach ~8 000
+    # at gamma = 0.5 with the mass in their first percent; upper-end panels: 4, edges
+    # (i/4)**5.  Rows of 160 or 192 nodes stay within 1e-11 of rows on 48 tail and 24
+    # upper-end panels, on random problems over every law, weighting and utility
+    tail_x, tail_w = _gauss_nodes(8 if prelec else 6)
+    up_t, up_w = _gauss_nodes(4, 5.0)
+    n_tail = tail_x.size
     nu = getattr(law.base, "nu", math.inf)  # Student-t quantiles: |Q| ~ q**(-1/nu)
 
-    def side_value(side, b, s, upper, use_upper_tail):
-        """integral of u(|Q_D|) w'(q) over (0, upper), both endpoints substituted."""
+    def tail_nodes(side):
+        """A side's tail-end nodes on [sigma0, sigma0 + span], as sigma - sigma0, and
+        their quadrature weights."""
+        if prelec:
+            # w(e**-sigma) = exp(-delta * sigma**gamma): past the span, the weight left
+            # out is below e**-45 = 3e-20
+            delta = weighting.delta_gain if side == "gain" else weighting.delta_loss
+            span = (45.0 / delta) ** (1.0 / weighting.gamma)
+        else:
+            # the integrand decays like e**(-rate * sigma), rate = e - p/nu (endpoint
+            # exponent, utility power at infinity, Student-t degrees of freedom): past
+            # the span, about e**-40 = 4e-18 of the piece is left out
+            rate = weighting.endpoint_exponent(side) - utility.growth_powers(side)[1] / nu
+            if rate <= 0.0:
+                raise ProspectDivergenceError(side, f"quantile tail nu={nu:g} is too heavy")
+            span = 40.0 / rate
+        # panels geometric in sigma - sigma_L, sigma_L = sigma0 - ln 2 = -ln(level): the
+        # integrand's singularities (the kink at the crossing sigma_L, and q = 1) all lie
+        # at sigma <= sigma_L, and each panel keeps its distance from them
+        log_ratio = math.log1p(span / _LN2)
+        offset = _LN2 * np.expm1(log_ratio * tail_x)
+        return offset, (offset + _LN2) * log_ratio * tail_w
+
+    def side_value(side, tail, b, s, upper, use_upper_tail):
+        """integral of u(|Q_D|) w'(q) over (0, upper): (0, upper/2] in sigma, then the rest."""
         live = upper > 1e-300
         if not live.any():
             return np.zeros_like(b)
@@ -193,22 +232,37 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         # quantiles and weights once per level, the utility pathwise per row
         levels, inv = np.unique(upper[live], return_inverse=True)
         half = 0.5 * levels
-        kink, growth = utility.growth_powers(side)
-        # near q = 0 the integrand behaves like q**(endpoint - 1 - growth/nu)
-        tail = weighting.endpoint_exponent(side) - growth / nu
-        if tail <= 0.0:
-            raise ProspectDivergenceError(side, f"quantile tail nu={nu:g} is too heavy")
-        m_w = 1.0 / tail
-        m_u = 1.0 / kink
-        # one row of nodes per level: the tail-end piece, then the upper-end piece
-        q = np.concatenate([half[:, None] * nodes ** m_w,
-                            levels[:, None] - half[:, None] * nodes ** m_u], axis=1)
-        jac = np.concatenate([m * nodes ** (m - 1.0) * node_weights for m in (m_w, m_u)])
+        offset, tail_weights = tail
+        sigma = -np.log(half)[:, None] + offset
+        deep = sigma > _SIGMA_MAX
+        if deep.any() and not law.has_log_tail_quantiles:
+            raise GridRangeError(
+                f"the {side} tail reaches sigma = -ln q = {sigma.max():.4g}, past "
+                f"{_SIGMA_MAX:g}, where the law's quantiles need a log-probability form it lacks")
+        # one row of nodes per level: the tail-end piece, then the upper-end piece.  There
+        # q = level - half * t**m_u removes the utility's kink at the crossing and, where the
+        # level rounds to 1, the w' singularity at q = 1, kept below 1
+        m_u = 1.0 / min(utility.growth_powers(side)[0], weighting.endpoint_exponent(side))
+        q = np.concatenate([np.exp(-np.minimum(sigma, _SIGMA_MAX)),
+                            np.minimum(levels[:, None] - half[:, None] * up_t ** m_u,
+                                       _BELOW_ONE)], axis=1)
         quantiles = law.isf_array(q) if use_upper_tail else law.ppf_array(q)
-        # w', the Jacobian and the half-width folded into one weight per node
+        # tail-end weights rho(sigma) = w'(e**-sigma) * e**-sigma
         weights = weighting.derivative_array(side, q)
-        weights *= jac
-        weights *= half[:, None]
+        if prelec:
+            weights[:, :n_tail] = weighting.log_tail_density_array(side, sigma)
+            if deep.any():
+                # q = e**-sigma underflows there: the quantile comes from sigma itself
+                log_quantile = law.isf_logq_array if use_upper_tail else law.ppf_logq_array
+                quantiles[:, :n_tail][deep] = log_quantile(-sigma[deep])
+        else:
+            # past sigma = 700, rho < e**-196 (endpoint exponents are >= 0.28): dropped
+            weights[:, :n_tail] *= q[:, :n_tail]
+            weights[:, :n_tail][deep] = 0.0
+        # the Jacobians and quadrature weights folded into one weight per node
+        weights[:, :n_tail] *= tail_weights
+        weights[:, n_tail:] *= m_u * up_t ** (m_u - 1.0) * up_w
+        weights[:, n_tail:] *= half[:, None]
         # rows sorted by level, so a block inside one level broadcasts that level's
         # nodes; a loss magnitude -(b + s*Q) is exactly (-b) + (-s)*Q
         by_level = np.argsort(inv, kind="stable")
@@ -241,8 +295,12 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         # gross return where the difference changes sign, rounded to one level per ray
         cross = _ray_crossing(-b / s)
         prob_gain = law.sf_array(cross) if sign > 0 else law.cdf_array(cross)
-        out[rows] = (side_value("gain", b, s, prob_gain, sign > 0)
-                     - side_value("loss", b, s, 1.0 - prob_gain, sign < 0))
+        # both sides' divergence checks come before either side's range check
+        gain_tail, loss_tail = tail_nodes("gain"), tail_nodes("loss")
+        # rows whose b + s*Q overflows come out infinite or NaN, refused by the caller
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[rows] = (side_value("gain", gain_tail, b, s, prob_gain, sign > 0)
+                         - side_value("loss", loss_tail, b, s, 1.0 - prob_gain, sign < 0))
     return out
 
 
@@ -280,16 +338,17 @@ def evaluate_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
                             thetas: np.ndarray) -> np.ndarray:
     """Vectorized objective over a theta grid.
 
-    Discrete laws use exact rank-dependent sums; continuous laws use the
-    shared fixed-node Choquet evaluation (except the exp-log weighting, whose
-    lower tail needs the adaptive path).
+    Discrete laws use exact rank-dependent sums; continuous laws, under every
+    weighting, use the shared fixed-node Choquet evaluation.
     """
     thetas = np.asarray(thetas, dtype=float)
-    if m.returns.discrete:
-        return _discrete_objective_grid(p, m, pref, thetas)
-    if getattr(pref.weighting, "log_tail_density", None) is not None:
-        return np.array([evaluate_objective(p, m, pref, t) for t in thetas])
-    return _continuous_objective_grid(p, m, pref, thetas)
+    grid = _discrete_objective_grid if m.returns.discrete else _continuous_objective_grid
+    values = grid(p, m, pref, thetas)
+    # a wealth difference that overflows makes its row, and so the sum, infinite or NaN
+    if not math.isfinite(values.sum()) and not np.isfinite(values).all():
+        theta = float(thetas[~np.isfinite(values)][0])
+        raise GridRangeError(f"the wealth difference at theta={theta!r} overflows the float range")
+    return values
 
 
 def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference,

@@ -213,6 +213,12 @@ class PrelecWeighting:
             raise ValueError(f"log-tail coordinate must be > 0, got {s}")
         return d * self.gamma * s ** (self.gamma - 1.0) * math.exp(-d * s**self.gamma)
 
+    def log_tail_density_array(self, side: Side, s) -> np.ndarray:
+        """Vectorized ``log_tail_density`` on an array of coordinates s > 0."""
+        d = self._delta(side)
+        s = np.asarray(s, dtype=float)
+        return d * self.gamma * s ** (self.gamma - 1.0) * np.exp(-d * s**self.gamma)
+
     def derivative_array(self, side: Side, q) -> np.ndarray:
         d = self._delta(side)
         q = np.asarray(q, dtype=float)

@@ -277,7 +277,7 @@ class TestCommandLine:
     @pytest.mark.parametrize("weighting, grid, spec", [
         # no solve.grid: the continuous default runs from the sell floor -y0
         ({}, None, GridSpec(-1.0, 10.0, 4001, 2)),
-        # the exp-log weighting's rows each take two adaptive integrals: 41 + 41 of them
+        # the exp-log weighting on the fixed-node grid: 41 + 41 rows
         ({"weighting": "prelec", "gamma": 0.65, "delta_gain": 1.0, "delta_loss": 1.0},
          {"lo": -1.0, "hi": 1.0, "n_points": 41, "refinement_rounds": 1},
          GridSpec(-1.0, 1.0, 41, 1)),
@@ -310,6 +310,17 @@ class TestCommandLine:
         assert code == 2
         assert captured.out == ""
         assert f"  - solve.grid: {problem}" in captured.err
+
+    def test_a_grid_row_that_overflows_exits_with_code_2(self, tmp_path, capsys):
+        # b + s*Q overflows at theta = 4.25e307, where the objective is finite
+        grid = {"lo": -1, "hi": 1.7e308, "n_points": 5, "refinement_rounds": 1}
+        payload = {**INTERIOR, "solve": {"grid": grid}}
+        code = main(["verify", "--config", self._write(tmp_path, payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: the wealth difference at theta=4.25e+307 "
+                                "overflows the float range\n")
 
     def test_check_arb_command(self, tmp_path, capsys):
         code = main(["check-arb", "--config", self._write(tmp_path, BINOM)])

@@ -109,6 +109,22 @@ def test_log_tail_quantiles_reach_beyond_float_q():
     assert deep > law.isf(1e-300)
 
 
+@pytest.mark.parametrize("law", [
+    ContinuousLaw(NormalBase(), shift=0.3, scale=2.0),
+    ContinuousLaw(NormalBase(), shift=0.3, scale=-2.0),
+    ContinuousLaw(LognormalBase(0.1, 0.5)),
+    ContinuousLaw(LognormalBase(0.1, 0.5), shift=1.0, scale=-1.5),
+], ids=["normal", "normal-negated", "lognormal", "lognormal-negated"])
+def test_log_quantile_arrays_follow_the_scalar_and_plain_quantiles(law):
+    log_q = np.array([-5e3, -800.0, -40.0, -2.0, -0.1])
+    np.testing.assert_allclose(law.isf_logq_array(log_q), [law.isf_logq(x) for x in log_q],
+                               rtol=1e-15)
+    # where q = exp(log_q) is a float, both tails match the plain quantile arrays
+    q = np.exp(log_q[2:])
+    np.testing.assert_allclose(law.isf_logq_array(log_q[2:]), law.isf_array(q), rtol=1e-13)
+    np.testing.assert_allclose(law.ppf_logq_array(log_q[2:]), law.ppf_array(q), rtol=1e-13)
+
+
 def test_log_tail_quantiles_past_the_float_range_are_infinite():
     # exp(mu + sigma * 812) overflows; the quantile is +inf, not an OverflowError
     assert LognormalBase(0.0, 1.0).isf_logq(-3.3e5) == math.inf

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -19,6 +20,7 @@ from cptinvest.market import (
 )
 from cptinvest.oracle import (
     _ROW_BLOCK,
+    GridRangeError,
     GridSpec,
     _affine_coefficients,
     _ray_crossing,
@@ -193,7 +195,7 @@ def test_grid_rows_do_not_depend_on_their_neighbours_across_blocks(returns):
                                      StudentT(5.0, 0.02, 0.1)], ids=_kind)
 def test_grid_computes_one_level_per_trade_ray(returns, monkeypatch):
     """Rows on a trade ray share its crossing up to rounding, so they share one level:
-    one row of 384 quantiles per side and sign class, two where the ray's crossing
+    one row of 160 quantiles per side and sign class, two where the ray's crossing
     straddles a rounding edge."""
     sizes = []
     for name in ("isf_array", "ppf_array"):
@@ -209,7 +211,67 @@ def test_grid_computes_one_level_per_trade_ray(returns, monkeypatch):
     # no short sales: every sale lies on the one ray of 1 + r, every buy on (1+r)/(1-lam)
     evaluate_objective_grid(Portfolio(1.0, 1.0), m, pref, np.linspace(-1.0, 10.0, 9001))
     assert len(sizes) == 4  # gain and loss side of the buys and of the sales
-    assert max(sizes) <= 2 * 384, sizes
+    assert max(sizes) <= 2 * 160, sizes
+
+
+POWER = PowerUtility(0.7, 0.9, 2.25)
+BOUNDED = ExponentialUtility(1.5, 1.5, 1.2)
+CONTINUOUS_LAWS = (Lognormal(0.05, 0.2), Normal(0.05, 0.2), StudentT(5.0, 0.02, 0.1))
+
+
+def _case(returns, utility, weighting):
+    return pytest.param(returns, utility, weighting,
+                        id=f"{_kind(returns)}-{_kind(utility)}-{_kind(weighting)}")
+
+
+@pytest.mark.parametrize("returns, utility, weighting", [
+    *(_case(returns, utility, weighting) for returns in CONTINUOUS_LAWS
+      for utility in (POWER, BOUNDED) for weighting in (TK, IdentityWeighting())),
+    # gamma down to 0.5 under the bounded utility, delta_gain != delta_loss; the
+    # lognormal and Normal spans pass sigma = 700 and take log quantiles there
+    *(_case(returns, utility, weighting) for returns in CONTINUOUS_LAWS[:2]
+      for utility, weighting in ((POWER, PrelecWeighting(0.65, 0.8, 1.2)),
+                                 (BOUNDED, PrelecWeighting(0.5, 0.7, 1.3)))),
+    # Student-t tails against Prelec converge only under the bounded utility
+    _case(CONTINUOUS_LAWS[2], BOUNDED, PrelecWeighting(0.7, 0.8, 1.2)),
+])
+def test_grid_rows_match_the_adaptive_objective(returns, utility, weighting):
+    m = MarketModel(0.01, 0.02, returns)
+    pref = CptPreference(utility, weighting)
+    port = Portfolio(1.0, 1.0)
+    # both rays; -2.5 and -1.6 sell short past the holdings
+    thetas = np.array([-2.5, -1.6, -1.0, -0.4, 0.3, 2.0, 8.0])
+    fast = evaluate_objective_grid(port, m, pref, thetas)
+    slow = np.array([evaluate_objective(port, m, pref, t) for t in thetas])
+    gap = np.abs(fast - slow) / np.maximum(1.0, np.abs(slow))
+    assert gap.max() <= 1e-8, gap
+
+
+@pytest.mark.parametrize("returns, pref", [
+    # Prelec: the gain span (45 / 0.7)**(1 / 0.5) runs to sigma ~ 4 100
+    (StudentT(5.0, 0.02, 0.1), CptPreference(BOUNDED, PrelecWeighting(0.5, 0.7, 1.3))),
+    # TK: the gain tail decays like e**(-(0.4 - 0.7/2) * sigma), 40 e-folds reach ~ 800
+    (StudentT(2.0, 0.02, 0.1), CptPreference(POWER, TverskyKahnemanWeighting(0.4, 0.69))),
+], ids=["prelec", "tk"])
+def test_grid_refuses_a_student_t_tail_past_sigma_700(returns, pref):
+    # Student-t quantiles have no log-probability form, and past sigma = 700 the
+    # level q = e**-sigma leaves the normal floats
+    m = MarketModel(0.01, 0.02, returns)
+    with pytest.raises(GridRangeError, match="gain tail reaches sigma .* past 700"):
+        evaluate_objective_grid(Portfolio(1.0, 1.0), m, pref, np.array([-0.5, 2.0]))
+
+
+@pytest.mark.parametrize("returns, theta", [
+    # s*Q overflows at the deep tail quantiles; under the power utility the row is +inf
+    (Lognormal(0.06, 0.2), 5.1e307),
+    (Binomial(1.5, 0.95, 0.55), 1.5e308),
+], ids=["lognormal", "binomial"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_grid_refuses_a_row_whose_wealth_difference_overflows(returns, theta):
+    m = MarketModel(0.02, 0.01, returns)
+    pref = CptPreference(PowerUtility(0.8, 0.88, 2.25), TK)
+    with pytest.raises(GridRangeError, match=re.escape(f"theta={theta!r} overflows")):
+        evaluate_objective_grid(Portfolio(1.0, 1.0), m, pref, np.array([1.0, theta]))
 
 
 def test_grid_follows_the_polynomial_tail_of_student_t():
