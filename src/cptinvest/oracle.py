@@ -1,10 +1,11 @@
 """Brute-force verification of solver output, straight from definitions.
 
-The objective is evaluated by building the law of the wealth difference
-against the do-nothing benchmark pathwise (no per-unit factorization, no
-case analysis) and feeding it to the generic prospect evaluator.  A refined
-grid search then certifies finite optima; unbounded claims are certified by
-monotone growth along a geometric ladder toward the stated limit prospect.
+The objective is built from the wealth difference against the do-nothing
+benchmark pathwise (no per-unit factorization, no case analysis).  ``verify``
+evaluates it on the grid evaluator only; ``evaluate_objective``, the adaptive
+reference, feeds its law to the generic prospect evaluator.  A refined grid
+search certifies finite optima; unbounded claims are certified by monotone
+growth along a geometric ladder toward the stated limit prospect.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ _LN2 = math.log(2.0)
 
 
 class GridRangeError(ValueError):
-    """A grid row past floating point: its wealth difference overflows, or its tail
-    reaches levels the law's quantiles cannot take."""
+    """A trade past floating point: its wealth difference overflows, pathwise or on
+    a grid row, or a grid row's tail reaches levels the law's quantiles cannot take."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,11 @@ def difference_law(p: Portfolio, m: MarketModel, theta: float):
     """
 
     def diff(gross: float) -> float:
-        return terminal_wealth(p, m, theta, gross) - reference_wealth(p, m, gross)
+        value = terminal_wealth(p, m, theta, gross) - reference_wealth(p, m, gross)
+        if not math.isfinite(value):
+            raise GridRangeError(f"the wealth difference at theta={float(theta)!r} overflows "
+                                 "the float range")
+        return value
 
     law = m.returns.gross_law()
     atoms = law.atoms
@@ -310,28 +315,38 @@ def _discrete_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
 
     Each row's wealth difference b + s*x is monotone in the gross return x,
     so the sign of s fixes the rank order of the atoms: every decision weight
-    is one of two per atom and side, shared by the rows.  Rows accumulate
-    atom by atom, each independent of its neighbours.
+    is one of two per atom and side, shared by the rows.  Blocks hold one row
+    per atom and the thetas across; summed over the atoms, every theta
+    accumulates atom by atom, independent of its neighbours.
     """
     xs, probs = zip(*m.returns.gross_law().atoms)  # ascending gross returns
-    base, slope = _affine_coefficients(p, m, thetas)
+    # blocks of the continuous grid's element budget; numpy sums a lone column
+    # pairwise, not atom by atom, so every block keeps two columns or more
+    width = max(2, _ROW_BLOCK * 160 // len(xs))
+    cols = np.append(thetas, thetas[-1:]) if thetas.size % width == 1 else thetas
+    base, slope = _affine_coefficients(p, m, cols)
     utility, weighting = pref.utility, pref.weighting
 
     def from_top(side):
         return rank_weights(weighting, side, probs[::-1])[::-1]
 
-    # s >= 0: gains rank from the top atom down, losses from the bottom up
-    rising = slope >= 0.0
-    gain_rising, gain_falling = from_top("gain"), rank_weights(weighting, "gain", probs)
-    loss_rising, loss_falling = rank_weights(weighting, "loss", probs), from_top("loss")
-    v_plus = np.zeros_like(thetas)
-    v_minus = np.zeros_like(thetas)
-    for x, g_up, g_down, l_up, l_down in zip(xs, gain_rising, gain_falling,
-                                             loss_rising, loss_falling):
-        d = base + slope * x
-        v_plus += utility.value_array("gain", np.maximum(d, 0.0)) * np.where(rising, g_up, g_down)
-        v_minus += utility.value_array("loss", np.maximum(-d, 0.0)) * np.where(rising, l_up, l_down)
-    return v_plus - v_minus
+    # one row per atom, column 0 for rows with s >= 0: there gains rank from the top
+    # atom down, losses from the bottom up
+    gain = np.array([from_top("gain"), rank_weights(weighting, "gain", probs)]).T
+    loss = np.array([rank_weights(weighting, "loss", probs), from_top("loss")]).T
+    x_col = np.array(xs)[:, None]
+    out = np.empty_like(cols)
+    for lo in range(0, cols.size, width):
+        blk = slice(lo, lo + width)
+        up = slope[blk] >= 0.0
+        d = x_col * slope[blk]
+        d += base[blk]
+        u = utility.value_array("gain", np.maximum(d, 0.0))
+        u *= np.where(up, gain[:, :1], gain[:, 1:])
+        utility.value_array("loss", np.maximum(np.negative(d, out=d), 0.0, out=d), out=d)
+        d *= np.where(up, loss[:, :1], loss[:, 1:])
+        np.subtract(u.sum(axis=0), d.sum(axis=0), out=out[blk])
+    return out[:thetas.size]
 
 
 def evaluate_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
@@ -375,17 +390,6 @@ def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference,
     return GridSearchResult(best_theta, best_value, step, n_evals)
 
 
-def _default_tol(m: MarketModel) -> float:
-    # closed-form arithmetic for discrete laws, quadrature-limited otherwise
-    return 1e-6 if m.returns.discrete else 1e-5
-
-
-def _ladder_scale(pref: CptPreference) -> float:
-    if isinstance(pref.utility, ExponentialUtility):
-        return 1.0 / pref.utility.eta_gain
-    return 1.0
-
-
 def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
                        pref: CptPreference, spec: GridSpec, tol: float) -> tuple[bool, str]:
     """Certify a claimed unbounded optimum along a geometric ladder.
@@ -397,7 +401,7 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
     are monotone, so there strict increase along the whole ladder is required.
     """
     sign = 1.0 if solution.kind is SolutionKind.PLUS_INFINITY else -1.0
-    scale = _ladder_scale(pref)
+    scale = 1.0 / pref.utility.eta_gain if isinstance(pref.utility, ExponentialUtility) else 1.0
     atoms = m.returns.gross_law().atoms
     if atoms is not None and math.isfinite(solution.prospect):
         # stretch the ladder when a state's per-unit wealth difference is
@@ -406,20 +410,19 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
                 for x, _ in atoms]
         smallest = min((u for u in unit if u > 0), default=1.0)
         scale = scale * max(1.0, 0.04 / smallest)
-    thetas = [sign * step * scale for step in _LADDER]
-    values = [evaluate_objective(p, m, pref, t) for t in thetas]
+    values = evaluate_objective_grid(p, m, pref, sign * scale * np.array(_LADDER))
+    ladder = ", ".join(f"{v:.10g}" for v in values)
 
     if not math.isfinite(solution.prospect):
-        increasing = all(b > a for a, b in zip(values, values[1:]))
-        if not increasing:
-            return False, f"objective not strictly increasing along the ladder: {values}"
+        if not (np.diff(values) > 0.0).all():
+            return False, f"objective not strictly increasing along the ladder: [{ladder}]"
         return True, "monotone ladder certification passed"
 
     gap = abs(values[-1] - solution.prospect)
     if gap > _LIMIT_TOL:
         return False, f"ladder end misses the limit prospect by {gap:.3e}"
     if values[-1] < values[-2] - _LIMIT_TOL:
-        return False, f"objective not approaching the limit from below: {values}"
+        return False, f"objective not approaching the limit from below: [{ladder}]"
     grid = np.linspace(spec.lo, spec.hi, min(spec.n_points, 2001))
     best = float(evaluate_objective_grid(p, m, pref, grid).max())
     if best > solution.prospect + tol:
@@ -432,16 +435,12 @@ def _certify_interval(solution: Solution, p: Portfolio, m: MarketModel,
                       pref: CptPreference, tol: float) -> tuple[bool, str]:
     lo = solution.lo if math.isfinite(solution.lo) else solution.hi - 10.0
     hi = min(solution.hi, lo + 10.0)
-    worst_gap = 0.0
-    worst_theta = lo
-    for theta in np.linspace(lo, hi, 11):
-        gap = abs(evaluate_objective(p, m, pref, float(theta)) - solution.prospect)
-        if gap > worst_gap:
-            worst_gap = gap
-            worst_theta = float(theta)
-    if worst_gap > tol:
-        return False, (f"objective deviates by {worst_gap:.3e} from the reported prospect "
-                       f"at theta={worst_theta:.6g}")
+    thetas = np.linspace(lo, hi, 11)
+    gaps = np.abs(evaluate_objective_grid(p, m, pref, thetas) - solution.prospect)
+    worst = int(np.argmax(gaps))
+    if gaps[worst] > tol:
+        return False, (f"objective deviates by {gaps[worst]:.3e} from the reported prospect "
+                       f"at theta={thetas[worst]:.6g}")
     return True, "interval is flat at the reported prospect"
 
 
@@ -452,7 +451,7 @@ def _certify_point(solution: Solution, result: GridSearchResult, p: Portfolio,
         return False, (f"grid maximum {result.max_value:.10g} vs reported "
                        f"{solution.prospect:.10g} (gap {gap:.3e}, worst theta "
                        f"{result.argmax_theta:.6g})")
-    direct = evaluate_objective(p, m, pref, solution.theta)
+    direct = float(evaluate_objective_grid(p, m, pref, np.array([solution.theta]))[0])
     if abs(direct - solution.prospect) > tol:
         return False, (f"objective at the reported theta is {direct:.10g}, not the reported "
                        f"prospect {solution.prospect:.10g}")
@@ -473,7 +472,8 @@ def verify(solution: Solution, p: Portfolio, m: MarketModel, pref: CptPreference
     and the grid maximum within tolerance; intervals must be flat; unbounded
     solutions must pass the geometric-ladder certification.
     """
-    tol = _default_tol(m) if tol_value is None else tol_value
+    # closed-form arithmetic for discrete laws, quadrature-limited otherwise
+    tol = (1e-6 if m.returns.discrete else 1e-5) if tol_value is None else tol_value
     search = ()
     if solution.kind in (SolutionKind.PLUS_INFINITY, SolutionKind.MINUS_INFINITY):
         ok, detail = _certify_unbounded(solution, p, m, pref, spec, tol)

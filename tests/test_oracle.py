@@ -128,14 +128,21 @@ def test_vectorized_grid_matches_scalar_for_continuous(returns, pref):
     # -1.6 sells short past the holdings
     thetas = np.array([-1.6, -0.9, -0.3, 0.0, 0.4, 2.0])
     fast = evaluate_objective_grid(port, m, pref, thetas)
-    slow = [evaluate_objective(port, m, pref, t) for t in thetas]
-    # the fixed-node path targets oracle accuracy, an order under tol = 1e-5
-    np.testing.assert_allclose(fast, slow, rtol=1e-4, atol=5e-7)
+    slow = np.array([evaluate_objective(port, m, pref, t) for t in thetas])
+    # with test_grid_rows_match_the_adaptive_objective, the tie between verify's only
+    # evaluator and the adaptive path
+    gap = np.abs(fast - slow) / np.maximum(1.0, np.abs(slow))
+    assert gap.max() <= 1e-8, gap
+
+
+# 260 atoms: a discrete grid block holds 78 thetas, so 4001 rows cross 51 block edges
+EMPIRICAL_260 = Empirical(tuple(np.exp(np.random.default_rng(3).normal(0.002, 0.03, 260))))
 
 
 @pytest.mark.parametrize("returns", [Lognormal(0.05, 0.2), Normal(0.05, 0.2),
                                      StudentT(5.0, 0.02, 0.1), Binomial(1.5, 0.95, 0.55),
-                                     EMPIRICAL], ids=_kind)
+                                     EMPIRICAL, pytest.param(EMPIRICAL_260, id="Empirical-260")],
+                         ids=_kind)
 @pytest.mark.parametrize("weighting", [TK, IdentityWeighting()], ids=_kind)
 @pytest.mark.parametrize("utility", [PowerUtility(0.7, 0.9, 2.25),
                                      ExponentialUtility(1.5, 1.5, 1.2)], ids=_kind)
@@ -274,6 +281,20 @@ def test_grid_refuses_a_row_whose_wealth_difference_overflows(returns, theta):
         evaluate_objective_grid(Portfolio(1.0, 1.0), m, pref, np.array([1.0, theta]))
 
 
+@pytest.mark.parametrize("m, port, pref", [
+    # the NaN atom used to come back as a finite -0.5827
+    (BINOM, CASH, EXP_PREF),
+    # a NaN probe slipped past the affinity check, then the quadrature met inf and
+    # raised ProspectDivergenceError
+    (MarketModel(0.0, 0.02, Lognormal(0.06, 0.2)), Portfolio(1.0, 1.0),
+     CptPreference(PowerUtility(0.8, 0.88, 2.25), TK)),
+], ids=["binomial", "lognormal"])
+def test_difference_law_refuses_a_wealth_difference_that_overflows(m, port, pref):
+    # gross * held overflows to inf, and inf - inf leaves a NaN wealth difference
+    with pytest.raises(GridRangeError, match=re.escape("theta=1.7e+308 overflows")):
+        evaluate_objective(port, m, pref, 1.7e308)
+
+
 def test_grid_follows_the_polynomial_tail_of_student_t():
     # Student-t quantiles grow like q**(-1/nu), which steepens the endpoint
     # singularity of u(|Q|) w'(q); an unmatched substitution errs more at larger theta
@@ -370,7 +391,7 @@ def _exp_pref(eta_gain, eta_loss, zeta):
     return CptPreference(ExponentialUtility(eta_gain, eta_loss, zeta), TK)
 
 
-@pytest.mark.parametrize("solution, port, m, pref, tol_value, agreement, detail", [
+VERDICT_BRANCHES = [
     pytest.param(Solution.point(2.544270288356109, "T4.3-2a", 0.19457710331104786),
                  CASH, BINOM, EXP_PREF, None,
                  "match", "grid search confirms the reported optimum", id="point-match"),
@@ -395,8 +416,8 @@ def _exp_pref(eta_gain, eta_loss, zeta):
                  "match", "monotone ladder certification passed", id="infinite-match"),
     pytest.param(Solution.minus_infinity("T3.1-8b", math.inf), HOLDING, BULL, POWER_PREF, None,
                  "mismatch", "objective not strictly increasing along the ladder: "
-                 "[-0.37271320811205044, -2.9742828621192485, -22.67414200165596, "
-                 "-172.08587202815767]", id="infinite-not-increasing"),
+                 "[-0.3727132081, -2.974282862, -22.674142, -172.085872]",
+                 id="infinite-not-increasing"),
     pytest.param(Solution.plus_infinity("T4.3-7a", 0.3478435528938286),
                  CASH, KNIFE_EDGE, _exp_pref(2.0, 2.0, 1.01), None,
                  "match", "ladder limit and grid dominance certification passed",
@@ -409,14 +430,18 @@ def _exp_pref(eta_gain, eta_loss, zeta):
     pytest.param(Solution.minus_infinity("T4.3-7a", -0.22130668009531557),
                  CASH, KNIFE_EDGE, _exp_pref(2.0, 0.01, 1.01), None,
                  "mismatch", "objective not approaching the limit from below: "
-                 "[0.05683658253058647, 0.23096543344368425, 0.18137273729530823, "
-                 "-0.22130668009531557]", id="limit-from-above"),
+                 "[0.05683658253, 0.2309654334, 0.1813727373, -0.2213066801]",
+                 id="limit-from-above"),
     # the ladder saturates at the limit, but a small buy does better
     pytest.param(Solution.plus_infinity("T4.3-7a", -0.18749405646786),
                  CASH, BINOM, _exp_pref(1.5, 6.0, 1.2), None,
                  "mismatch", "a finite trade beats the claimed limit: 0.008453359662 vs "
                  "-0.1874940565", id="limit-beaten"),
-])
+]
+
+
+@pytest.mark.parametrize("solution, port, m, pref, tol_value, agreement, detail",
+                         VERDICT_BRANCHES)
 def test_every_verdict_branch_of_verify(solution, port, m, pref, tol_value, agreement, detail):
     spec = GridSpec(-5.0, 5.0, 801, 2)
     report = verify(solution, port, m, pref, spec, tol_value)
@@ -429,6 +454,25 @@ def test_every_verdict_branch_of_verify(solution, port, m, pref, tol_value, agre
         assert type(report.final_step) is float
     else:
         assert search == (None,) * 4
+
+
+def _refuse_the_adaptive_evaluator(*args):
+    raise AssertionError("verify called the adaptive prospect evaluator")
+
+
+@pytest.mark.parametrize("solution, port, m, pref, tol_value, agreement, detail", [
+    *VERDICT_BRANCHES,
+    pytest.param(Solution.point(0.15938678012780705, "T3.1-2b", 0.011459084389032995),
+                 HOLDING, MarketModel(0.01, 0.02, Lognormal(0.05, 0.2)),
+                 CptPreference(POWER, TK), None,
+                 "match", "grid search confirms the reported optimum", id="continuous-point"),
+])
+def test_verify_evaluates_only_on_the_grid(solution, port, m, pref, tol_value, agreement,
+                                           detail, monkeypatch):
+    monkeypatch.setattr("cptinvest.oracle.prospect_value", _refuse_the_adaptive_evaluator)
+    report = verify(solution, port, m, pref, GridSpec(-5.0, 5.0, 801, 2), tol_value)
+    assert (report.agreement, report.detail) == (agreement, detail)
+
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
