@@ -42,6 +42,8 @@ _QUAD_EPSREL = 2e-10
 
 # the largest double below 1: q = 1 - t**m rounds to 1 past it
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+# sigma = -ln q up to which q = e**-sigma stays a normal float
+_SIGMA_MAX = 700.0
 
 
 class ProspectDivergenceError(ArithmeticError):
@@ -150,7 +152,7 @@ def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
         s_hi = (45.0 / delta) ** (1.0 / weighting.gamma)
         log_quantiles = law.has_log_tail_quantiles
         if not log_quantiles:
-            s_hi = min(s_hi, 700.0)  # q must stay representable
+            s_hi = min(s_hi, _SIGMA_MAX)
 
         def outcome_at_s(s):
             if log_quantiles:

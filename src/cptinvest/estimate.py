@@ -49,6 +49,8 @@ def read_price_csv(path: str | Path) -> list[PriceRow]:
                 close = float(record["close"])
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: bad close {record['close']!r}") from exc
+            if not math.isfinite(close):
+                raise ValueError(f"line {line_no}: close {record['close']!r} is not finite")
             rows.append(PriceRow(date, close))
     return rows
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .distributions import (
@@ -47,8 +47,6 @@ class Lognormal:
     mu: float
     sigma: float
 
-    discrete = False
-
     def __post_init__(self):
         if not (math.isfinite(self.mu) and 0.0 < self.sigma < math.inf):
             raise ValueError(f"need finite mu and sigma > 0, got {self.mu}, {self.sigma}")
@@ -63,8 +61,6 @@ class Normal:
 
     mu: float
     sigma: float
-
-    discrete = False
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and 0.0 < self.sigma < math.inf):
@@ -82,11 +78,9 @@ class StudentT:
     loc: float = 0.0
     scale: float = 1.0
 
-    discrete = False
-
     def __post_init__(self):
-        if not 0.0 < self.nu:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError(f"nu must be finite and > 0, got {self.nu}")
         if not (math.isfinite(self.loc) and 0.0 < self.scale < math.inf):
             raise ValueError(f"need finite loc and scale > 0, got {self.loc}, {self.scale}")
 
@@ -101,8 +95,6 @@ class Binomial:
     u: float
     d: float
     p: float
-
-    discrete = True
 
     def __post_init__(self):
         if not math.inf > self.u > self.d > 0:
@@ -119,8 +111,6 @@ class Empirical:
     """Equally weighted sample of observed gross returns."""
 
     values: tuple[float, ...]
-
-    discrete = True
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -139,17 +129,19 @@ ReturnLaw = Union[Lognormal, Normal, StudentT, Binomial, Empirical]
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Risk-free return r over the period, cost rate lam, risky gross-return law."""
+    """Risk-free return r over the period, cost rate lam, risky returns and their law."""
 
     r: float
     lam: float
     returns: ReturnLaw
+    law: SignedDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.r < math.inf:
             raise ValueError(f"risk-free return must be finite and >= 0, got {self.r}")
         if not 0.0 <= self.lam < 1.0:
             raise ValueError(f"cost rate must be in [0, 1), got {self.lam}")
+        object.__setattr__(self, "law", self.returns.gross_law())
 
 
 @dataclass(frozen=True)
@@ -190,15 +182,14 @@ def reference_wealth(p: Portfolio, m: MarketModel, gross: float) -> float:
 
 def excess_transform(m: MarketModel, direction: TradeDirection) -> SignedDistribution:
     """Per-unit wealth difference against the benchmark for the given direction."""
-    gross = m.returns.gross_law()
     one_r = 1.0 + m.r
     keep = 1.0 - m.lam
     if direction is TradeDirection.BUY:
-        return gross.affine(-one_r, keep)
+        return m.law.affine(-one_r, keep)
     if direction is TradeDirection.SELL:
-        return gross.affine(-keep * one_r, keep)
+        return m.law.affine(-keep * one_r, keep)
     if direction is TradeDirection.SHORT:
-        return gross.affine(-keep * one_r, 1.0)
+        return m.law.affine(-keep * one_r, 1.0)
     raise ValueError(f"unknown trade direction {direction!r}")
 
 
@@ -218,7 +209,7 @@ def check_no_arbitrage(m: MarketModel) -> ArbitrageCheck:
     gross return identically equal to either threshold is rejected as
     degenerate even though it admits no arbitrage.
     """
-    law = m.returns.gross_law()
+    law = m.law
     thr_down = (1.0 + m.r) / (1.0 - m.lam)
     thr_up = (1.0 - m.lam) * (1.0 + m.r)
 

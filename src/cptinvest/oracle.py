@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .choquet import _BELOW_ONE, ProspectDivergenceError, prospect_value, rank_weights
+from .choquet import _BELOW_ONE, _SIGMA_MAX, ProspectDivergenceError, prospect_value, rank_weights
 from .distributions import DiscreteLaw, constant_law
 from .market import MarketModel, Portfolio, reference_wealth, terminal_wealth
 from .preferences import CptPreference, ExponentialUtility, PrelecWeighting
@@ -50,8 +50,6 @@ _ROW_BLOCK = 128
 # integrand vanishes at the crossing, so moving it by <= 2**-32 relative moves a row
 # by about eps**(1 + kink), ~1e-15.  Short sales past the holdings keep distinct levels
 _CROSSING_BITS = 32
-# sigma = -ln q up to which q = e**-sigma stays a normal float
-_SIGMA_MAX = 700.0
 _LN2 = math.log(2.0)
 
 
@@ -125,8 +123,7 @@ def difference_law(p: Portfolio, m: MarketModel, theta: float):
                                  "the float range")
         return value
 
-    law = m.returns.gross_law()
-    atoms = law.atoms
+    atoms = m.law.atoms
     if atoms is not None:
         return DiscreteLaw([diff(x) for x, _ in atoms], [w for _, w in atoms])
     base = diff(0.0)
@@ -136,7 +133,7 @@ def difference_law(p: Portfolio, m: MarketModel, theta: float):
         raise AssertionError("wealth difference is not affine in the gross return")
     if slope == 0.0:
         return constant_law(base)
-    return law.affine(base, slope)
+    return m.law.affine(base, slope)
 
 
 def evaluate_objective(p: Portfolio, m: MarketModel, pref: CptPreference,
@@ -181,7 +178,7 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
     sigma = -ln q, the upper end after substituting out the singularities at
     q = level.
     """
-    law = m.returns.gross_law()
+    law = m.law
     base, slope = _affine_coefficients(p, m, thetas)
     utility = pref.utility
     out = np.zeros_like(thetas)
@@ -319,7 +316,7 @@ def _discrete_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
     per atom and the thetas across; summed over the atoms, every theta
     accumulates atom by atom, independent of its neighbours.
     """
-    xs, probs = zip(*m.returns.gross_law().atoms)  # ascending gross returns
+    xs, probs = zip(*m.law.atoms)  # ascending gross returns
     # blocks of the continuous grid's element budget; numpy sums a lone column
     # pairwise, not atom by atom, so every block keeps two columns or more
     width = max(2, _ROW_BLOCK * 160 // len(xs))
@@ -357,7 +354,7 @@ def evaluate_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
     weighting, use the shared fixed-node Choquet evaluation.
     """
     thetas = np.asarray(thetas, dtype=float)
-    grid = _discrete_objective_grid if m.returns.discrete else _continuous_objective_grid
+    grid = _continuous_objective_grid if m.law.atoms is None else _discrete_objective_grid
     values = grid(p, m, pref, thetas)
     # a wealth difference that overflows makes its row, and so the sum, infinite or NaN
     if not math.isfinite(values.sum()) and not np.isfinite(values).all():
@@ -402,7 +399,7 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
     """
     sign = 1.0 if solution.kind is SolutionKind.PLUS_INFINITY else -1.0
     scale = 1.0 / pref.utility.eta_gain if isinstance(pref.utility, ExponentialUtility) else 1.0
-    atoms = m.returns.gross_law().atoms
+    atoms = m.law.atoms
     if atoms is not None and math.isfinite(solution.prospect):
         # stretch the ladder when a state's per-unit wealth difference is
         # small, so the bounded utility actually saturates by the last rung
@@ -473,7 +470,7 @@ def verify(solution: Solution, p: Portfolio, m: MarketModel, pref: CptPreference
     solutions must pass the geometric-ladder certification.
     """
     # closed-form arithmetic for discrete laws, quadrature-limited otherwise
-    tol = (1e-6 if m.returns.discrete else 1e-5) if tol_value is None else tol_value
+    tol = (1e-5 if m.law.atoms is None else 1e-6) if tol_value is None else tol_value
     search = ()
     if solution.kind in (SolutionKind.PLUS_INFINITY, SolutionKind.MINUS_INFINITY):
         ok, detail = _certify_unbounded(solution, p, m, pref, spec, tol)

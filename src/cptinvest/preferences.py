@@ -51,8 +51,8 @@ class PowerUtility:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.alpha > self.beta:
             raise ValueError(f"alpha must not exceed beta, got {self.alpha} > {self.beta}")
-        if not 1.0 < self.loss_aversion:
-            raise ValueError(f"loss_aversion must be > 1, got {self.loss_aversion}")
+        if not 1.0 < self.loss_aversion < math.inf:
+            raise ValueError(f"loss_aversion must be finite and > 1, got {self.loss_aversion}")
 
     def value(self, side: Side, x: float) -> float:
         _check_side(side)
@@ -86,12 +86,11 @@ class ExponentialUtility:
     loss_aversion: float = 2.25
 
     def __post_init__(self):
-        if not (0.0 < self.eta_gain and 0.0 < self.eta_loss):
-            raise ValueError(
-                f"curvature parameters must be > 0, got {self.eta_gain}, {self.eta_loss}"
-            )
-        if not 1.0 < self.loss_aversion:
-            raise ValueError(f"loss_aversion must be > 1, got {self.loss_aversion}")
+        for name, v in (("eta_gain", self.eta_gain), ("eta_loss", self.eta_loss)):
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        if not 1.0 < self.loss_aversion < math.inf:
+            raise ValueError(f"loss_aversion must be finite and > 1, got {self.loss_aversion}")
 
     def value(self, side: Side, x: float) -> float:
         _check_side(side)
@@ -180,10 +179,9 @@ class PrelecWeighting:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not (0.0 < self.delta_gain and 0.0 < self.delta_loss):
-            raise ValueError(
-                f"delta parameters must be > 0, got {self.delta_gain}, {self.delta_loss}"
-            )
+        for name, v in (("delta_gain", self.delta_gain), ("delta_loss", self.delta_loss)):
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
 
     def _delta(self, side: Side) -> float:
         _check_side(side)

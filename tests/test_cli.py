@@ -9,9 +9,9 @@ import pytest
 from cptinvest import binomial, cli, continuous
 from cptinvest.cli import main, run_sweep, solve_once, sweep_grid, write_sweep_csv
 from cptinvest.config import DEFAULT_CONFIG, ConfigError, RunConfig
-from cptinvest.market import Empirical, MarketModel, Normal
+from cptinvest.market import Empirical, MarketModel, Normal, StudentT
 from cptinvest.oracle import GridSpec
-from cptinvest.preferences import PrelecWeighting
+from cptinvest.preferences import ExponentialUtility, PowerUtility, PrelecWeighting
 
 BULL = {
     "market": {"r": 0.05, "lambda": 0.01,
@@ -126,6 +126,53 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             RunConfig.from_dict({**BULL, "solve": {"grid": grid}})
         assert err.value.problems == [f"solve.grid: {problem}"]
+
+
+# each infinite parameter: its constructor, a config that reaches it, the config problem
+INFINITE_PARAMETERS = [
+    pytest.param(lambda: PowerUtility(0.8, 0.88, math.inf),
+                 {**INTERIOR, "preference": {**INTERIOR["preference"], "loss_aversion": math.inf}},
+                 "preference utility: loss_aversion must be finite and > 1, got inf",
+                 id="power-loss-aversion"),
+    pytest.param(lambda: ExponentialUtility(1.5, 1.5, math.inf),
+                 {**BINOM, "preference": {**BINOM["preference"], "loss_aversion": math.inf}},
+                 "preference utility: loss_aversion must be finite and > 1, got inf",
+                 id="exponential-loss-aversion"),
+    pytest.param(lambda: ExponentialUtility(math.inf, 1.5, 1.2),
+                 {**BINOM, "preference": {**BINOM["preference"], "eta_gain": math.inf}},
+                 "preference utility: eta_gain must be finite and > 0, got inf", id="eta-gain"),
+    pytest.param(lambda: ExponentialUtility(1.5, math.inf, 1.2),
+                 {**BINOM, "preference": {**BINOM["preference"], "eta_loss": math.inf}},
+                 "preference utility: eta_loss must be finite and > 0, got inf", id="eta-loss"),
+    pytest.param(lambda: PrelecWeighting(0.65, math.inf, 1.0),
+                 {**INTERIOR, "preference": {**INTERIOR["preference"], "weighting": "prelec",
+                                             "delta_gain": math.inf}},
+                 "preference weighting: delta_gain must be finite and > 0, got inf",
+                 id="prelec-delta-gain"),
+    pytest.param(lambda: PrelecWeighting(0.65, 1.0, math.inf),
+                 {**INTERIOR, "preference": {**INTERIOR["preference"], "weighting": "prelec",
+                                             "delta_loss": math.inf}},
+                 "preference weighting: delta_loss must be finite and > 0, got inf",
+                 id="prelec-delta-loss"),
+    pytest.param(lambda: StudentT(math.inf, 0.0, 0.1),
+                 {**INTERIOR, "market": {"returns": {"kind": "student-t", "nu": math.inf,
+                                                     "scale": 0.1}}},
+                 "market.returns: nu must be finite and > 0, got inf", id="student-t-nu"),
+]
+
+
+@pytest.mark.parametrize("build, payload, problem", INFINITE_PARAMETERS)
+def test_infinite_parameters_are_refused(build, payload, problem, tmp_path, capsys):
+    with pytest.raises(ValueError, match=problem.split(": ", 1)[1]):
+        build()
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(payload)
+    assert err.value.problems == [problem]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))  # written as Infinity, as a JSON config would
+    assert "Infinity" in path.read_text()
+    assert main(["solve", "--config", str(path)]) == 2
+    assert f"  - {problem}" in capsys.readouterr().err
 
 
 _ZERO_INITIAL = {"portfolio": {"x0": 1.0, "y0": 0.0}, "solve": {"mode": "zero-initial"}}

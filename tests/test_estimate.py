@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cptinvest.cli import main
 from cptinvest.estimate import (
     PriceRow,
     annualized_rate_to_period,
@@ -92,3 +93,16 @@ def test_read_price_csv(tmp_path):
     bad.write_text("date,close\nnot-a-date,100\n")
     with pytest.raises(ValueError):
         read_price_csv(bad)
+
+
+@pytest.mark.parametrize("close", ["nan", "inf"])
+def test_read_price_csv_refuses_a_non_finite_close(tmp_path, capsys, close):
+    path = tmp_path / "prices.csv"
+    path.write_text(f"date,close\n2024-01-01,100\n2024-01-02,{close}\n2024-01-03,102\n")
+    message = f"line 3: close '{close}' is not finite"
+    with pytest.raises(ValueError, match=message):
+        read_price_csv(path)
+    assert main(["estimate", "--prices", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,16 @@ from cptinvest.market import (
     reference_wealth,
     terminal_wealth,
 )
+from cptinvest.binomial import solve_binomial
+from cptinvest.continuous import solve, solve_zero_initial
 from cptinvest.distributions import SignedDistribution, constant_law
+from cptinvest.oracle import GridSpec, verify
+from cptinvest.preferences import (
+    CptPreference,
+    ExponentialUtility,
+    PowerUtility,
+    TverskyKahnemanWeighting,
+)
 from scipy.stats import norm
 
 
@@ -238,3 +248,52 @@ def test_market_model_validation():
 def test_non_finite_parameters_are_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+RETURN_MODELS = (Lognormal, Normal, StudentT, Binomial, Empirical)
+_TK = TverskyKahnemanWeighting()
+
+
+def _solve_continuous(m):
+    pref = CptPreference(PowerUtility(0.8, 0.88, 2.25), _TK)
+    sol = solve(Portfolio(1.0, 1.0), m, pref)
+    verify(sol, Portfolio(1.0, 1.0), m, pref, GridSpec(-1.0, 5.0, 201, 1))
+    sol = solve_zero_initial(1.0, m, pref)
+    verify(sol, Portfolio(1.0, 0.0), m, pref, GridSpec(-5.0, 5.0, 201, 1))
+
+
+def _solve_two_state(m):
+    pref = CptPreference(ExponentialUtility(1.5, 1.5, 1.2), _TK)
+    sol = solve_binomial(1.0, m, pref)
+    verify(sol, Portfolio(1.0, 0.0), m, pref, GridSpec(-5.0, 5.0, 201, 1))
+
+
+@pytest.mark.parametrize("market, run", [
+    (lambda: MarketModel(0.02, 0.01, Lognormal(0.06, 0.2)), _solve_continuous),
+    (lambda: MarketModel(0.0, 0.01, Empirical((0.9, 0.97, 1.0, 1.04, 1.3))), _solve_continuous),
+    (lambda: MarketModel(0.0, 0.02, Binomial(1.5, 0.95, 0.55)), _solve_two_state),
+], ids=["lognormal", "empirical", "binomial"])
+def test_market_builds_its_law_once(market, run, monkeypatch):
+    calls = []
+    for cls in RETURN_MODELS:
+        def counted(self, _original=cls.gross_law):
+            calls.append(type(self).__name__)
+            return _original(self)
+        monkeypatch.setattr(cls, "gross_law", counted)
+    m = market()
+    assert len(calls) == 1
+    run(m)
+    assert len(calls) == 1
+    # the law is derived state: equality, hash and repr see only r, lam and returns
+    twin = market()
+    assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+    assert twin.law is not m.law
+    assert repr(m) == f"MarketModel(r={m.r!r}, lam={m.lam!r}, returns={m.returns!r})"
+    moved = dataclasses.replace(m, lam=0.03)
+    fresh = m.returns.gross_law()
+    if fresh.atoms is not None:
+        assert moved.law.atoms == fresh.atoms
+    else:
+        assert type(moved.law.base) is type(fresh.base)
+        assert vars(moved.law.base) == vars(fresh.base)
+        assert (moved.law.shift, moved.law.scale) == (fresh.shift, fresh.scale)
