@@ -12,7 +12,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import binomial as bin_solver
 from . import continuous as cont_solver
@@ -25,6 +25,14 @@ from .solution import Solution, SolutionKind
 
 __all__ = ["main", "run_sweep", "solve_once", "sweep_grid", "SweepRow"]
 
+# each sweep axis and the config paths it sets
+_AXIS_PATHS = {
+    "lambda": ("market__lambda",),
+    "alpha": ("preference__alpha",),
+    "beta": ("preference__beta",),
+    "eta": ("preference__eta_gain", "preference__eta_loss"),
+    "zeta": ("preference__loss_aversion",),
+}
 _CONTINUOUS_AXES = ("lambda", "alpha", "beta")
 _BINOMIAL_AXES = ("lambda", "eta", "zeta")
 
@@ -55,25 +63,18 @@ def sweep_grid(start: float, stop: float, count: int) -> list[float]:
     return [start + step * (i + 1) for i in range(count)]
 
 
-def _encode_theta(sol: Solution) -> str:
-    if sol.kind is SolutionKind.PLUS_INFINITY:
-        return "+inf"
-    return repr(float(sol.representative_theta))
+def _outcome(sol: Solution) -> dict:
+    """The written fields of a solution: its case, encoded trade and prospect, boundary flag."""
+    plus_inf = sol.kind is SolutionKind.PLUS_INFINITY
+    return {"case_id": sol.case_id,
+            "theta_star": "+inf" if plus_inf else repr(float(sol.representative_theta)),
+            "prospect_star": repr(float(sol.prospect)), "boundary": sol.boundary}
 
 
 def _axis_override(config: RunConfig, axis: str, value: float) -> RunConfig:
-    if axis == "lambda":
-        return config.replace_values(market__lambda=value)
-    if axis == "alpha":
-        return config.replace_values(preference__alpha=value)
-    if axis == "beta":
-        return config.replace_values(preference__beta=value)
-    if axis == "eta":
-        return config.replace_values(preference__eta_gain=value,
-                                     preference__eta_loss=value)
-    if axis == "zeta":
-        return config.replace_values(preference__loss_aversion=value)
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    if axis not in _AXIS_PATHS:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    return config.replace_values(**dict.fromkeys(_AXIS_PATHS[axis], value))
 
 
 def _solve_for_mode(config: RunConfig):
@@ -102,17 +103,7 @@ def _sweep_row(config: RunConfig, value: float) -> SweepRow:
     else:
         ratios = (inputs.ratio_buy, inputs.ratio_sell)
         candidates = _interior_candidates(inputs) or (None, None)
-    return SweepRow(
-        value=value,
-        ratio_buy=ratios[0],
-        ratio_sell=ratios[1],
-        theta_buy=candidates[0],
-        theta_sell=candidates[1],
-        theta_star=_encode_theta(sol),
-        case_id=sol.case_id,
-        prospect_star=repr(float(sol.prospect)),
-        boundary=sol.boundary,
-    )
+    return SweepRow(value, *ratios, *candidates, **_outcome(sol))
 
 
 def run_sweep(config: RunConfig, axis: str, grid: list[float]) -> list[SweepRow]:
@@ -131,11 +122,9 @@ def run_sweep(config: RunConfig, axis: str, grid: list[float]) -> list[SweepRow]
 
 
 def _sweep_columns(mode: str, axis: str) -> list[str]:
-    if mode == "binomial":
-        return [axis, "theta_buy", "theta_sell", "theta_star", "case_id",
-                "prospect_star", "boundary", "error"]
-    return [axis, "ratio_buy", "ratio_sell", "theta_buy", "theta_sell",
-            "theta_star", "case_id", "prospect_star", "boundary", "error"]
+    """The axis, then ``SweepRow``'s fields; binomial rows have no ratios."""
+    skipped = {"value", "ratio_buy", "ratio_sell"} if mode == "binomial" else {"value"}
+    return [axis, *(f.name for f in fields(SweepRow) if f.name not in skipped)]
 
 
 def _cell(value) -> str:
@@ -171,26 +160,14 @@ def _auto_grid(config: RunConfig, sol: Solution) -> GridSpec:
 def solve_once(config: RunConfig) -> dict:
     """Solve one configuration; returns the printable run summary as a dict."""
     sol, inputs = _solve_for_mode(config)
-    summary: dict = {
-        "mode": config.mode,
-        "case_id": sol.case_id,
-        "kind": sol.kind.value,
-        "theta_star": _encode_theta(sol),
-        "prospect_star": repr(float(sol.prospect)),
-        "boundary": sol.boundary,
-    }
+    summary: dict = {"mode": config.mode, "kind": sol.kind.value, **_outcome(sol)}
     if sol.kind is SolutionKind.INTERVAL:
         summary["interval"] = [repr(float(sol.lo)), repr(float(sol.hi))]
 
     if config.mode == "binomial":
-        pp, thr = inputs.pseudo, inputs.thresholds
         summary["diagnostics"] = {
-            "pseudo_buy_up": pp.buy_up, "pseudo_buy_down": pp.buy_down,
-            "pseudo_sell_up": pp.sell_up, "pseudo_sell_down": pp.sell_down,
-            "threshold_buy_unbounded": thr.buy_unbounded,
-            "threshold_buy_interior": thr.buy_interior,
-            "threshold_sell_unbounded": thr.sell_unbounded,
-            "threshold_sell_interior": thr.sell_interior,
+            **{f"pseudo_{k}": v for k, v in vars(inputs.pseudo).items()},
+            **{f"threshold_{k}": v for k, v in vars(inputs.thresholds).items()},
             "no_trade_cost_level": bin_solver.lambda_bar(config.market),
         }
     else:
@@ -233,11 +210,8 @@ def _write_solve_csv(path: str, summary: dict) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["key", "value"])
-        writer.writerow(["mode", summary["mode"]])
-        writer.writerow(["case_id", summary["case_id"]])
-        writer.writerow(["theta_star", summary["theta_star"]])
-        writer.writerow(["prospect_star", summary["prospect_star"]])
-        writer.writerow(["boundary", _cell(summary["boundary"])])
+        for key in ("mode", "case_id", "theta_star", "prospect_star", "boundary"):
+            writer.writerow([key, _cell(summary[key])])
         for key, value in summary.get("diagnostics", {}).items():
             writer.writerow([key, _cell(value)])
         if "oracle" in summary:

@@ -18,7 +18,6 @@ from .market import (
     MarketModel,
     Normal,
     Portfolio,
-    ReturnLaw,
     StudentT,
     check_no_arbitrage,
 )
@@ -61,7 +60,28 @@ DEFAULT_CONFIG: dict[str, Any] = {
 }
 
 _MODES = ("continuous", "zero-initial", "binomial")
-_RETURN_KINDS = ("lognormal", "normal", "student-t", "binomial", "empirical")
+
+# each kind a config may name, and its builder from the config section
+_RETURNS = {
+    "lognormal": lambda s: Lognormal(float(s["mu"]), float(s["sigma"])),
+    "normal": lambda s: Normal(float(s["mu"]), float(s["sigma"])),
+    "student-t": lambda s: StudentT(float(s["nu"]), float(s.get("loc", 0.0)),
+                                    float(s.get("scale", 1.0))),
+    "binomial": lambda s: Binomial(float(s["u"]), float(s["d"]), float(s["p"])),
+    "empirical": lambda s: Empirical(tuple(float(v) for v in s["values"])),
+}
+_UTILITIES = {
+    "power": lambda s: PowerUtility(float(s["alpha"]), float(s["beta"]),
+                                    float(s["loss_aversion"])),
+    "exponential": lambda s: ExponentialUtility(float(s["eta_gain"]), float(s["eta_loss"]),
+                                                float(s["loss_aversion"])),
+}
+_WEIGHTINGS = {
+    "tk": lambda s: TverskyKahnemanWeighting(float(s["gamma"]), float(s["delta"])),
+    "prelec": lambda s: PrelecWeighting(float(s["gamma"]), float(s["delta_gain"]),
+                                        float(s["delta_loss"])),
+    "identity": lambda s: IdentityWeighting(),
+}
 
 
 class ConfigError(ValueError):
@@ -76,18 +96,29 @@ class ConfigError(ValueError):
 _REPLACE_WHOLE = {"market.returns", "solve.grid"}
 
 
-def _merge(defaults: dict, overrides: dict, problems: list[str], path: str = "") -> dict:
+def _not_an_object(name: str, value: Any) -> str:
+    return f"{name} must be a JSON object, got {value!r}"
+
+
+def _merge(defaults: dict, overrides: Any, problems: list[str], path: str = "") -> dict:
+    """``overrides`` over ``defaults``; a section that is not an object keeps its defaults."""
+    if not isinstance(overrides, dict):
+        problems.append(_not_an_object(path[:-1] or "the configuration", overrides))
+        return defaults
     out = {}
     for key, default in defaults.items():
         dotted = f"{path}{key}"
-        if key in overrides and dotted in _REPLACE_WHOLE:
-            out[key] = overrides[key]
-        elif isinstance(default, dict) and isinstance(overrides.get(key), dict):
-            out[key] = _merge(default, overrides[key], problems, f"{dotted}.")
-        elif key in overrides:
-            out[key] = overrides[key]
+        value = overrides.get(key, default)
+        if dotted in _REPLACE_WHOLE:
+            # null only where the default is null (solve.grid)
+            if not isinstance(value, dict) and value is not default:
+                problems.append(_not_an_object(dotted, value))
+                value = default
+            out[key] = value
+        elif isinstance(default, dict):
+            out[key] = _merge(default, value, problems, f"{dotted}.")
         else:
-            out[key] = default
+            out[key] = value
     for key in overrides:
         if key not in defaults:
             problems.append(f"unknown key {path}{key}")
@@ -107,11 +138,12 @@ class RunConfig:
     grid: GridSpec | None = None
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "RunConfig":
+    def from_dict(cls, raw: Any) -> "RunConfig":
         problems: list[str] = []
         data = _merge(DEFAULT_CONFIG, raw, problems)
 
-        returns = _build_returns(data["market"]["returns"], problems)
+        returns = _build(_RETURNS, data["market"]["returns"], "kind", "market.returns.kind",
+                         f"one of {tuple(_RETURNS)}", "market.returns", problems)
         market = None
         if returns is not None:
             try:
@@ -181,66 +213,36 @@ class RunConfig:
         return RunConfig.from_dict(data)
 
 
-def _build_returns(spec: dict, problems: list[str]) -> ReturnLaw | None:
-    kind = spec.get("kind")
-    if kind not in _RETURN_KINDS:
-        problems.append(f"market.returns.kind must be one of {_RETURN_KINDS}, got {kind!r}")
+def _build(table: dict, spec: dict, key: str, field: str, choices: str, label: str,
+           problems: list[str]):
+    """What ``table`` builds from ``spec`` for the kind ``spec[key]``, or None with a problem.
+
+    A kind that is not a string (a JSON list, say) is a problem too, not a TypeError.
+    """
+    kind = spec.get(key)
+    if not (isinstance(kind, str) and kind in table):
+        problems.append(f"{field} must be {choices}, got {kind!r}")
         return None
     try:
-        if kind == "lognormal":
-            return Lognormal(float(spec["mu"]), float(spec["sigma"]))
-        if kind == "normal":
-            return Normal(float(spec["mu"]), float(spec["sigma"]))
-        if kind == "student-t":
-            return StudentT(float(spec["nu"]), float(spec.get("loc", 0.0)),
-                            float(spec.get("scale", 1.0)))
-        if kind == "binomial":
-            return Binomial(float(spec["u"]), float(spec["d"]), float(spec["p"]))
-        return Empirical(tuple(float(v) for v in spec["values"]))
+        return table[kind](spec)
     except KeyError as exc:
-        problems.append(f"market.returns: missing parameter {exc}")
+        problems.append(f"{label}: missing parameter {exc}")
     except (TypeError, ValueError) as exc:
-        problems.append(f"market.returns: {exc}")
+        problems.append(f"{label}: {exc}")
     return None
 
 
+def _either(table: dict) -> str:
+    """The table's kinds as "'a', 'b' or 'c'"."""
+    *others, last = map(repr, table)
+    return f"{', '.join(others)} or {last}"
+
+
 def _build_preference(spec: dict, problems: list[str]) -> CptPreference | None:
-    utility = None
-    try:
-        if spec["utility"] == "power":
-            utility = PowerUtility(float(spec["alpha"]), float(spec["beta"]),
-                                   float(spec["loss_aversion"]))
-        elif spec["utility"] == "exponential":
-            utility = ExponentialUtility(float(spec["eta_gain"]), float(spec["eta_loss"]),
-                                         float(spec["loss_aversion"]))
-        else:
-            problems.append(
-                f"preference.utility must be 'power' or 'exponential', got {spec['utility']!r}"
-            )
-    except (TypeError, ValueError) as exc:
-        problems.append(f"preference utility: {exc}")
-
-    weighting = None
-    try:
-        if spec["weighting"] == "tk":
-            weighting = TverskyKahnemanWeighting(float(spec["gamma"]), float(spec["delta"]))
-        elif spec["weighting"] == "prelec":
-            weighting = PrelecWeighting(float(spec["gamma"]),
-                                        float(spec["delta_gain"]),
-                                        float(spec["delta_loss"]))
-        elif spec["weighting"] == "identity":
-            weighting = IdentityWeighting()
-        else:
-            problems.append(
-                "preference.weighting must be 'tk', 'prelec' or 'identity', "
-                f"got {spec['weighting']!r}"
-            )
-    except (TypeError, ValueError) as exc:
-        problems.append(f"preference weighting: {exc}")
-
-    if utility is None or weighting is None:
-        return None
-    return CptPreference(utility, weighting)
+    parts = [_build(table, spec, part, f"preference.{part}", _either(table),
+                    f"preference {part}", problems)
+             for part, table in (("utility", _UTILITIES), ("weighting", _WEIGHTINGS))]
+    return None if None in parts else CptPreference(*parts)
 
 
 def _check_mode(mode: str, market: MarketModel, preference: CptPreference,

@@ -226,14 +226,22 @@ def _solve_ray(inputs: PowerCaseInputs, side: str, floor: float = -math.inf) -> 
     return Solution.interval(min(0.0, end), max(0.0, end), prefix + "3", 0.0, boundary=True)
 
 
+def _answer(ray: Solution, side: str) -> Solution:
+    """A ray optimum given as the answer: an interior candidate (case 2) that
+    underflowed to no trade is refused, since its label promises a trade."""
+    if ray.case_id[5:] == "2" and ray.theta == 0.0:
+        raise ValueError(f"the {side} ray's interior candidate underflows to no trade")
+    return ray
+
+
 def solve_long(inputs: PowerCaseInputs) -> Solution:
     """Optimum over the buy ray theta >= 0 (T3.2)."""
-    return _solve_ray(inputs, "buy")
+    return _answer(_solve_ray(inputs, "buy"), "buy")
 
 
 def solve_short(inputs: PowerCaseInputs) -> Solution:
     """Optimum over the constrained sell segment -y0 <= theta <= 0 (T3.3)."""
-    return _solve_ray(inputs, "sell", -inputs.y0)
+    return _answer(_solve_ray(inputs, "sell", -inputs.y0), "sell")
 
 
 # T3.1/T3.4 case of each pair of T3.2 (buy) and T3.3 (sell) cases; for the two
@@ -274,12 +282,13 @@ def classify(inputs: PowerCaseInputs) -> Solution:
         value_band = _value_band(inputs, buy.theta, sell.theta)
         if buy.prospect >= sell.prospect - value_band:
             tie = abs(buy.prospect - sell.prospect) <= value_band
-            return replace(buy, case_id=prefix + "2b", boundary=tie)
+            return replace(_answer(buy, "buy"), case_id=prefix + "2b", boundary=tie)
     elif buy_case == "4" or sell_case in ("1a", "1b"):
         # the buy ray decides: it is ill-posed (the sale may be too), or the sale cannot gain
-        return replace(buy, case_id=prefix + case)
+        return replace(_answer(buy, "buy"), case_id=prefix + case)
     # a flat buy ray leaves the sale's corner a knife edge
-    return replace(sell, case_id=prefix + case, boundary=sell.boundary or buy_case == "3")
+    return replace(_answer(sell, "sell"), case_id=prefix + case,
+                   boundary=sell.boundary or buy_case == "3")
 
 
 def classify_zero_initial(inputs: PowerCaseInputs) -> Solution:

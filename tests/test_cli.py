@@ -439,3 +439,111 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert code == 0
         assert "mu:" in out and "n_obs:  2" in out
+
+
+# a section, or the whole document, that is not a JSON object: one problem naming it
+NON_OBJECT_SECTIONS = [
+    pytest.param({"market": {"returns": [1, 2]}},
+                 "market.returns must be a JSON object, got [1, 2]", id="returns-list"),
+    pytest.param({"market": {"returns": "lognormal"}},
+                 "market.returns must be a JSON object, got 'lognormal'", id="returns-string"),
+    pytest.param({"market": 5}, "market must be a JSON object, got 5", id="market-number"),
+    pytest.param({"solve": []}, "solve must be a JSON object, got []", id="solve-list"),
+    pytest.param({"output": 3}, "output must be a JSON object, got 3", id="output-number"),
+    pytest.param({"solve": {"grid": [1]}}, "solve.grid must be a JSON object, got [1]",
+                 id="grid-list"),
+    pytest.param({"preference": "tk"}, "preference must be a JSON object, got 'tk'",
+                 id="preference-string"),
+    pytest.param([], "the configuration must be a JSON object, got []", id="document-list"),
+]
+
+
+@pytest.mark.parametrize("payload, problem", NON_OBJECT_SECTIONS)
+def test_a_section_that_is_not_an_object_is_one_problem(payload, problem, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(payload)
+    assert err.value.problems == [problem]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check-arb", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid configuration:\n  - {problem}\n"
+
+
+class TestOutputBytes:
+    """Exact bytes of outputs that no other test or benchmark op reaches."""
+
+    def _run(self, tmp_path, capsys, argv, payload=BINOM):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        code = main([argv[0], "--config", str(path), *argv[1:]])
+        return code, capsys.readouterr().out
+
+    def test_eta_sweep_sets_both_curvatures_and_prints_rows_without_out(self, tmp_path,
+                                                                         capsys):
+        code, out = self._run(tmp_path, capsys, ["sweep", "--sweep", "eta=-1:1:2"])
+        assert code == 2
+        assert out == (
+            "eta=0.0 case= theta*= prospect*= ERROR: invalid configuration:;   - "
+            "preference utility: eta_gain must be finite and > 0, got 0.0\n"
+            "eta=1.0 case=T4.3-2a theta*=3.8164054325341636 "
+            "prospect*=0.19457710331104777\n")
+
+    def test_eta_sweep_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "eta.csv"
+        code, out = self._run(tmp_path, capsys,
+                              ["sweep", "--sweep", "eta=-1:1:2", "--out", str(csv_path)])
+        assert code == 2
+        assert out == f"wrote 2 rows to {csv_path} (1 row errors)\n"
+        assert csv_path.read_bytes() == (
+            b"eta,theta_buy,theta_sell,theta_star,case_id,prospect_star,boundary,error\r\n"
+            b'0.0,,,,,,false,"invalid configuration:;   - preference utility: '
+            b'eta_gain must be finite and > 0, got 0.0"\r\n'
+            b"1.0,3.8164054325341636,,3.8164054325341636,T4.3-2a,0.19457710331104777,"
+            b"false,\r\n")
+
+    def test_continuous_sweep_columns(self, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        write_sweep_csv(str(csv_path), "continuous", "beta", [
+            cli.SweepRow(0.9, 1.5, None, 0.25, -0.125, "0.25", "T3.1-2b", "0.5", True),
+            cli.SweepRow(1.0, error="bad"),
+        ])
+        assert csv_path.read_bytes() == (
+            b"beta,ratio_buy,ratio_sell,theta_buy,theta_sell,theta_star,case_id,"
+            b"prospect_star,boundary,error\r\n"
+            b"0.9,1.5,,0.25,-0.125,0.25,T3.1-2b,0.5,true,\r\n"
+            b"1.0,,,,,,,,false,bad\r\n")
+
+    def test_solve_csv_with_the_oracle_row(self, tmp_path, capsys):
+        csv_path = tmp_path / "run.csv"
+        payload = {**BINOM, "solve": {"mode": "binomial", "oracle": True}}
+        code, out = self._run(tmp_path, capsys, ["solve", "--out", str(csv_path)], payload)
+        assert code == 0
+        assert out.endswith("  no_trade_cost_level: 0.33333333333333337\n"
+                            "oracle:      match (grid search confirms the reported optimum)\n")
+        assert csv_path.read_bytes() == (
+            b"key,value\r\nmode,binomial\r\ncase_id,T4.3-2a\r\n"
+            b"theta_star,2.544270288356109\r\nprospect_star,0.19457710331104786\r\n"
+            b"boundary,false\r\n"
+            b"pseudo_buy_up,0.12801484230055668\r\npseudo_buy_down,0.8719851576994433\r\n"
+            b"pseudo_sell_up,0.05454545454545459\r\npseudo_sell_down,0.9454545454545454\r\n"
+            b"threshold_buy_unbounded,0.813893257503266\r\n"
+            b"threshold_buy_interior,5.54391059458746\r\n"
+            b"threshold_sell_unbounded,1.0564834037410353\r\n"
+            b"threshold_sell_interior,0.0609509656004444\r\n"
+            b"no_trade_cost_level,0.33333333333333337\r\noracle_agreement,match\r\n")
+
+    def test_estimate_out(self, tmp_path, capsys):
+        prices = tmp_path / "px.csv"
+        prices.write_text(
+            "date,close\n2024-01-01,100\n2024-01-03,101\n2024-01-08,102\n"
+            "2024-01-12,103\n2024-01-17,104\n"
+        )
+        csv_path = tmp_path / "est.csv"
+        code = main(["estimate", "--prices", str(prices), "--weekly", "--out", str(csv_path)])
+        assert code == 0
+        assert capsys.readouterr().out == ("mu:     0.014635191150056613\n"
+                                           "sigma:  0.007033280362513851\nn_obs:  2\n")
+        assert csv_path.read_bytes() == (b"mu,sigma,n_obs\r\n"
+                                         b"0.014635191150056613,0.007033280362513851,2\r\n")

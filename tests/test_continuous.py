@@ -544,6 +544,33 @@ def test_an_overflowing_interior_candidate_is_refused_naming_its_ray():
         classify(dataclasses.replace(big_sell, y0=0.0, sell_unbounded=True))
 
 
+@pytest.mark.parametrize("weighting, loss_aversion", [
+    (TverskyKahnemanWeighting(), 1e300),
+    (PrelecWeighting(0.65, 1e10, 1.0), 2.25),
+], ids=["tk-huge-loss-aversion", "prelec-huge-gain-delta"])
+def test_an_underflowing_interior_candidate_is_refused_naming_its_ray(weighting,
+                                                                      loss_aversion):
+    """A buy candidate below the float range is no trade under a trade's label:
+    refused, as an overflowing one is."""
+    m = MarketModel(0.02, 0.01, Lognormal(0.06, 0.2))
+    pref = CptPreference(PowerUtility(0.8, 0.88, loss_aversion), weighting)
+    with pytest.raises(ValueError, match="buy ray's interior candidate underflows"):
+        solve(Portfolio(1.0, 1.0), m, pref)
+    with pytest.raises(ValueError, match="buy ray's interior candidate underflows"):
+        solve_long(prepare_inputs(Portfolio(1.0, 1.0), m, pref))
+
+
+def test_an_underflowing_sell_candidate_is_refused_only_when_it_is_the_answer():
+    tiny_sell = synthetic_inputs(gain_sell=1e-60, loss_sell=0.5)
+    with pytest.raises(ValueError, match="sell ray's interior candidate underflows"):
+        solve_short(tiny_sell)
+    with pytest.raises(ValueError, match="sell ray's interior candidate underflows"):
+        classify(dataclasses.replace(tiny_sell, p_loss_buy=1.0))
+    # the buy's interior candidate is worth more, so the sale's is not the answer
+    sol = classify(tiny_sell)
+    assert sol.case_id == "T3.1-2b" and sol.theta > 0.0
+
+
 def test_scaling_buy_integrals_preserves_case_and_trade():
     # ratio-driven comparisons are scale-free: equal exponents for the full
     # dispatch, and the buy sub-solver for distinct exponents (the cross-ray
