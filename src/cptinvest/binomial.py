@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from .choquet import prospect_value
 from .distributions import DiscreteLaw
 from .market import Binomial, MarketModel, Portfolio, check_no_arbitrage, terminal_wealth
-from .preferences import CptPreference, ExponentialUtility
+from .preferences import CptPreference, ExponentialUtility, WeightingPair
 from .solution import Solution
 
 __all__ = [
@@ -126,30 +126,62 @@ class LossAversionThresholds:
 
 
 def zeta_thresholds(m: MarketModel, pref: CptPreference) -> LossAversionThresholds:
+    return _thresholds(*_rays(m, pref))
+
+
+@dataclass(frozen=True)
+class _Ray:
+    """One trade direction in buy terms: a sale is a buy of the mirrored payoff.
+
+    The gain weight is the pseudo weight that grows with the per-unit gain
+    (buy_down for a buy, sell_up for a sale), the loss weight its partner;
+    w_gain and w_loss are the decision weights of the gain and loss states.
+    """
+
+    gain_weight: float
+    loss_weight: float
+    w_gain: float
+    w_loss: float
+    unbounded: float
+    interior: float | None
+    gap: float  # per-unit payoff gap that scales the interior candidate
+    sign: float
+    prefix: str
+
+
+def _ray(w: WeightingPair, gain_weight: float, loss_weight: float, p_gain: float,
+         p_loss: float, gap: float, sign: float, prefix: str) -> _Ray:
+    w_gain, w_loss = w.weight("gain", p_gain), w.weight("loss", p_loss)
+    unbounded = w_gain / w_loss
+    interior = (gain_weight / loss_weight) * unbounded if loss_weight > 0 else None
+    return _Ray(gain_weight, loss_weight, w_gain, w_loss, unbounded, interior, gap, sign, prefix)
+
+
+def _rays(m: MarketModel, pref: CptPreference) -> tuple[_Ray, _Ray]:
+    """The buy and the sell ray, each built once."""
     law = _binomial_law(m)
     pp = pseudo_probabilities(m)
-    w = pref.weighting
-    p = law.p
-    up_weight = w.weight("gain", 1.0 - p)
-    down_weight = w.weight("loss", p)
-    buy_unbounded = up_weight / down_weight
-    buy_interior = (pp.buy_down / pp.buy_up) * buy_unbounded if pp.buy_up > 0 else None
-    gain_down = w.weight("gain", p)
-    loss_up = w.weight("loss", 1.0 - p)
-    sell_unbounded = gain_down / loss_up
-    sell_interior = (pp.sell_up / pp.sell_down) * sell_unbounded if pp.sell_down > 0 else None
-    return LossAversionThresholds(buy_unbounded, buy_interior, sell_unbounded, sell_interior)
+    keep = 1.0 - m.lam
+    buy = _ray(pref.weighting, pp.buy_down, pp.buy_up, 1.0 - law.p, law.p,
+               keep * (law.u + law.d) - 2.0 * (1.0 + m.r), 1.0, "T4.1-")
+    sell = _ray(pref.weighting, pp.sell_up, pp.sell_down, law.p, 1.0 - law.p,
+                2.0 * keep * (1.0 + m.r) - (law.u + law.d), -1.0, "T4.2-")
+    return buy, sell
+
+
+def _thresholds(buy: _Ray, sell: _Ray) -> LossAversionThresholds:
+    return LossAversionThresholds(buy.unbounded, buy.interior, sell.unbounded, sell.interior)
 
 
 @dataclass(frozen=True)
 class BinomialInputs:
-    """Market, preference and derived closed-form quantities for the dispatch."""
+    """Market, preference and the two rays the dispatch compares."""
 
     market: MarketModel
     pref: CptPreference
     x0: float
-    pseudo: PseudoProbabilities
-    thresholds: LossAversionThresholds
+    buy: _Ray
+    sell: _Ray
 
     def __post_init__(self):
         u = self.pref.utility
@@ -157,6 +189,20 @@ class BinomialInputs:
             raise TypeError("the two-state solver requires the exponential utility pair")
         if u.eta_gain != u.eta_loss:
             raise ValueError("the two-state solver requires equal gain/loss curvature")
+
+    def _ray(self, side: str) -> _Ray:
+        if side not in ("buy", "sell"):
+            raise ValueError(f"side must be 'buy' or 'sell', got {side!r}")
+        return self.buy if side == "buy" else self.sell
+
+    @property
+    def pseudo(self) -> PseudoProbabilities:
+        return PseudoProbabilities(self.buy.loss_weight, self.buy.gain_weight,
+                                   self.sell.gain_weight, self.sell.loss_weight)
+
+    @property
+    def thresholds(self) -> LossAversionThresholds:
+        return _thresholds(self.buy, self.sell)
 
     @property
     def eta(self) -> float:
@@ -173,52 +219,12 @@ class BinomialInputs:
 
 def prepare_binomial_inputs(x0: float, market: MarketModel,
                             pref: CptPreference) -> BinomialInputs:
-    return BinomialInputs(
-        market=market,
-        pref=pref,
-        x0=x0,
-        pseudo=pseudo_probabilities(market),
-        thresholds=zeta_thresholds(market, pref),
-    )
-
-
-@dataclass(frozen=True)
-class _Ray:
-    """One trade direction in buy terms: a sale is a buy of the mirrored payoff.
-
-    The gain weight is the pseudo weight that grows with the per-unit gain
-    (buy_down for a buy, sell_up for a sale), the loss weight its partner.
-    """
-
-    gain_weight: float
-    loss_weight: float
-    unbounded: float
-    interior: float | None
-    p_gain: float
-    p_loss: float
-    gap: float  # per-unit payoff gap that scales the interior candidate
-    sign: float
-    prefix: str
-
-
-def _ray(inputs: BinomialInputs, side: str) -> _Ray:
-    pp, thr, m = inputs.pseudo, inputs.thresholds, inputs.market
-    law = _binomial_law(m)
-    keep = 1.0 - m.lam
-    if side == "buy":
-        return _Ray(pp.buy_down, pp.buy_up, thr.buy_unbounded, thr.buy_interior,
-                    1.0 - law.p, law.p, keep * (law.u + law.d) - 2.0 * (1.0 + m.r),
-                    1.0, "T4.1-")
-    if side == "sell":
-        return _Ray(pp.sell_up, pp.sell_down, thr.sell_unbounded, thr.sell_interior,
-                    law.p, 1.0 - law.p, 2.0 * keep * (1.0 + m.r) - (law.u + law.d),
-                    -1.0, "T4.2-")
-    raise ValueError(f"side must be 'buy' or 'sell', got {side!r}")
+    return BinomialInputs(market, pref, x0, *_rays(market, pref))
 
 
 def candidate_applies(inputs: BinomialInputs, side: str) -> bool:
     """Whether the side's ray ("buy" or "sell") has an interior candidate."""
-    ray = _ray(inputs, side)
+    ray = inputs._ray(side)
     return (ray.gain_weight > ray.loss_weight > 0 and ray.interior is not None
             and inputs.zeta < ray.interior)
 
@@ -237,7 +243,7 @@ def candidate_trade(inputs: BinomialInputs, side: str) -> float:
     gain weight > loss weight > 0 and loss aversion below the interior threshold."""
     if not candidate_applies(inputs, side):
         raise ValueError(f"interior {side} candidate undefined outside its regime")
-    return _candidate(_ray(inputs, side), inputs)
+    return _candidate(inputs._ray(side), inputs)
 
 
 def prospect_at(inputs: BinomialInputs, theta: float) -> float:
@@ -255,15 +261,13 @@ def prospect_at(inputs: BinomialInputs, theta: float) -> float:
 
 def solve_ray(inputs: BinomialInputs, side: str) -> Solution:
     """Optimum over one ray: theta >= 0 for "buy", theta <= 0 for "sell"."""
-    ray = _ray(inputs, side)
+    ray = inputs._ray(side)
     gain, loss, zeta = ray.gain_weight, ray.loss_weight, inputs.zeta
     case = ray.prefix
 
     def unbounded(label: str) -> Solution:
-        w = inputs.pref.weighting
-        limit = w.weight("gain", ray.p_gain) - zeta * w.weight("loss", ray.p_loss)
         end = Solution.plus_infinity if ray.sign > 0 else Solution.minus_infinity
-        return end(case + label, limit)
+        return end(case + label, ray.w_gain - zeta * ray.w_loss)
 
     if gain <= 0 or _close(gain, 0.0):
         return Solution.point(0.0, case + "1a", 0.0, boundary=_close(gain, 0.0))

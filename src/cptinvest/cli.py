@@ -254,6 +254,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", help="solve and certify with the grid oracle")
     p_verify.add_argument("--config", required=True)
+    p_verify.set_defaults(out=None)
 
     p_arb = sub.add_parser("check-arb", help="check the no-arbitrage condition")
     p_arb.add_argument("--config", required=True)
@@ -283,21 +284,16 @@ def main(argv: list[str] | None = None) -> int:
             print("pass" if arb.passed else f"fail: {arb.reason}")
             return 0 if arb.passed else 2
 
-        if args.command == "verify":
-            config = config.replace_values(solve__oracle=True)
-            summary = solve_once(config)
-            _print_summary(summary)
-            return 0 if summary["oracle"]["agreement"] == "match" else 3
-
-        if args.command == "solve":
+        if args.command in ("solve", "verify"):
+            if args.command == "verify":
+                # solve with the oracle on, writing no CSV
+                config = config.replace_values(solve__oracle=True, output__csv=None)
             summary = solve_once(config)
             _print_summary(summary)
             out = args.out or config.data["output"]["csv"]
             if out:
                 _write_solve_csv(out, summary)
-            if config.oracle and summary["oracle"]["agreement"] != "match":
-                return 3
-            return 0
+            return 3 if config.oracle and summary["oracle"]["agreement"] != "match" else 0
 
         # sweep
         axis, start, stop, count = _parse_sweep_axis(args.sweep)

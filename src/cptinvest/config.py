@@ -163,6 +163,9 @@ class RunConfig:
         mode = data["solve"]["mode"]
         if mode not in _MODES:
             problems.append(f"solve.mode must be one of {_MODES}, got {mode!r}")
+        oracle = data["solve"]["oracle"]
+        if not isinstance(oracle, bool):
+            problems.append(f"solve.oracle must be true or false, got {oracle!r}")
 
         grid = None
         if data["solve"]["grid"] is not None:
@@ -171,6 +174,9 @@ class RunConfig:
             except (TypeError, ValueError) as exc:
                 problems.append(f"solve.grid: {exc}")
 
+        csv_path = data["output"]["csv"]
+        if not (csv_path is None or isinstance(csv_path, str)):
+            problems.append(f"output.csv must be a string or null, got {csv_path!r}")
         fmt = data["output"]["format"]
         if fmt not in ("csv", "summary"):
             problems.append(f"output.format must be 'csv' or 'summary', got {fmt!r}")
@@ -182,8 +188,7 @@ class RunConfig:
         if problems:
             raise ConfigError(problems)
         return cls(data=data, market=market, preference=preference,
-                   portfolio=portfolio, mode=mode,
-                   oracle=bool(data["solve"]["oracle"]), grid=grid)
+                   portfolio=portfolio, mode=mode, oracle=oracle, grid=grid)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -247,25 +252,20 @@ def _build_preference(spec: dict, problems: list[str]) -> CptPreference | None:
 
 def _check_mode(mode: str, market: MarketModel, preference: CptPreference,
                 portfolio: Portfolio, problems: list[str]) -> None:
-    if mode == "continuous":
-        if portfolio.y0 <= 0:
-            problems.append("continuous mode requires portfolio.y0 > 0")
-        if not isinstance(preference.utility, PowerUtility):
-            problems.append("continuous mode requires the power utility")
-    elif mode == "zero-initial":
-        if portfolio.y0 != 0:
-            problems.append("zero-initial mode requires portfolio.y0 = 0")
-        if not isinstance(preference.utility, PowerUtility):
-            problems.append("zero-initial mode requires the power utility")
-    elif mode == "binomial":
-        if portfolio.y0 != 0:
-            problems.append("binomial mode requires portfolio.y0 = 0")
-        if not isinstance(market.returns, Binomial):
-            problems.append("binomial mode requires a binomial return law")
-        if not isinstance(preference.utility, ExponentialUtility):
-            problems.append("binomial mode requires the exponential utility")
-        elif preference.utility.eta_gain != preference.utility.eta_loss:
-            problems.append("binomial mode requires equal gain/loss curvature")
+    u = preference.utility
+    exponential = isinstance(u, ExponentialUtility)
+    # each requirement once, in the order it is reported, with whether the config breaks it
+    broken = {
+        "requires portfolio.y0 > 0": mode == "continuous" and portfolio.y0 <= 0,
+        "requires portfolio.y0 = 0": mode != "continuous" and portfolio.y0 != 0,
+        "requires the power utility": mode != "binomial" and not isinstance(u, PowerUtility),
+        "requires a binomial return law":
+            mode == "binomial" and not isinstance(market.returns, Binomial),
+        "requires the exponential utility": mode == "binomial" and not exponential,
+        "requires equal gain/loss curvature":
+            mode == "binomial" and exponential and u.eta_gain != u.eta_loss,
+    }
+    problems.extend(f"{mode} mode {text}" for text, fails in broken.items() if fails)
     arb = check_no_arbitrage(market)
     if not arb:
         problems.append(f"no-arbitrage violated: {arb.reason}")

@@ -310,10 +310,7 @@ class DiscreteLaw:
             cum.append(c)
         cum[-1] = 1.0
         self._cum = tuple(cum)
-
-    @property
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self._xs, self._ps))
+        self.atoms: tuple[tuple[float, float], ...] = tuple(zip(self._xs, self._ps))
 
     def cdf(self, x: float) -> float:
         i = bisect.bisect_right(self._xs, x)

@@ -213,14 +213,13 @@ def check_no_arbitrage(m: MarketModel) -> ArbitrageCheck:
     thr_down = (1.0 + m.r) / (1.0 - m.lam)
     thr_up = (1.0 - m.lam) * (1.0 + m.r)
 
-    atoms = law.atoms
-    if atoms is not None:
-        tol = 0.0 if len(atoms) > 1 else 1e-12 * max(1.0, abs(thr_down))
-        if all(abs(x - thr_down) <= tol for x, _ in atoms):
-            return ArbitrageCheck(False, "degenerate: discounted gross return identically risk-free")
-        tol = 0.0 if len(atoms) > 1 else 1e-12 * max(1.0, abs(thr_up))
-        if all(abs(x - thr_up) <= tol for x, _ in atoms):
-            return ArbitrageCheck(False, "degenerate: gross return identically the bid-adjusted risk-free")
+    # a law with two or more atoms is never identically one value: its atoms are distinct
+    if law.atoms is not None and len(law.atoms) == 1:
+        [(x, _)] = law.atoms
+        for thr, what in ((thr_down, "discounted gross return identically risk-free"),
+                          (thr_up, "gross return identically the bid-adjusted risk-free")):
+            if abs(x - thr) <= 1e-12 * max(1.0, abs(thr)):
+                return ArbitrageCheck(False, f"degenerate: {what}")
 
     if law.prob_below(thr_down) <= 0.0:
         return ArbitrageCheck(

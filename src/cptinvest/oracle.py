@@ -399,12 +399,10 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
     """
     sign = 1.0 if solution.kind is SolutionKind.PLUS_INFINITY else -1.0
     scale = 1.0 / pref.utility.eta_gain if isinstance(pref.utility, ExponentialUtility) else 1.0
-    atoms = m.law.atoms
-    if atoms is not None and math.isfinite(solution.prospect):
+    if m.law.atoms is not None and math.isfinite(solution.prospect):
         # stretch the ladder when a state's per-unit wealth difference is
         # small, so the bounded utility actually saturates by the last rung
-        unit = [abs(terminal_wealth(p, m, sign, x) - reference_wealth(p, m, x))
-                for x, _ in atoms]
+        unit = [abs(x) for x, _ in difference_law(p, m, sign).atoms]
         smallest = min((u for u in unit if u > 0), default=1.0)
         scale = scale * max(1.0, 0.04 / smallest)
     values = evaluate_objective_grid(p, m, pref, sign * scale * np.array(_LADDER))

@@ -56,12 +56,8 @@ class Solution:
     @property
     def representative_theta(self) -> float:
         """A concrete theta: the point itself, or the finite interval end."""
-        if self.kind is SolutionKind.FINITE_POINT:
-            return self.theta
         if self.kind is SolutionKind.INTERVAL:
-            if math.isfinite(self.lo):
-                return self.lo
-            return self.hi
+            return self.lo if math.isfinite(self.lo) else self.hi
         return self.theta
 
     def describe(self) -> str:

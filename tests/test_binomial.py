@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cptinvest import binomial
 from cptinvest.binomial import (
     Payoff2,
     candidate_applies,
@@ -581,3 +582,30 @@ class TestNoTradeThreshold:
         above = pseudo_probabilities(MarketModel(r, min(bar * (1 + 1e-6), 0.999), Binomial(u, d, p)))
         assert max(below.buy_down, below.sell_up) > 0.0
         assert above.buy_down <= 1e-9 and above.sell_up <= 1e-9
+
+
+def test_each_ray_is_built_once(monkeypatch):
+    # the buy ray is unbounded (T4.1-3a), so no prospect is evaluated
+    m = market(u=1.3, d=0.8, r=0.05, lam=0.0, p=0.2)
+    pref = preference(zeta=1.0 + 0.9 * (zeta_thresholds(m, preference()).buy_unbounded - 1.0))
+    calls = {"pseudo_probabilities": 0, "weight": 0}
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(binomial, "pseudo_probabilities",
+                        counted("pseudo_probabilities", binomial.pseudo_probabilities))
+    monkeypatch.setattr(TverskyKahnemanWeighting, "weight",
+                        counted("weight", TverskyKahnemanWeighting.weight))
+    inputs = prepare_binomial_inputs(1.0, m, pref)
+    assert calls == {"pseudo_probabilities": 1, "weight": 4}
+    assert solve_ray(inputs, "buy").case_id == "T4.1-3a"
+    calls.update(dict.fromkeys(calls, 0))
+    sol = solve_binomial(1.0, m, pref)
+    assert (sol.case_id, calls) == ("T4.3-7a", {"pseudo_probabilities": 1, "weight": 4})
+    # the limit prospect reads the ray's two decision weights
+    assert sol.prospect == TK.weight("gain", 0.8) - pref.utility.loss_aversion * TK.weight(
+        "loss", 0.2)

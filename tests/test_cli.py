@@ -3,9 +3,13 @@ import dataclasses
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cptinvest
 from cptinvest import binomial, cli, continuous
 from cptinvest.cli import main, run_sweep, solve_once, sweep_grid, write_sweep_csv
 from cptinvest.config import DEFAULT_CONFIG, ConfigError, RunConfig
@@ -471,6 +475,65 @@ def test_a_section_that_is_not_an_object_is_one_problem(payload, problem, tmp_pa
     assert captured.err == f"error: invalid configuration:\n  - {problem}\n"
 
 
+@pytest.mark.parametrize("oracle", ["false", "true", 0, 1, None, []], ids=repr)
+def test_solve_oracle_must_be_true_or_false(oracle, tmp_path, capsys):
+    payload = {**BINOM, "solve": {"mode": "binomial", "oracle": oracle}}
+    problem = f"solve.oracle must be true or false, got {oracle!r}"
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(payload)
+    assert err.value.problems == [problem]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert main(["solve", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid configuration:\n  - {problem}\n"
+
+
+@pytest.mark.parametrize("target", [1, True, ["run.csv"], {"path": "run.csv"}], ids=repr)
+def test_output_csv_must_be_a_string_or_null(target):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict({**BINOM, "output": {"csv": target}})
+    assert err.value.problems == [f"output.csv must be a string or null, got {target!r}"]
+
+
+def test_a_non_string_output_csv_exits_with_code_2(tmp_path):
+    # in a child process: an integer path given to open() is a file descriptor, and a
+    # solve that wrote its CSV there would write to and close this runner's stdout
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BINOM, "output": {"csv": 1}}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cptinvest.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-m", "cptinvest.cli", "solve", "--config", str(path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == ("error: invalid configuration:\n"
+                          "  - output.csv must be a string or null, got 1\n")
+
+
+# the oracle grid [-1, 0] misses INTERIOR's buy near theta 0.042, so the oracle mismatches
+MISMATCH = {**INTERIOR, "solve": {"oracle": True, "grid": {"lo": -1, "hi": 0, "n_points": 41,
+                                                           "refinement_rounds": 1}}}
+MISMATCH_OUT = (
+    "mode:        continuous\n"
+    "case:        T3.1-2b\n"
+    "theta*:      0.042134806988386383\n"
+    "prospect*:   0.0012830603974885463\n"
+    "  p_loss_buy: 0.44009230865471394\n"
+    "  p_loss_sell: 0.5796455770644418\n"
+    "  gain_buy: 0.1777980438367835\n"
+    "  loss_buy: 0.0925508676400485\n"
+    "  gain_sell: 0.10229122458925285\n"
+    "  loss_sell: 0.16563533325185137\n"
+    "  ratio_buy: 1.9210845707927966\n"
+    "  ratio_sell: 0.6175688639676734\n"
+    "  theta_buy: 0.042134806988386383\n"
+    "  theta_sell: -2.9098952745609155e-08\n"
+    "oracle:      mismatch (grid maximum 0 vs reported 0.001283060397 (gap -1.283e-03, "
+    "worst theta 0))\n")
+
+
 class TestOutputBytes:
     """Exact bytes of outputs that no other test or benchmark op reaches."""
 
@@ -533,6 +596,21 @@ class TestOutputBytes:
             b"threshold_sell_unbounded,1.0564834037410353\r\n"
             b"threshold_sell_interior,0.0609509656004444\r\n"
             b"no_trade_cost_level,0.33333333333333337\r\noracle_agreement,match\r\n")
+
+    def test_solve_with_the_oracle_exits_with_code_3_on_a_mismatch(self, tmp_path, capsys):
+        csv_path = tmp_path / "run.csv"
+        code, out = self._run(tmp_path, capsys, ["solve", "--out", str(csv_path)], MISMATCH)
+        assert code == 3
+        assert out == MISMATCH_OUT
+        assert csv_path.read_bytes().endswith(
+            b"theta_sell,-2.9098952745609155e-08\r\noracle_agreement,mismatch\r\n")
+
+    def test_verify_is_solve_with_the_oracle_on_and_writes_no_csv(self, tmp_path, capsys):
+        named = tmp_path / "named.csv"
+        for payload in (MISMATCH, {**MISMATCH, "output": {"csv": str(named)}},
+                        {**MISMATCH, "solve": {**MISMATCH["solve"], "oracle": False}}):
+            assert self._run(tmp_path, capsys, ["verify"], payload) == (3, MISMATCH_OUT)
+        assert not named.exists()
 
     def test_estimate_out(self, tmp_path, capsys):
         prices = tmp_path / "px.csv"

@@ -73,6 +73,12 @@ def test_discrete_law_merges_and_normalizes():
     assert law.prob_above(1.0) == 0.5
 
 
+def test_discrete_law_builds_its_atoms_once():
+    law = DiscreteLaw([2.0, 1.0, 2.0], [0.25, 0.5, 0.25])
+    assert law.atoms is law.atoms
+    assert law.affine(1.0, 2.0).atoms == ((3.0, 0.5), (5.0, 0.5))
+
+
 def test_constant_law():
     law = constant_law(3.0)
     assert law.atoms == ((3.0, 1.0),)

@@ -147,6 +147,19 @@ class TestNoArbitrage:
         deg2 = MarketModel(r, lam, Empirical(((1 - lam) * (1 + r),)))
         assert not check_no_arbitrage(deg2).passed
 
+    @pytest.mark.parametrize("values, reason", [
+        ((1.3125,), "degenerate: discounted gross return identically risk-free"),
+        ((1.3125 * (1 + 1e-13),), "degenerate: discounted gross return identically risk-free"),
+        ((1.3125, 1.3125), "degenerate: discounted gross return identically risk-free"),
+        ((0.84,), "degenerate: gross return identically the bid-adjusted risk-free"),
+        ((0.84 * (1 - 1e-13),), "degenerate: gross return identically the bid-adjusted risk-free"),
+        ((0.84, 1.3125), None),
+    ], ids=["down", "near-down", "repeated-down", "up", "near-up", "both-thresholds"])
+    def test_only_a_one_atom_law_is_degenerate(self, values, reason):
+        # thresholds (1+r)/(1-lam) = 1.3125 and (1-lam)(1+r) = 0.84 at r = 0.05, lam = 0.2
+        check = check_no_arbitrage(MarketModel(0.05, 0.2, Empirical(values)))
+        assert (check.passed, check.reason) == (reason is None, reason)
+
     def test_full_support_laws_always_pass(self):
         assert check_no_arbitrage(MarketModel(0.05, 0.3, Lognormal(0.1, 0.2))).passed
         assert check_no_arbitrage(MarketModel(0.0, 0.0, Normal(0.0, 0.1))).passed
