@@ -212,10 +212,6 @@ class BinomialInputs:
     def zeta(self) -> float:
         return self.pref.utility.loss_aversion
 
-    @property
-    def reference(self) -> float:
-        return (1.0 + self.market.r) * self.x0
-
 
 def prepare_binomial_inputs(x0: float, market: MarketModel,
                             pref: CptPreference) -> BinomialInputs:
@@ -250,7 +246,7 @@ def prospect_at(inputs: BinomialInputs, theta: float) -> float:
     """Exact two-atom prospect of trading theta from the all-cash position."""
     law = _binomial_law(inputs.market)
     portfolio = Portfolio(inputs.x0, 0.0)
-    b = inputs.reference
+    b = (1.0 + inputs.market.r) * inputs.x0  # wealth of keeping the cash
     d_up = terminal_wealth(portfolio, inputs.market, theta, law.u) - b
     d_down = terminal_wealth(portfolio, inputs.market, theta, law.d) - b
     if d_up == d_down == 0.0:
@@ -338,9 +334,7 @@ def _merge_rays(buy: Solution, sell: Solution) -> Solution:
 def solve_binomial_with_inputs(x0: float, market: MarketModel,
                                pref: CptPreference) -> tuple[Solution, BinomialInputs]:
     """Checked solve that also returns the inputs it classified."""
-    arb = check_no_arbitrage(market)
-    if not arb:
-        raise ValueError(f"market admits arbitrage or is degenerate: {arb.reason}")
+    check_no_arbitrage(market).require()
     inputs = prepare_binomial_inputs(x0, market, pref)
     return _merge_rays(solve_ray(inputs, "buy"), solve_ray(inputs, "sell")), inputs
 

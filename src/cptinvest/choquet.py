@@ -148,8 +148,7 @@ def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
     if log_density is not None:
         # q = exp(-s); integrand decays like exp(-delta * s**gamma)
         s_lo = -math.log(mid)
-        delta = weighting.delta_gain if side == "gain" else weighting.delta_loss
-        s_hi = (45.0 / delta) ** (1.0 / weighting.gamma)
+        s_hi = weighting.tail_span(side)
         log_quantiles = law.has_log_tail_quantiles
         if not log_quantiles:
             s_hi = min(s_hi, _SIGMA_MAX)
@@ -168,9 +167,8 @@ def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
             total += v
             err += e
             cut = s_hi
-        # unresolved mass beyond the truncation point: w(exp(-cut)), taken in
-        # the s-domain so it stays exact where exp(-cut) underflows
-        tail_mass = math.exp(-delta * cut**weighting.gamma)
+        # unresolved mass beyond the truncation point
+        tail_mass = weighting.tail_weight(side, cut)
         if tail_mass > 0.0:
             err += tail_mass * abs(outcome_at_s(cut))
     else:

@@ -137,14 +137,15 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _write_csv(path: str, rows) -> None:
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+
 def write_sweep_csv(path: str, mode: str, axis: str, rows: list[SweepRow]) -> None:
     columns = _sweep_columns(mode, axis)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            record = {axis: row.value, **vars(row)}
-            writer.writerow([_cell(record[c]) for c in columns])
+    records = ({axis: row.value, **vars(row)} for row in rows)
+    _write_csv(path, [columns, *([_cell(record[c]) for c in columns] for record in records)])
 
 
 def _auto_grid(config: RunConfig, sol: Solution) -> GridSpec:
@@ -207,15 +208,12 @@ def _print_summary(summary: dict) -> None:
 
 
 def _write_solve_csv(path: str, summary: dict) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["key", "value"])
-        for key in ("mode", "case_id", "theta_star", "prospect_star", "boundary"):
-            writer.writerow([key, _cell(summary[key])])
-        for key, value in summary.get("diagnostics", {}).items():
-            writer.writerow([key, _cell(value)])
-        if "oracle" in summary:
-            writer.writerow(["oracle_agreement", summary["oracle"]["agreement"]])
+    keys = ("mode", "case_id", "theta_star", "prospect_star", "boundary")
+    pairs = [*((key, summary[key]) for key in keys), *summary.get("diagnostics", {}).items()]
+    rows = [["key", "value"], *([key, _cell(value)] for key, value in pairs)]
+    if "oracle" in summary:
+        rows.append(["oracle_agreement", summary["oracle"]["agreement"]])
+    _write_csv(path, rows)
 
 
 def _parse_sweep_axis(text: str) -> tuple[str, float, float, int]:
@@ -271,10 +269,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"sigma:  {est.sigma!r}")
             print(f"n_obs:  {est.n_observations}")
             if args.out:
-                with open(args.out, "w", newline="") as handle:
-                    writer = csv.writer(handle)
-                    writer.writerow(["mu", "sigma", "n_obs"])
-                    writer.writerow([repr(est.mu), repr(est.sigma), est.n_observations])
+                _write_csv(args.out, [["mu", "sigma", "n_obs"],
+                                      [repr(est.mu), repr(est.sigma), est.n_observations]])
             return 0
 
         config = RunConfig.from_file(args.config)
@@ -284,13 +280,13 @@ def main(argv: list[str] | None = None) -> int:
             print("pass" if arb.passed else f"fail: {arb.reason}")
             return 0 if arb.passed else 2
 
+        if args.command == "verify":
+            # solve with the oracle on, writing no CSV
+            config = config.replace_values(solve__oracle=True, output__csv=None)
+        out = args.out or config.data["output"]["csv"]
         if args.command in ("solve", "verify"):
-            if args.command == "verify":
-                # solve with the oracle on, writing no CSV
-                config = config.replace_values(solve__oracle=True, output__csv=None)
             summary = solve_once(config)
             _print_summary(summary)
-            out = args.out or config.data["output"]["csv"]
             if out:
                 _write_solve_csv(out, summary)
             return 3 if config.oracle and summary["oracle"]["agreement"] != "match" else 0
@@ -300,7 +296,6 @@ def main(argv: list[str] | None = None) -> int:
         grid = sweep_grid(start, stop, count)
         rows = run_sweep(config, axis, grid)
         failures = sum(1 for r in rows if r.error)
-        out = args.out or config.data["output"]["csv"]
         if out:
             write_sweep_csv(out, config.mode, axis, rows)
             print(f"wrote {len(rows)} rows to {out} ({failures} row errors)")
@@ -311,12 +306,9 @@ def main(argv: list[str] | None = None) -> int:
                       + (f" ERROR: {row.error}" if row.error else ""))
         return 0 if failures == 0 else 2
 
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, ProspectDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProspectDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 4 if isinstance(exc, ProspectDivergenceError) else 2
 
 
 if __name__ == "__main__":

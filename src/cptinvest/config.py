@@ -61,25 +61,35 @@ DEFAULT_CONFIG: dict[str, Any] = {
 
 _MODES = ("continuous", "zero-initial", "binomial")
 
+
+def _number(value: Any, key: str) -> float:
+    """A numeric config value: a JSON number, never a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _numbers(section: dict, *keys: str) -> list[float]:
+    return [_number(section[key], key) for key in keys]
+
+
 # each kind a config may name, and its builder from the config section
 _RETURNS = {
-    "lognormal": lambda s: Lognormal(float(s["mu"]), float(s["sigma"])),
-    "normal": lambda s: Normal(float(s["mu"]), float(s["sigma"])),
-    "student-t": lambda s: StudentT(float(s["nu"]), float(s.get("loc", 0.0)),
-                                    float(s.get("scale", 1.0))),
-    "binomial": lambda s: Binomial(float(s["u"]), float(s["d"]), float(s["p"])),
-    "empirical": lambda s: Empirical(tuple(float(v) for v in s["values"])),
+    "lognormal": lambda s: Lognormal(*_numbers(s, "mu", "sigma")),
+    "normal": lambda s: Normal(*_numbers(s, "mu", "sigma")),
+    "student-t": lambda s: StudentT(*_numbers({"loc": 0.0, "scale": 1.0, **s},
+                                              "nu", "loc", "scale")),
+    "binomial": lambda s: Binomial(*_numbers(s, "u", "d", "p")),
+    "empirical": lambda s: Empirical(tuple(_number(v, "every value") for v in s["values"])),
 }
 _UTILITIES = {
-    "power": lambda s: PowerUtility(float(s["alpha"]), float(s["beta"]),
-                                    float(s["loss_aversion"])),
-    "exponential": lambda s: ExponentialUtility(float(s["eta_gain"]), float(s["eta_loss"]),
-                                                float(s["loss_aversion"])),
+    "power": lambda s: PowerUtility(*_numbers(s, "alpha", "beta", "loss_aversion")),
+    "exponential": lambda s: ExponentialUtility(*_numbers(s, "eta_gain", "eta_loss",
+                                                             "loss_aversion")),
 }
 _WEIGHTINGS = {
-    "tk": lambda s: TverskyKahnemanWeighting(float(s["gamma"]), float(s["delta"])),
-    "prelec": lambda s: PrelecWeighting(float(s["gamma"]), float(s["delta_gain"]),
-                                        float(s["delta_loss"])),
+    "tk": lambda s: TverskyKahnemanWeighting(*_numbers(s, "gamma", "delta")),
+    "prelec": lambda s: PrelecWeighting(*_numbers(s, "gamma", "delta_gain", "delta_loss")),
     "identity": lambda s: IdentityWeighting(),
 }
 
@@ -147,16 +157,14 @@ class RunConfig:
         market = None
         if returns is not None:
             try:
-                market = MarketModel(float(data["market"]["r"]),
-                                     float(data["market"]["lambda"]), returns)
+                market = MarketModel(*_numbers(data["market"], "r", "lambda"), returns)
             except (TypeError, ValueError) as exc:
                 problems.append(f"market: {exc}")
 
         preference = _build_preference(data["preference"], problems)
         portfolio = None
         try:
-            portfolio = Portfolio(float(data["portfolio"]["x0"]),
-                                  float(data["portfolio"]["y0"]))
+            portfolio = Portfolio(*_numbers(data["portfolio"], "x0", "y0"))
         except (TypeError, ValueError) as exc:
             problems.append(f"portfolio: {exc}")
 
@@ -170,6 +178,8 @@ class RunConfig:
         grid = None
         if data["solve"]["grid"] is not None:
             try:
+                # checked as numbers, built from the raw values that GridSpec's messages show
+                _numbers(data["solve"]["grid"], *data["solve"]["grid"])
                 grid = GridSpec(**data["solve"]["grid"])
             except (TypeError, ValueError) as exc:
                 problems.append(f"solve.grid: {exc}")

@@ -329,9 +329,7 @@ def solve_with_inputs(portfolio: Portfolio, market: MarketModel, pref: CptPrefer
     """Checked solve and the inputs it classified; ``zero_initial`` uses x0 alone."""
     if not zero_initial and portfolio.y0 <= 0:
         raise ValueError("the constrained solver requires positive initial holdings y0")
-    arb = check_no_arbitrage(market)
-    if not arb:
-        raise ValueError(f"market admits arbitrage or is degenerate: {arb.reason}")
+    check_no_arbitrage(market).require()
     if zero_initial:
         inputs = prepare_zero_initial_inputs(portfolio.x0, market, pref)
     else:

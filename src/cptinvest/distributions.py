@@ -200,14 +200,11 @@ class ContinuousLaw:
     base: object
     shift: float = 0.0
     scale: float = 1.0
+    atoms = None  # a class attribute, not a field: no atoms
 
     def __post_init__(self):
         if self.scale == 0.0:
             raise ValueError("scale must be nonzero; use constant_law() for a point mass")
-
-    @property
-    def atoms(self):
-        return None
 
     @property
     def has_log_tail_quantiles(self) -> bool:
@@ -220,6 +217,10 @@ class ContinuousLaw:
     def sf(self, x: float) -> float:
         z = (x - self.shift) / self.scale
         return self.base.sf(z) if self.scale > 0 else self.base.cdf(z)
+
+    # P(X < x) and P(X > x): no atoms, so the strict probabilities are the CDF and survival
+    prob_below = cdf
+    prob_above = sf
 
     def ppf(self, q: float) -> float:
         if not 0.0 < q < 1.0:
@@ -271,12 +272,6 @@ class ContinuousLaw:
         if self.scale > 0:
             return self.shift + self.scale * self.base.isf_logq_array(log_q)
         return self.shift + self.scale * self.base.ppf_logq_array(log_q)
-
-    def prob_below(self, x: float) -> float:
-        return self.cdf(x)
-
-    def prob_above(self, x: float) -> float:
-        return self.sf(x)
 
     def affine(self, shift: float, scale: float) -> "SignedDistribution":
         """Exact law of ``shift + scale * X``."""

@@ -41,8 +41,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Lognormal:
-    """ln(1 + R) ~ N(mu, sigma^2)."""
+class _MuSigma:
+    """The parameters of a normal law: finite mu, finite sigma > 0."""
 
     mu: float
     sigma: float
@@ -50,21 +50,19 @@ class Lognormal:
     def __post_init__(self):
         if not (math.isfinite(self.mu) and 0.0 < self.sigma < math.inf):
             raise ValueError(f"need finite mu and sigma > 0, got {self.mu}, {self.sigma}")
+
+
+@dataclass(frozen=True)
+class Lognormal(_MuSigma):
+    """ln(1 + R) ~ N(mu, sigma^2)."""
 
     def gross_law(self) -> SignedDistribution:
         return ContinuousLaw(LognormalBase(self.mu, self.sigma))
 
 
 @dataclass(frozen=True)
-class Normal:
+class Normal(_MuSigma):
     """R ~ N(mu, sigma^2); the gross return 1 + R inherits the shift."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0.0 < self.sigma < math.inf):
-            raise ValueError(f"need finite mu and sigma > 0, got {self.mu}, {self.sigma}")
 
     def gross_law(self) -> SignedDistribution:
         return ContinuousLaw(NormalBase(), shift=1.0 + self.mu, scale=self.sigma)
@@ -200,6 +198,11 @@ class ArbitrageCheck:
 
     def __bool__(self) -> bool:
         return self.passed
+
+    def require(self) -> None:
+        """Raise ``ValueError`` with the reason if the check failed."""
+        if not self.passed:
+            raise ValueError(f"market admits arbitrage or is degenerate: {self.reason}")
 
 
 def check_no_arbitrage(m: MarketModel) -> ArbitrageCheck:

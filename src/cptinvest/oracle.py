@@ -11,7 +11,6 @@ growth along a geometric ladder toward the stated limit prospect.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 
@@ -69,11 +68,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("n_points", "refinement_rounds"):
-            count = getattr(self, name)
-            try:
-                operator.index(count)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {count!r}") from None
+            if isinstance(count := getattr(self, name), bool) or not hasattr(count, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if not math.isfinite(self.hi - self.lo):
             raise ValueError(f"grid bounds and span must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
@@ -206,10 +202,7 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         """A side's tail-end nodes on [sigma0, sigma0 + span], as sigma - sigma0, and
         their quadrature weights."""
         if prelec:
-            # w(e**-sigma) = exp(-delta * sigma**gamma): past the span, the weight left
-            # out is below e**-45 = 3e-20
-            delta = weighting.delta_gain if side == "gain" else weighting.delta_loss
-            span = (45.0 / delta) ** (1.0 / weighting.gamma)
+            span = weighting.tail_span(side)
         else:
             # the integrand decays like e**(-rate * sigma), rate = e - p/nu (endpoint
             # exponent, utility power at infinity, Student-t degrees of freedom): past
@@ -225,8 +218,8 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         offset = _LN2 * np.expm1(log_ratio * tail_x)
         return offset, (offset + _LN2) * log_ratio * tail_w
 
-    def side_value(side, tail, b, s, upper, use_upper_tail):
-        """integral of u(|Q_D|) w'(q) over (0, upper): (0, upper/2] in sigma, then the rest."""
+    def side_value(side, tail, law, b, s, upper):
+        """integral of u(b + s*law.isf(q)) w'(q) over (0, upper), s > 0: (0, upper/2] in sigma."""
         live = upper > 1e-300
         if not live.any():
             return np.zeros_like(b)
@@ -248,15 +241,14 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         q = np.concatenate([np.exp(-np.minimum(sigma, _SIGMA_MAX)),
                             np.minimum(levels[:, None] - half[:, None] * up_t ** m_u,
                                        _BELOW_ONE)], axis=1)
-        quantiles = law.isf_array(q) if use_upper_tail else law.ppf_array(q)
+        quantiles = law.isf_array(q)
         # tail-end weights rho(sigma) = w'(e**-sigma) * e**-sigma
         weights = weighting.derivative_array(side, q)
         if prelec:
             weights[:, :n_tail] = weighting.log_tail_density_array(side, sigma)
             if deep.any():
                 # q = e**-sigma underflows there: the quantile comes from sigma itself
-                log_quantile = law.isf_logq_array if use_upper_tail else law.ppf_logq_array
-                quantiles[:, :n_tail][deep] = log_quantile(-sigma[deep])
+                quantiles[:, :n_tail][deep] = law.isf_logq_array(-sigma[deep])
         else:
             # past sigma = 700, rho < e**-196 (endpoint exponents are >= 0.28): dropped
             weights[:, :n_tail] *= q[:, :n_tail]
@@ -265,11 +257,10 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         weights[:, :n_tail] *= tail_weights
         weights[:, n_tail:] *= m_u * up_t ** (m_u - 1.0) * up_w
         weights[:, n_tail:] *= half[:, None]
-        # rows sorted by level, so a block inside one level broadcasts that level's
-        # nodes; a loss magnitude -(b + s*Q) is exactly (-b) + (-s)*Q
+        # rows sorted by level, so a block inside one level broadcasts that level's nodes
         by_level = np.argsort(inv, kind="stable")
         rows, ks = np.nonzero(live)[0][by_level], inv[by_level]
-        b_rows, s_rows = (b[rows], s[rows]) if side == "gain" else (-b[rows], -s[rows])
+        b_rows, s_rows = b[rows], s[rows]
         sums = np.empty(rows.size)
         block = np.empty((min(rows.size, _ROW_BLOCK), q.shape[1]))
         # a row's arithmetic and its order do not depend on its block
@@ -289,20 +280,22 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         return result
 
     for sign in (1.0, -1.0):
-        rows = (slope > 0.0) if sign > 0 else (slope < 0.0)
+        rows = sign * slope > 0.0
         if not rows.any():
             continue
+        # b + s*X = b + (sign*s)*(sign*X) with sign*s > 0; losses negate b and the law, exactly
+        gain_law, loss_law = law.affine(0.0, sign), law.affine(0.0, -sign)
         b = base[rows]
-        s = slope[rows]
+        s = sign * slope[rows]
         # gross return where the difference changes sign, rounded to one level per ray
         cross = _ray_crossing(-b / s)
-        prob_gain = law.sf_array(cross) if sign > 0 else law.cdf_array(cross)
+        prob_gain = gain_law.sf_array(cross)
         # both sides' divergence checks come before either side's range check
         gain_tail, loss_tail = tail_nodes("gain"), tail_nodes("loss")
         # rows whose b + s*Q overflows come out infinite or NaN, refused by the caller
         with np.errstate(over="ignore", invalid="ignore"):
-            out[rows] = (side_value("gain", gain_tail, b, s, prob_gain, sign > 0)
-                         - side_value("loss", loss_tail, b, s, 1.0 - prob_gain, sign < 0))
+            out[rows] = (side_value("gain", gain_tail, gain_law, b, s, prob_gain)
+                         - side_value("loss", loss_tail, loss_law, -b, s, 1.0 - prob_gain))
     return out
 
 

@@ -36,6 +36,14 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'gain' or 'loss', got {side!r}")
 
 
+def _check_above(params, floor: float, *names: str) -> None:
+    """Each named parameter must be finite and above ``floor``."""
+    for name in names:
+        value = getattr(params, name)
+        if not floor < value < math.inf:
+            raise ValueError(f"{name} must be finite and > {floor:g}, got {value}")
+
+
 @dataclass(frozen=True)
 class PowerUtility:
     """Piecewise power utility: x**alpha on gains, loss_aversion * x**beta on losses."""
@@ -51,8 +59,7 @@ class PowerUtility:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.alpha > self.beta:
             raise ValueError(f"alpha must not exceed beta, got {self.alpha} > {self.beta}")
-        if not 1.0 < self.loss_aversion < math.inf:
-            raise ValueError(f"loss_aversion must be finite and > 1, got {self.loss_aversion}")
+        _check_above(self, 1.0, "loss_aversion")
 
     def value(self, side: Side, x: float) -> float:
         _check_side(side)
@@ -86,11 +93,8 @@ class ExponentialUtility:
     loss_aversion: float = 2.25
 
     def __post_init__(self):
-        for name, v in (("eta_gain", self.eta_gain), ("eta_loss", self.eta_loss)):
-            if not 0.0 < v < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
-        if not 1.0 < self.loss_aversion < math.inf:
-            raise ValueError(f"loss_aversion must be finite and > 1, got {self.loss_aversion}")
+        _check_above(self, 0.0, "eta_gain", "eta_loss")
+        _check_above(self, 1.0, "loss_aversion")
 
     def value(self, side: Side, x: float) -> float:
         _check_side(side)
@@ -179,13 +183,19 @@ class PrelecWeighting:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        for name, v in (("delta_gain", self.delta_gain), ("delta_loss", self.delta_loss)):
-            if not 0.0 < v < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        _check_above(self, 0.0, "delta_gain", "delta_loss")
 
     def _delta(self, side: Side) -> float:
         _check_side(side)
         return self.delta_gain if side == "gain" else self.delta_loss
+
+    def tail_weight(self, side: Side, sigma: float) -> float:
+        """w(e**-sigma), taken in sigma so it stays exact where e**-sigma underflows."""
+        return math.exp(-self._delta(side) * sigma**self.gamma)
+
+    def tail_span(self, side: Side) -> float:
+        """The sigma past which the weight left out, ``tail_weight``, is below e**-45 = 3e-20."""
+        return (45.0 / self._delta(side)) ** (1.0 / self.gamma)
 
     def weight(self, side: Side, q: float) -> float:
         d = self._delta(side)

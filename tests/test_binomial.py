@@ -22,7 +22,14 @@ from cptinvest.binomial import (
 )
 from cptinvest.choquet import prospect_value
 from cptinvest.distributions import DiscreteLaw
-from cptinvest.market import Binomial, MarketModel, Portfolio, check_no_arbitrage, terminal_wealth
+from cptinvest.market import (
+    Binomial,
+    Lognormal,
+    MarketModel,
+    Portfolio,
+    check_no_arbitrage,
+    terminal_wealth,
+)
 from cptinvest.oracle import GridSpec, evaluate_objective, verify
 from cptinvest.preferences import (
     CptPreference,
@@ -609,3 +616,30 @@ def test_each_ray_is_built_once(monkeypatch):
     # the limit prospect reads the ray's two decision weights
     assert sol.prospect == TK.weight("gain", 0.8) - pref.utility.loss_aversion * TK.weight(
         "loss", 0.2)
+
+
+REFUSAL_PREF = CptPreference(ExponentialUtility(1, 1, 2.25), TK)
+
+
+@pytest.mark.parametrize("m, pref, error, message", [
+    pytest.param(MarketModel(0.05, 0, Binomial(1.04, 1.02, 0.5)), REFUSAL_PREF, ValueError,
+                 "market admits arbitrage or is degenerate: risk-free dominates: "
+                 "P(gross > 1.05) = 0", id="arbitrage"),
+    pytest.param(MarketModel(0.05, 0, Lognormal(0.05, 0.2)), REFUSAL_PREF, TypeError,
+                 "this solver requires a two-state (binomial) return law", id="lognormal-law"),
+    pytest.param(market(), CptPreference(PowerUtility(), TK), TypeError,
+                 "the two-state solver requires the exponential utility pair", id="power"),
+    pytest.param(market(), CptPreference(ExponentialUtility(1, 2, 2.25), TK), ValueError,
+                 "the two-state solver requires equal gain/loss curvature", id="curvature"),
+])
+def test_solve_binomial_refuses_what_it_cannot_solve(m, pref, error, message):
+    with pytest.raises(error) as raised:
+        solve_binomial(1.0, m, pref)
+    assert str(raised.value) == message
+
+
+def test_candidate_trade_names_a_bad_side():
+    inputs = prepare_binomial_inputs(1.0, market(), REFUSAL_PREF)
+    with pytest.raises(ValueError) as raised:
+        candidate_trade(inputs, "up")
+    assert str(raised.value) == "side must be 'buy' or 'sell', got 'up'"

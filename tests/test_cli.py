@@ -625,3 +625,92 @@ class TestOutputBytes:
                                            "sigma:  0.007033280362513851\nn_obs:  2\n")
         assert csv_path.read_bytes() == (b"mu,sigma,n_obs\r\n"
                                          b"0.014635191150056613,0.007033280362513851,2\r\n")
+
+
+# a numeric config value must be a JSON number: a string or a boolean is one problem
+# naming its key, never a number read from it
+NOT_NUMBERS = [
+    pytest.param({"market": {"lambda": "0.02", "r": False}, "portfolio": {"x0": "2", "y0": True}},
+                 ["market: r must be a JSON number, got False",
+                  "portfolio: x0 must be a JSON number, got '2'"], id="market-and-portfolio"),
+    pytest.param({"market": {"r": True}}, ["market: r must be a JSON number, got True"],
+                 id="r-true"),
+    pytest.param({"market": {"lambda": "0.02"}},
+                 ["market: lambda must be a JSON number, got '0.02'"], id="lambda-string"),
+    pytest.param({"portfolio": {"x0": 1.0, "y0": True}},
+                 ["portfolio: y0 must be a JSON number, got True"], id="y0-true"),
+    pytest.param({"solve": {"grid": {"lo": True, "hi": 10, "refinement_rounds": True}}},
+                 ["solve.grid: lo must be a JSON number, got True"], id="grid-booleans"),
+    pytest.param({"solve": {"grid": {"lo": "-1", "hi": 10}}},
+                 ["solve.grid: lo must be a JSON number, got '-1'"], id="grid-string"),
+    pytest.param({"solve": {"grid": {"lo": -1, "hi": 10, "n_points": True}}},
+                 ["solve.grid: n_points must be a JSON number, got True"], id="grid-points"),
+    pytest.param({"market": {"returns": {"kind": "empirical", "values": ["1.1", 0.9, True]}}},
+                 ["market.returns: every value must be a JSON number, got '1.1'"],
+                 id="empirical-values"),
+    pytest.param({"market": {"returns": {"kind": "student-t", "nu": 5, "loc": "0"}}},
+                 ["market.returns: loc must be a JSON number, got '0'"], id="student-t-loc"),
+    pytest.param({**BINOM, "market": {**BINOM["market"], "returns": {
+        "kind": "binomial", "u": 1.5, "d": 0.95, "p": None}}},
+                 ["market.returns: p must be a JSON number, got None"], id="binomial-null"),
+    pytest.param({"preference": {"alpha": "0.5"}},
+                 ["preference utility: alpha must be a JSON number, got '0.5'"],
+                 id="alpha-string"),
+    pytest.param({"preference": {"weighting": "prelec", "delta_loss": False}},
+                 ["preference weighting: delta_loss must be a JSON number, got False"],
+                 id="prelec-delta-false"),
+]
+
+
+@pytest.mark.parametrize("payload, problems", NOT_NUMBERS)
+def test_a_number_must_be_a_json_number(payload, problems, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(payload)
+    assert err.value.problems == problems
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert main(["solve", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid configuration:\n" + "".join(
+        f"  - {problem}\n" for problem in problems)
+
+
+def test_json_integers_load_as_the_floats_they_name():
+    as_floats = RunConfig.from_dict({**BINOM, "market": {"r": 1.0, "lambda": 0.0, "returns": {
+        "kind": "binomial", "u": 3.0, "d": 1.0, "p": 0.5}}, "solve": {
+        "mode": "binomial", "grid": {"lo": -3.0, "hi": 4.0, "n_points": 11}}})
+    as_ints = RunConfig.from_dict({**BINOM, "market": {"r": 1, "lambda": 0, "returns": {
+        "kind": "binomial", "u": 3, "d": 1, "p": 0.5}}, "portfolio": {"x0": 1, "y0": 0},
+        "solve": {"mode": "binomial", "grid": {"lo": -3, "hi": 4, "n_points": 11}}})
+    assert as_ints == as_floats
+    assert repr(as_ints.market) == repr(as_floats.market)
+    assert solve_once(as_ints) == solve_once(as_floats)
+
+
+@pytest.mark.parametrize("name", ["n_points", "refinement_rounds"])
+def test_grid_counts_are_not_booleans(name):
+    with pytest.raises(ValueError) as raised:
+        GridSpec(-1.0, 10.0, **{name: True})
+    assert str(raised.value) == f"{name} must be an integer, got True"
+
+
+# r = lambda = 0 and loss aversion exactly w_TK(0.7) / w_TK(0.3), the buy ray's unbounded
+# threshold: the buy ray is flat, so every buy is optimal
+FLAT_BUY = {
+    "market": {"r": 0.0, "lambda": 0.0,
+               "returns": {"kind": "binomial", "u": 1.1, "d": 0.9, "p": 0.3}},
+    "preference": {"utility": "exponential", "eta_gain": 1.0, "eta_loss": 1.0,
+                   "loss_aversion": 1.6296077564369587},
+    "portfolio": {"x0": 1.0, "y0": 0.0},
+    "solve": {"mode": "binomial"},
+}
+
+
+def test_an_interval_summary_gives_its_ends():
+    tk = RunConfig.from_dict(FLAT_BUY).preference.weighting
+    assert tk.weight("gain", 0.7) / tk.weight("loss", 0.3) == 1.6296077564369587
+    summary = solve_once(RunConfig.from_dict(FLAT_BUY))
+    assert (summary["case_id"], summary["kind"]) == ("T4.3-4", "interval")
+    assert summary["interval"] == ["0.0", "inf"]
+    assert summary["boundary"] is True
