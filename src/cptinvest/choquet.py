@@ -78,8 +78,6 @@ def quad(*args, **kwargs):
 
 
 def _checked_quad(f, a: float, b: float, side: str):
-    if b <= a:
-        return 0.0, 0.0
     res = quad(f, a, b, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
                limit=_MAX_PANELS, full_output=1)
     value, abserr = res[0], res[1]

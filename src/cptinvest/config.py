@@ -66,7 +66,11 @@ def _number(value: Any, key: str) -> float:
     """A numeric config value: a JSON number, never a string or a boolean."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a JSON number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} must fit in a float, "
+                         f"got an integer of {len(str(abs(value)))} digits") from None
 
 
 def _numbers(section: dict, *keys: str) -> list[float]:
@@ -156,17 +160,13 @@ class RunConfig:
                          f"one of {tuple(_RETURNS)}", "market.returns", problems)
         market = None
         if returns is not None:
-            try:
-                market = MarketModel(*_numbers(data["market"], "r", "lambda"), returns)
-            except (TypeError, ValueError) as exc:
-                problems.append(f"market: {exc}")
+            market = _attempt(problems, "market",
+                              lambda s: MarketModel(*_numbers(s, "r", "lambda"), returns),
+                              data["market"])
 
         preference = _build_preference(data["preference"], problems)
-        portfolio = None
-        try:
-            portfolio = Portfolio(*_numbers(data["portfolio"], "x0", "y0"))
-        except (TypeError, ValueError) as exc:
-            problems.append(f"portfolio: {exc}")
+        portfolio = _attempt(problems, "portfolio",
+                             lambda s: Portfolio(*_numbers(s, "x0", "y0")), data["portfolio"])
 
         mode = data["solve"]["mode"]
         if mode not in _MODES:
@@ -177,12 +177,7 @@ class RunConfig:
 
         grid = None
         if data["solve"]["grid"] is not None:
-            try:
-                # checked as numbers, built from the raw values that GridSpec's messages show
-                _numbers(data["solve"]["grid"], *data["solve"]["grid"])
-                grid = GridSpec(**data["solve"]["grid"])
-            except (TypeError, ValueError) as exc:
-                problems.append(f"solve.grid: {exc}")
+            grid = _attempt(problems, "solve.grid", _grid, data["solve"]["grid"])
 
         csv_path = data["output"]["csv"]
         if not (csv_path is None or isinstance(csv_path, str)):
@@ -238,13 +233,24 @@ def _build(table: dict, spec: dict, key: str, field: str, choices: str, label: s
     if not (isinstance(kind, str) and kind in table):
         problems.append(f"{field} must be {choices}, got {kind!r}")
         return None
+    return _attempt(problems, label, table[kind], spec)
+
+
+def _attempt(problems: list[str], label: str, build, section: dict):
+    """``build(section)``, or None with its error as one problem under ``label``."""
     try:
-        return table[kind](spec)
+        return build(section)
     except KeyError as exc:
         problems.append(f"{label}: missing parameter {exc}")
     except (TypeError, ValueError) as exc:
         problems.append(f"{label}: {exc}")
     return None
+
+
+def _grid(spec: dict) -> GridSpec:
+    """The solve.grid section checked as numbers, built from the raw values GridSpec shows."""
+    _numbers(spec, *spec)
+    return GridSpec(**spec)
 
 
 def _either(table: dict) -> str:

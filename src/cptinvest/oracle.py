@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .choquet import _BELOW_ONE, _SIGMA_MAX, ProspectDivergenceError, prospect_value, rank_weights
-from .distributions import DiscreteLaw, constant_law
+from .distributions import DiscreteLaw
 from .market import MarketModel, Portfolio, reference_wealth, terminal_wealth
 from .preferences import CptPreference, ExponentialUtility, PrelecWeighting
 from .solution import Solution, SolutionKind
@@ -127,8 +127,6 @@ def difference_law(p: Portfolio, m: MarketModel, theta: float):
     probe = diff(2.0)
     if abs(base + 2.0 * slope - probe) > 1e-9 * (1.0 + abs(probe)):
         raise AssertionError("wealth difference is not affine in the gross return")
-    if slope == 0.0:
-        return constant_law(base)
     return m.law.affine(base, slope)
 
 
@@ -182,10 +180,8 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
     const_rows = slope == 0.0
     if const_rows.any():
         vals = base[const_rows]
-        out[const_rows] = np.where(
-            vals > 0, utility.value_array("gain", np.maximum(vals, 0.0)),
-            np.where(vals < 0, -utility.value_array("loss", np.maximum(-vals, 0.0)), 0.0),
-        )
+        out[const_rows] = (utility.value_array("gain", np.maximum(vals, 0.0))
+                           - utility.value_array("loss", np.maximum(-vals, 0.0)))
 
     weighting = pref.weighting
     prelec = isinstance(weighting, PrelecWeighting)
@@ -221,8 +217,6 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
     def side_value(side, tail, law, b, s, upper):
         """integral of u(b + s*law.isf(q)) w'(q) over (0, upper), s > 0: (0, upper/2] in sigma."""
         live = upper > 1e-300
-        if not live.any():
-            return np.zeros_like(b)
         # q-nodes depend on a row only through upper, one level per trade ray:
         # quantiles and weights once per level, the utility pathwise per row
         levels, inv = np.unique(upper[live], return_inverse=True)

@@ -179,6 +179,31 @@ def test_infinite_parameters_are_refused(build, payload, problem, tmp_path, caps
     assert f"  - {problem}" in capsys.readouterr().err
 
 
+# a JSON integer of 400 digits, past the float range
+HUGE = int("9" * 400)
+
+
+@pytest.mark.parametrize("payload, problem", [
+    ({"market": {"r": HUGE}}, "market: r must fit in a float, got an integer of 400 digits"),
+    ({"portfolio": {"x0": -HUGE}},
+     "portfolio: x0 must fit in a float, got an integer of 400 digits"),
+    ({"market": {"returns": {"kind": "empirical", "values": [0.97, HUGE]}}},
+     "market.returns: every value must fit in a float, got an integer of 400 digits"),
+    ({"solve": {"grid": {"lo": -1, "hi": 10, "n_points": HUGE}}},
+     "solve.grid: n_points must fit in a float, got an integer of 400 digits"),
+], ids=["market-r", "portfolio-x0", "empirical-value", "grid-n-points"])
+def test_integers_past_the_float_range_are_refused(payload, problem, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(payload)
+    assert err.value.problems == [problem]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert main(["solve", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid configuration:\n  - {problem}\n"
+
+
 _ZERO_INITIAL = {"portfolio": {"x0": 1.0, "y0": 0.0}, "solve": {"mode": "zero-initial"}}
 
 
@@ -198,8 +223,21 @@ _ZERO_INITIAL = {"portfolio": {"x0": 1.0, "y0": 0.0}, "solve": {"mode": "zero-in
     ({**BINOM, "market": BULL["market"]}, "binomial mode requires a binomial return law"),
     ({**BINOM, "preference": {**BINOM["preference"], "eta_loss": 2.0}},
      "binomial mode requires equal gain/loss curvature"),
+    ({"market": {"returns": {"kind": "pareto"}}},
+     "market.returns.kind must be one of ('lognormal', 'normal', 'student-t', 'binomial', "
+     "'empirical'), got 'pareto'"),
+    ({"market": {"returns": {"kind": ["lognormal"]}}},
+     "market.returns.kind must be one of ('lognormal', 'normal', 'student-t', 'binomial', "
+     "'empirical'), got ['lognormal']"),
+    ({"preference": {"weighting": 3}},
+     "preference.weighting must be 'tk', 'prelec' or 'identity', got 3"),
+    ({"market": {"returns": {"kind": "binomial", "u": 1.1}}},
+     "market.returns: missing parameter 'd'"),
+    ({"solve": {"grid": {}}},
+     "solve.grid: GridSpec.__init__() missing 2 required positional arguments: 'lo' and 'hi'"),
 ], ids=["normal", "empirical", "prelec", "zero-initial-y0", "zero-initial-exponential",
-        "binomial-y0", "binomial-law", "binomial-curvature"])
+        "binomial-y0", "binomial-law", "binomial-curvature", "unknown-kind", "list-kind",
+        "unknown-weighting", "missing-parameter", "empty-grid"])
 def test_config_builds_each_kind_and_names_each_mode_problem(payload, expected):
     """A parsed kind builds its domain object; a mode problem is the only one reported."""
     if isinstance(expected, str):
@@ -372,6 +410,18 @@ class TestCommandLine:
         assert captured.out == ""
         assert captured.err == ("error: the wealth difference at theta=4.25e+307 "
                                 "overflows the float range\n")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("lambda=0:0.02:0", "sweep count must be >= 1, got 0"),
+        ("lambda=0.02:0:5", "sweep needs stop > start, got 0.02:0.0"),
+        ("lambda", "sweep must look like axis=start:stop:count, got 'lambda'"),
+    ], ids=["no-points", "empty-range", "no-grid"])
+    def test_a_bad_sweep_spec_exits_with_code_2(self, tmp_path, capsys, spec, message):
+        code = main(["sweep", "--config", self._write(tmp_path, BULL), "--sweep", spec])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_check_arb_command(self, tmp_path, capsys):
         code = main(["check-arb", "--config", self._write(tmp_path, BINOM)])

@@ -254,6 +254,22 @@ def test_grid_rows_match_the_adaptive_objective(returns, utility, weighting):
     assert gap.max() <= 1e-8, gap
 
 
+@pytest.mark.parametrize("pref", [
+    CptPreference(PowerUtility(), TverskyKahnemanWeighting(0.6, 0.7)),
+    CptPreference(ExponentialUtility(), IdentityWeighting()),
+], ids=["power-tk", "exponential-identity"])
+def test_grid_rows_with_no_gain_side_and_at_zero_match_the_adaptive_objective(pref):
+    # a gross return past 1 + r = 2 is ~200 sigmas out: every buy row has no gain side,
+    # and theta = +-1e-17 and 0 leave the held position at y0, the constant rows
+    m = MarketModel(1.0, 0.0, Normal(0.0, 0.005))
+    port = Portfolio(1.0, 1.0)
+    thetas = np.concatenate([[-1e-17, 0.0, 1e-17], np.linspace(0.1, 5.0, 21)])
+    fast = evaluate_objective_grid(port, m, pref, thetas)
+    slow = np.array([evaluate_objective(port, m, pref, t) for t in thetas])
+    gap = np.abs(fast - slow) / np.maximum(1.0, np.abs(slow))
+    assert gap.max() <= 1e-8, gap
+
+
 @pytest.mark.parametrize("returns, pref", [
     # Prelec: the gain span (45 / 0.7)**(1 / 0.5) runs to sigma ~ 4 100
     (StudentT(5.0, 0.02, 0.1), CptPreference(BOUNDED, PrelecWeighting(0.5, 0.7, 1.3))),
