@@ -8,6 +8,7 @@ invariant is reported, not just the first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -68,9 +69,10 @@ def _number(value: Any, key: str) -> float:
         raise ValueError(f"{key} must be a JSON number, got {value!r}")
     try:
         return float(value)
-    except OverflowError:
-        raise ValueError(f"{key} must fit in a float, "
-                         f"got an integer of {len(str(abs(value)))} digits") from None
+    except OverflowError:  # counted without str(), which refuses past 4 300 digits
+        digits = int(math.log10(abs(value))) + 1  # off by at most one: made exact
+        digits += (abs(value) >= 10 ** digits) - (abs(value) < 10 ** (digits - 1))
+        raise ValueError(f"{key} must fit in a float, got an integer of {digits} digits") from None
 
 
 def _numbers(section: dict, *keys: str) -> list[float]:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, ndtri_exp, stdtr, stdtrit
 
 __all__ = [
     "SignedDistribution",
@@ -26,7 +25,19 @@ __all__ = [
 ]
 
 
-class _SymmetricBase:
+class _AnalyticBase:
+    """A base law computed by ``scipy.special``: built, copied or unpickled, it imports that."""
+
+    def __new__(cls, *args, **kwargs):
+        global gammaln, ndtr, ndtri, ndtri_exp, stdtr, stdtrit
+        from scipy.special import gammaln, ndtr, ndtri, ndtri_exp, stdtr, stdtrit
+        return super().__new__(cls)
+
+    def __reduce_ex__(self, protocol):  # pickle protocols 0 and 1 would skip __new__
+        return super().__reduce_ex__(max(protocol, 2))
+
+
+class _SymmetricBase(_AnalyticBase):
     """Base law symmetric about 0: its upper tail is the lower one reflected."""
 
     def sf(self, x: float) -> float:
@@ -71,7 +82,7 @@ class NormalBase(_SymmetricBase):
         return -ndtri_exp(log_q)
 
 
-class LognormalBase:
+class LognormalBase(_AnalyticBase):
     """Law of exp(mu + sigma * N) with N standard normal."""
 
     def __init__(self, mu: float, sigma: float):

@@ -317,14 +317,17 @@ report = ci.verify(sol, ci.Portfolio(1.0, 0.0), two_state, pref, ci.GridSpec(-5.
 assert report.matched, report
 ci.prospect_value(pref, ci.Empirical((0.9, 0.97, 1.0, 1.04, 1.3)).gross_law())
 assert "scipy.integrate" not in sys.modules, "loaded by discrete laws"
+assert "scipy.special" not in sys.modules, "loaded by discrete laws"
 power = ci.CptPreference(ci.PowerUtility(0.7, 0.9, 2.25), pref.weighting)
 ci.solve(ci.Portfolio(1.0, 1.0), ci.MarketModel(0.01, 0.01, ci.Lognormal(0.05, 0.2)), power)
 assert "scipy.integrate" in sys.modules, "a continuous solve integrates adaptively"
+assert "scipy.special" in sys.modules, "a continuous base computes with scipy.special"
 """
 
 
 def test_discrete_laws_never_import_the_adaptive_integrator():
-    """``choquet.quad`` imports ``scipy.integrate`` on its first call only."""
+    """``choquet.quad`` imports ``scipy.integrate`` on its first call only, and
+    ``scipy.special`` loads with the first continuous base law."""
     src = str(Path(cptinvest.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", _LAZY_QUAD_SCRIPT], env=env,

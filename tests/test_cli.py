@@ -204,6 +204,18 @@ def test_integers_past_the_float_range_are_refused(payload, problem, tmp_path, c
     assert captured.err == f"error: invalid configuration:\n  - {problem}\n"
 
 
+# past 4 300 digits str() refuses an integer, so the count is made without it; a power of
+# ten has one digit more than the integer just below it
+@pytest.mark.parametrize("value, digits", [(10**5000, 5001), (10**5000 - 1, 5000),
+                                           (-10**4300, 4301), (10**400, 401)],
+                         ids=["1e5000", "1e5000-1", "-1e4300", "1e400"])
+def test_integers_past_the_str_limit_are_refused_by_key(value, digits):
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict({"market": {"r": value}})
+    assert err.value.problems == [
+        f"market: r must fit in a float, got an integer of {digits} digits"]
+
+
 _ZERO_INITIAL = {"portfolio": {"x0": 1.0, "y0": 0.0}, "solve": {"mode": "zero-initial"}}
 
 
@@ -560,6 +572,43 @@ def test_a_non_string_output_csv_exits_with_code_2(tmp_path):
     assert run.stdout == ""
     assert run.stderr == ("error: invalid configuration:\n"
                           "  - output.csv must be a string or null, got 1\n")
+
+
+BINOM_OUT = (
+    "mode:        binomial\n"
+    "case:        T4.3-2a\n"
+    "theta*:      2.544270288356109\n"
+    "prospect*:   0.19457710331104786\n"
+    "  pseudo_buy_up: 0.12801484230055668\n"
+    "  pseudo_buy_down: 0.8719851576994433\n"
+    "  pseudo_sell_up: 0.05454545454545459\n"
+    "  pseudo_sell_down: 0.9454545454545454\n"
+    "  threshold_buy_unbounded: 0.813893257503266\n"
+    "  threshold_buy_interior: 5.54391059458746\n"
+    "  threshold_sell_unbounded: 1.0564834037410353\n"
+    "  threshold_sell_interior: 0.0609509656004444\n"
+    "  no_trade_cost_level: 0.33333333333333337\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["solve", "--config", "config.json"], BINOM_OUT),
+    (["verify", "--config", "config.json"],
+     BINOM_OUT + "oracle:      match (grid search confirms the reported optimum)\n"),
+    (["estimate", "--prices", "px.csv", "--weekly"],
+     "mu:     0.014635191150056613\nsigma:  0.007033280362513851\nn_obs:  2\n"),
+], ids=["solve", "verify", "estimate"])
+def test_discrete_and_estimate_commands_never_import_scipy_special(argv, expected, tmp_path):
+    """A cold two-state run or estimate skips ``scipy.special``, about half its start-up."""
+    (tmp_path / "config.json").write_text(json.dumps(BINOM))
+    (tmp_path / "px.csv").write_text("date,close\n2024-01-01,100\n2024-01-03,101\n"
+                                     "2024-01-08,102\n2024-01-12,103\n2024-01-17,104\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cptinvest.__file__)))
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "cptinvest.cli", *argv],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == expected
+    assert "scipy.special" not in run.stderr  # the import log: one line per module loaded
 
 
 # the oracle grid [-1, 0] misses INTERIOR's buy near theta 0.042, so the oracle mismatches

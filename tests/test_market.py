@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cptinvest
 from cptinvest.market import (
     Binomial,
     Empirical,
@@ -310,3 +315,28 @@ def test_market_builds_its_law_once(market, run, monkeypatch):
         assert type(moved.law.base) is type(fresh.base)
         assert vars(moved.law.base) == vars(fresh.base)
         assert (moved.law.shift, moved.law.scale) == (fresh.shift, fresh.scale)
+
+
+_UNPICKLE_SCRIPT = """
+import pickle
+import sys
+law = pickle.loads(sys.stdin.buffer.read()).law
+print([law.cdf(x) for x in (0.8, 1.0, 1.2)] + [law.ppf(q) for q in (0.01, 0.5, 0.99)])
+"""
+
+
+@pytest.mark.parametrize("protocol", [0, pickle.DEFAULT_PROTOCOL])
+@pytest.mark.parametrize("returns", [Lognormal(0.05, 0.2), Normal(0.05, 0.2),
+                                     StudentT(4.0, 0.0, 0.1)], ids=repr)
+def test_a_market_unpickled_in_a_fresh_interpreter_computes_as_before(returns, protocol):
+    """Unpickling builds the base law without its ``__init__``, before any other base,
+    so it too must bind the ``scipy.special`` functions the law computes with."""
+    market = MarketModel(0.01, 0.01, returns)
+    law = market.law
+    here = [law.cdf(x) for x in (0.8, 1.0, 1.2)] + [law.ppf(q) for q in (0.01, 0.5, 0.99)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cptinvest.__file__)))
+    done = subprocess.run([sys.executable, "-c", _UNPICKLE_SCRIPT],
+                          input=pickle.dumps(market, protocol), capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode() == f"{here}\n"
