@@ -293,15 +293,32 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
     return out
 
 
+@lru_cache(maxsize=8)
+def _decision_weights(weighting, probs: tuple[float, ...]):
+    """Read-only (gain, loss) decision weights of ascending atoms of masses ``probs``:
+    one row per atom, column 0 for rows with s >= 0, where gains rank from the top
+    atom down and losses from the bottom up, column 1 for rows with s < 0."""
+
+    def from_top(side):
+        return rank_weights(weighting, side, probs[::-1])[::-1]
+
+    gain = np.column_stack([from_top("gain"), rank_weights(weighting, "gain", probs)])
+    loss = np.column_stack([rank_weights(weighting, "loss", probs), from_top("loss")])
+    gain.flags.writeable = loss.flags.writeable = False
+    return gain, loss
+
+
 def _discrete_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
                              thetas: np.ndarray) -> np.ndarray:
-    """Exact rank-dependent sums for the whole theta grid at once.
+    """Exact rank-dependent sums for a 1-D theta grid at once.
 
     Each row's wealth difference b + s*x is monotone in the gross return x,
     so the sign of s fixes the rank order of the atoms: every decision weight
-    is one of two per atom and side, shared by the rows.  Blocks hold one row
-    per atom and the thetas across; summed over the atoms, every theta
-    accumulates atom by atom, independent of its neighbours.
+    is one of two per atom and side, shared by the rows.  They depend on the
+    weighting and the masses only, so one cached build serves every grid call
+    of a ``verify``.  Blocks hold one row per atom and the thetas across; summed
+    over the atoms, every theta accumulates atom by atom, independent of its
+    neighbours.
     """
     xs, probs = zip(*m.law.atoms)  # ascending gross returns
     # blocks of the continuous grid's element budget; numpy sums a lone column
@@ -309,15 +326,8 @@ def _discrete_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
     width = max(2, _ROW_BLOCK * 160 // len(xs))
     cols = np.append(thetas, thetas[-1:]) if thetas.size % width == 1 else thetas
     base, slope = _affine_coefficients(p, m, cols)
-    utility, weighting = pref.utility, pref.weighting
-
-    def from_top(side):
-        return rank_weights(weighting, side, probs[::-1])[::-1]
-
-    # one row per atom, column 0 for rows with s >= 0: there gains rank from the top
-    # atom down, losses from the bottom up
-    gain = np.array([from_top("gain"), rank_weights(weighting, "gain", probs)]).T
-    loss = np.array([rank_weights(weighting, "loss", probs), from_top("loss")]).T
+    utility = pref.utility
+    gain, loss = _decision_weights(pref.weighting, probs)
     x_col = np.array(xs)[:, None]
     out = np.empty_like(cols)
     for lo in range(0, cols.size, width):
@@ -338,16 +348,18 @@ def evaluate_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
     """Vectorized objective over a theta grid.
 
     Discrete laws use exact rank-dependent sums; continuous laws, under every
-    weighting, use the shared fixed-node Choquet evaluation.
+    weighting, use the shared fixed-node Choquet evaluation.  Thetas of any
+    shape are evaluated flat, and the values come back in their shape.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    shape = np.shape(thetas)
+    thetas = np.asarray(thetas, dtype=float).ravel()
     grid = _continuous_objective_grid if m.law.atoms is None else _discrete_objective_grid
     values = grid(p, m, pref, thetas)
     # a wealth difference that overflows makes its row, and so the sum, infinite or NaN
     if not math.isfinite(values.sum()) and not np.isfinite(values).all():
         theta = float(thetas[~np.isfinite(values)][0])
         raise GridRangeError(f"the wealth difference at theta={theta!r} overflows the float range")
-    return values
+    return values.reshape(shape)
 
 
 def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cptinvest.binomial import prepare_binomial_inputs, solve_binomial, solve_ray
-from cptinvest.choquet import ProspectDivergenceError, prospect_value
+from cptinvest.choquet import ProspectDivergenceError, prospect_value, rank_weights
 from cptinvest.continuous import prepare_inputs, solve
 from cptinvest.distributions import ContinuousLaw
 from cptinvest.market import (
@@ -23,6 +23,7 @@ from cptinvest.oracle import (
     GridRangeError,
     GridSpec,
     _affine_coefficients,
+    _decision_weights,
     _ray_crossing,
     difference_law,
     evaluate_objective,
@@ -352,6 +353,78 @@ def test_verify_matches_the_closed_form_solution():
     report = verify(sol, CASH, BINOM, EXP_PREF, GridSpec(-span, span, 4001, 2))
     assert report.matched
     assert report.final_step is not None
+
+
+def test_verify_builds_each_decision_weight_list_once(monkeypatch):
+    """The weights depend on the weighting and the masses, not on theta: one verify's
+    grid-search passes and point check share four lists, and a later grid builds none."""
+    m = MarketModel(0.0, 0.02, EMPIRICAL)
+    port, pref = Portfolio(1.0, 1.0), CptPreference(PowerUtility(0.6, 0.8, 2.25), TK)
+    sol = solve(port, m, pref)
+    assert sol.kind is SolutionKind.FINITE_POINT
+    built = []
+
+    def spy(weighting, side, probs):
+        built.append((side, tuple(probs)))
+        return rank_weights(weighting, side, probs)
+
+    monkeypatch.setattr("cptinvest.oracle.rank_weights", spy)
+    _decision_weights.cache_clear()
+    assert verify(sol, port, m, pref, GridSpec(-1.0, 10.0, 401, 2)).matched
+    probs = tuple(p for _, p in m.law.atoms)
+    assert sorted(built) == sorted([("gain", probs), ("gain", probs[::-1]),
+                                    ("loss", probs), ("loss", probs[::-1])])
+    built.clear()
+    evaluate_objective_grid(port, m, pref, np.linspace(-1.0, 3.0, 41))
+    assert built == []
+
+
+def test_decision_weights_are_cached_by_weighting_and_masses():
+    """Interleaved weightings, and laws with equal masses on other atoms, give the
+    rows of a cold cache, byte for byte; the cached weights cannot be written."""
+    port, utility = Portfolio(1.0, 1.0), PowerUtility(0.6, 0.8, 2.25)
+    weightings = [TverskyKahnemanWeighting(0.6, 0.7), TverskyKahnemanWeighting(0.7, 0.6),
+                  PrelecWeighting(0.65, 0.8, 1.2), IdentityWeighting()]
+    # equal masses on different atoms: both binomials, and both empirical laws
+    markets = [MarketModel(0.02, 0.01, Binomial(1.5, 0.95, 0.55)),
+               MarketModel(0.02, 0.01, Binomial(1.2, 0.8, 0.55)),
+               MarketModel(0.02, 0.01, EMPIRICAL),
+               MarketModel(0.02, 0.01, Empirical((0.8, 0.95, 1.01, 1.01, 1.02, 1.02, 1.02,
+                                                  1.1, 1.4)))]
+    thetas = np.linspace(-1.0, 3.0, 9)
+    cold = {}
+    for i, m in enumerate(markets):
+        for j, w in enumerate(weightings):
+            _decision_weights.cache_clear()
+            cold[i, j] = evaluate_objective_grid(port, m, CptPreference(utility, w),
+                                                 thetas).tobytes()
+    _decision_weights.cache_clear()
+    for _ in range(2):
+        for j, w in enumerate(weightings):
+            for i, m in enumerate(markets):
+                warm = evaluate_objective_grid(port, m, CptPreference(utility, w), thetas)
+                assert warm.tobytes() == cold[i, j], (i, j)
+    assert _decision_weights.cache_info().misses == 2 * len(weightings)
+    for weights in _decision_weights(TK, (0.25, 0.75)):
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("returns", [Binomial(1.5, 0.95, 0.55),
+                                     Empirical((0.9, 0.97, 1.0, 1.04, 1.12)),
+                                     Lognormal(0.05, 0.2)], ids=_kind)
+def test_grid_returns_values_in_the_shape_of_its_thetas(returns):
+    """Scalar and 2-D thetas give the bytes of the flat call, in their own shape."""
+    m, port = MarketModel(0.02, 0.01, returns), Portfolio(1.0, 1.0)
+    pref = CptPreference(PowerUtility(0.6, 0.8, 2.25), TK)
+    grid = np.array([[0.5, 1.0], [1.5, -0.5]])
+    flat = evaluate_objective_grid(port, m, pref, grid.ravel())
+    square = evaluate_objective_grid(port, m, pref, grid)
+    assert square.shape == grid.shape
+    assert square.tobytes() == flat.tobytes()
+    scalar = evaluate_objective_grid(port, m, pref, 0.5)
+    assert scalar.shape == ()
+    assert scalar.tobytes() == flat[:1].tobytes()
 
 
 def test_verify_reports_how_many_grid_points_it_evaluated():
