@@ -105,9 +105,12 @@ def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
     upper = min(upper, 1.0)
     mid = 0.5 * upper
     power = weighting.endpoint_exponent(side)
+    # law.isf and law.isf_logq without their range check and sign dispatch, per node
+    shift, scale = law.shift, law.scale
+    base_quantile = law.base.isf if scale > 0 else law.base.ppf
 
     def outcome(q):
-        return value(side, max(law.isf(q), 0.0))
+        return value(side, max(shift + scale * base_quantile(q), 0.0))
 
     def plain(q):
         return outcome(q) * weighting.derivative(side, q)
@@ -147,14 +150,16 @@ def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
         # q = exp(-s); integrand decays like exp(-delta * s**gamma)
         s_lo = -math.log(mid)
         s_hi = weighting.tail_span(side)
-        log_quantiles = law.has_log_tail_quantiles
-        if not log_quantiles:
+        if law.has_log_tail_quantiles:
+            base_logq = law.base.isf_logq if scale > 0 else law.base.ppf_logq
+
+            def outcome_at_s(s):
+                return value(side, max(shift + scale * base_logq(-s), 0.0))
+        else:
             s_hi = min(s_hi, _SIGMA_MAX)
 
-        def outcome_at_s(s):
-            if log_quantiles:
-                return value(side, max(law.isf_logq(-s), 0.0))
-            return outcome(math.exp(-s))
+            def outcome_at_s(s):
+                return outcome(math.exp(-s))
 
         def log_integrand(s):
             return outcome_at_s(s) * log_density(side, s)

@@ -55,7 +55,8 @@ def _require_power(pref: CptPreference) -> PowerUtility:
 def _unit_value(pref: CptPreference):
     """The per-unit value function: x**alpha on gains, x**beta on losses."""
     u = _require_power(pref)
-    return lambda side, x: x ** (u.alpha if side == "gain" else u.beta)
+    alpha, beta = u.alpha, u.beta
+    return lambda side, x: x ** (alpha if side == "gain" else beta)
 
 
 def long_integrals(pref: CptPreference, z_law) -> GainLoss:

@@ -26,10 +26,12 @@ __all__ = [
 
 
 class _AnalyticBase:
-    """A base law computed by ``scipy.special``: built, copied or unpickled, it imports that."""
+    """A base law computed by ``scipy.special``: built, copied or unpickled, it imports that.
+    Scalar methods call ``cython_special`` (``sc``): the ufuncs' C kernels, no array dispatch."""
 
     def __new__(cls, *args, **kwargs):
-        global gammaln, ndtr, ndtri, ndtri_exp, stdtr, stdtrit
+        global gammaln, ndtr, ndtri, ndtri_exp, stdtr, stdtrit, sc
+        from scipy.special import cython_special as sc
         from scipy.special import gammaln, ndtr, ndtri, ndtri_exp, stdtr, stdtrit
         return super().__new__(cls)
 
@@ -57,10 +59,10 @@ class NormalBase(_SymmetricBase):
     """Standard normal base; inverse CDF via scipy's rational approximation."""
 
     def cdf(self, x: float) -> float:
-        return float(ndtr(x))
+        return sc.ndtr(x)
 
     def ppf(self, q: float) -> float:
-        return float(ndtri(q))
+        return sc.ndtri(q)
 
     def cdf_array(self, x):
         return ndtr(x)
@@ -70,10 +72,10 @@ class NormalBase(_SymmetricBase):
 
     def ppf_logq(self, log_q: float) -> float:
         """Quantile at q = exp(log_q), stable for arbitrarily deep tails."""
-        return float(ndtri_exp(log_q))
+        return sc.ndtri_exp(log_q)
 
     def isf_logq(self, log_q: float) -> float:
-        return -float(ndtri_exp(log_q))
+        return -sc.ndtri_exp(log_q)
 
     def ppf_logq_array(self, log_q):
         return ndtri_exp(log_q)
@@ -94,26 +96,37 @@ class LognormalBase(_AnalyticBase):
     def cdf(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
-        return float(ndtr((math.log(x) - self.mu) / self.sigma))
+        return sc.ndtr((math.log(x) - self.mu) / self.sigma)
 
     def sf(self, x: float) -> float:
         if x <= 0.0:
             return 1.0
-        return float(ndtr(-(math.log(x) - self.mu) / self.sigma))
+        return sc.ndtr(-(math.log(x) - self.mu) / self.sigma)
 
+    # a quantile beyond the float range is inf, as in the array twins; the
+    # try blocks stay inline, where they cost nothing on the integrand's path
     def ppf(self, q: float) -> float:
-        return math.exp(self.mu + self.sigma * float(ndtri(q)))
+        try:
+            return math.exp(self.mu + self.sigma * sc.ndtri(q))
+        except OverflowError:
+            return math.inf
 
     def isf(self, q: float) -> float:
-        return math.exp(self.mu - self.sigma * float(ndtri(q)))
+        try:
+            return math.exp(self.mu - self.sigma * sc.ndtri(q))
+        except OverflowError:
+            return math.inf
 
     def ppf_logq(self, log_q: float) -> float:
-        return math.exp(self.mu + self.sigma * float(ndtri_exp(log_q)))
+        try:
+            return math.exp(self.mu + self.sigma * sc.ndtri_exp(log_q))
+        except OverflowError:
+            return math.inf
 
     def isf_logq(self, log_q: float) -> float:
         try:
-            return math.exp(self.mu - self.sigma * float(ndtri_exp(log_q)))
-        except OverflowError:  # the quantile lies beyond the float range
+            return math.exp(self.mu - self.sigma * sc.ndtri_exp(log_q))
+        except OverflowError:
             return math.inf
 
     def ppf_logq_array(self, log_q):
@@ -179,10 +192,10 @@ class StudentTBase(_SymmetricBase):
     def cdf(self, x: float) -> float:
         if x < -_T_CDF_TAIL:
             return float(self._tail_cdf(x))
-        return float(stdtr(self.nu, x))
+        return sc.stdtr(self.nu, x)
 
     def ppf(self, q: float) -> float:
-        t = float(stdtrit(self.nu, q))
+        t = sc.stdtrit(self.nu, q)
         if q < self._q_deep or (t == math.inf and q < 0.5):
             return float(self._tail_quantile(q))
         return t

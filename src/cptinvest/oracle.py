@@ -333,12 +333,17 @@ def _discrete_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
     for lo in range(0, cols.size, width):
         blk = slice(lo, lo + width)
         up = slope[blk] >= 0.0
+        n_up = np.count_nonzero(up)
+        if n_up in (0, up.size):  # slopes of one sign: one column, broadcast
+            gw, lw = (gain[:, :1], loss[:, :1]) if n_up else (gain[:, 1:], loss[:, 1:])
+        else:  # the block across s = 0
+            gw, lw = np.where(up, gain[:, :1], gain[:, 1:]), np.where(up, loss[:, :1], loss[:, 1:])
         d = x_col * slope[blk]
         d += base[blk]
         u = utility.value_array("gain", np.maximum(d, 0.0))
-        u *= np.where(up, gain[:, :1], gain[:, 1:])
+        u *= gw
         utility.value_array("loss", np.maximum(np.negative(d, out=d), 0.0, out=d), out=d)
-        d *= np.where(up, loss[:, :1], loss[:, 1:])
+        d *= lw
         np.subtract(u.sum(axis=0), d.sum(axis=0), out=out[blk])
     return out[:thetas.size]
 

@@ -189,6 +189,22 @@ def test_prelec_weighting_continuous_law():
     assert math.isfinite(b.total)
 
 
+@pytest.mark.parametrize("weighting", [TK, PrelecWeighting(0.65, 1.0, 1.2)], ids=["tk", "prelec"])
+def test_integrand_nodes_call_the_base_quantile_directly(weighting, monkeypatch):
+    # each integral binds its law's shift, scale and base quantile once; no node goes
+    # through ContinuousLaw's range check and sign dispatch
+    pref = CptPreference(PowerUtility(0.7, 0.85, 2.0), weighting)
+    dist = Lognormal(0.02, 0.25).gross_law().affine(-1.01, 1.0)
+    expected = prospect_value(pref, dist)
+
+    def per_node(self, q):
+        raise AssertionError("an integrand node went through ContinuousLaw")
+
+    monkeypatch.setattr(ContinuousLaw, "isf", per_node)
+    monkeypatch.setattr(ContinuousLaw, "isf_logq", per_node)
+    assert prospect_value(pref, dist) == expected
+
+
 def test_genuine_divergence_is_reported_not_returned():
     # exp-log weighting with a small exponent under a lognormal tail and
     # power utility: the gains integral truly diverges

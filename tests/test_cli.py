@@ -495,6 +495,18 @@ class TestCommandLine:
         assert captured.out == ""
         assert captured.err.startswith("error: prospect gain integral did not converge: ")
 
+    def test_lognormal_quantiles_past_the_float_range_exit_with_code_4(self, tmp_path, capsys):
+        # exp(0.05 + 150 * 37) overflows deep in the gain tail: a refusal, not a traceback
+        payload = {"market": {"r": 0.02, "lambda": 0.01,
+                              "returns": {"kind": "lognormal", "mu": 0.05, "sigma": 150.0}},
+                   "portfolio": {"x0": 1.0, "y0": 1.0}}
+        code = main(["solve", "--config", self._write(tmp_path, payload)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == ("error: prospect gain integral did not converge: "
+                                "non-finite quadrature value inf\n")
+
     def test_estimate_command(self, tmp_path, capsys):
         prices = tmp_path / "px.csv"
         prices.write_text(

@@ -765,6 +765,38 @@ def test_divergent_student_t_tails_raise_naming_the_side(law, utility, side):
         assert excinfo.value.side == side
 
 
+@pytest.mark.parametrize("sigma", [150.0, 300.0, 1000.0])
+@pytest.mark.parametrize("weighting", [TverskyKahnemanWeighting(), IdentityWeighting()],
+                         ids=["tk", "identity"])
+def test_lognormal_quantiles_past_the_float_range_are_refused(sigma, weighting):
+    # the gain tail's quantiles overflow to inf, which quad cannot integrate
+    m = MarketModel(0.02, 0.01, Lognormal(0.05, sigma))
+    with pytest.raises(ProspectDivergenceError) as excinfo:
+        solve(Portfolio(1.0, 1.0), m, CptPreference(PowerUtility(), weighting))
+    assert excinfo.value.detail == "non-finite quadrature value inf"
+
+
+@pytest.mark.parametrize("solver, expected", [
+    (lambda: solve(Portfolio(1.0, 1.0), MarketModel(0.02, 0.01, Lognormal(0.1, 0.2)),
+                   CptPreference(PowerUtility(0.6, 0.8, 1.2), TverskyKahnemanWeighting(0.61, 0.69))),
+     "case_id='T3.1-2b', prospect=0.3252121437072064, theta=16.185779015317543"),
+    (lambda: solve(Portfolio(1.0, 1.0), MarketModel(0.02, 0.01, Normal(0.1, 0.2)),
+                   CptPreference(PowerUtility(0.6, 0.8, 1.2), PrelecWeighting(0.65, 1.0, 1.0))),
+     "case_id='T3.1-2b', prospect=0.13816468114570152, theta=4.315268278698496"),
+    (lambda: solve(Portfolio(1.0, 1.0), MarketModel(0.02, 0.01, StudentT(5.0, 0.1, 0.2)),
+                   CptPreference(PowerUtility(0.6, 0.8, 1.2), TverskyKahnemanWeighting(0.61, 0.69))),
+     "case_id='T3.1-2b', prospect=0.10455907784547991, theta=2.467953016795501"),
+    (lambda: solve_zero_initial(1.0, MarketModel(0.02, 0.01, Lognormal(0.1, 0.2)),
+                                CptPreference(PowerUtility(0.6, 0.8, 1.2), IdentityWeighting())),
+     "case_id='T3.4-2b', prospect=0.6943155323029386, theta=59.874866882396034"),
+], ids=["lognormal-tk", "normal-prelec", "student-t-tk", "all-cash-lognormal-identity"])
+def test_adaptive_solves_keep_their_bits(solver, expected):
+    # QUADPACK's answers to the last bit (numpy 2.4.6, scipy 1.17.1): the integrand's
+    # scalar quantiles and utility powers are computed as they always were
+    assert repr(solver()) == ("Solution(kind=<SolutionKind.FINITE_POINT: 'finite_point'>, "
+                              f"{expected}, lo=None, hi=None, boundary=False)")
+
+
 
 @pytest.mark.xfail(strict=True, reason="the sigma-domain tail stops at 700, and what it "
                    "leaves out is small enough that quad meets its target on a divergent "

@@ -1,10 +1,12 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betaln, stdtr
+from scipy.special import betaln, ndtr, ndtri, ndtri_exp, stdtr, stdtrit
 
 from cptinvest.distributions import (
     ContinuousLaw,
@@ -170,6 +172,99 @@ def test_student_t_tail_probabilities_survive_past_the_square_overflow(nu):
                   - betaln(0.5 * nu, 0.5))
     np.testing.assert_allclose(lower, lead, rtol=1e-12, atol=0.0)
     assert (lower[lead > 0.0] > 0.0).all()
+
+
+def test_lognormal_quantiles_past_the_float_range_are_infinite():
+    # exp(0.05 + 40 * 37.05) overflows: +inf, as isf_logq and the array twins give
+    base = LognormalBase(0.05, 40.0)
+    assert base.isf(1e-300) == math.inf
+    with np.errstate(over="ignore"):
+        assert base.isf_array(np.array([1e-300]))[0] == math.inf
+    assert LognormalBase(0.05, 150.0).ppf(1.0 - 2.0**-53) == math.inf
+
+
+def _exp(z):
+    """``math.exp``, reading the OverflowError it raises past the float range as inf."""
+    try:
+        return math.exp(z)
+    except OverflowError:
+        return math.inf
+
+
+# every scalar method against the ufunc expression it replaced: (base, method, reference)
+_LOGNORMAL = LognormalBase(0.05, 0.2)
+_WIDE = LognormalBase(0.05, 40.0)
+_UFUNC_FORMS = [
+    (NormalBase(), "cdf", lambda b, x: float(ndtr(x))),
+    (NormalBase(), "sf", lambda b, x: float(ndtr(-x))),
+    (NormalBase(), "ppf", lambda b, q: float(ndtri(q))),
+    (NormalBase(), "isf", lambda b, q: -float(ndtri(q))),
+    (NormalBase(), "ppf_logq", lambda b, lq: float(ndtri_exp(lq))),
+    (NormalBase(), "isf_logq", lambda b, lq: -float(ndtri_exp(lq))),
+    *(form for base in (_LOGNORMAL, _WIDE) for form in [
+        (base, "cdf", lambda b, x: 0.0 if x <= 0.0 else float(ndtr((math.log(x) - b.mu) / b.sigma))),
+        (base, "sf", lambda b, x: 1.0 if x <= 0.0 else float(ndtr(-(math.log(x) - b.mu) / b.sigma))),
+        (base, "ppf", lambda b, q: _exp(b.mu + b.sigma * float(ndtri(q)))),
+        (base, "isf", lambda b, q: _exp(b.mu - b.sigma * float(ndtri(q)))),
+        (base, "ppf_logq", lambda b, lq: _exp(b.mu + b.sigma * float(ndtri_exp(lq)))),
+        (base, "isf_logq", lambda b, lq: _exp(b.mu - b.sigma * float(ndtri_exp(lq)))),
+    ]),
+]
+
+
+def _student_t_cdf(b, x):
+    return float(b._tail_cdf(x)) if x < -1e150 else float(stdtr(b.nu, x))
+
+
+def _student_t_ppf(b, q):
+    t = float(stdtrit(b.nu, q))
+    if q < b._q_deep or (t == math.inf and q < 0.5):
+        return float(b._tail_quantile(q))
+    return t
+
+
+with np.errstate(invalid="ignore"):  # nu = inf: the tail coefficient is inf - inf
+    _STUDENT_T = [StudentTBase(nu) for nu in (0.5, 1.0, 3.0, 30.0, 1e6, math.inf)]
+_UFUNC_FORMS += [form for base in _STUDENT_T for form in [
+    (base, "cdf", _student_t_cdf),
+    (base, "sf", lambda b, x: _student_t_cdf(b, -x)),
+    (base, "ppf", _student_t_ppf),
+    (base, "isf", lambda b, q: -_student_t_ppf(b, q)),
+]]
+
+
+def _call(f, *args):
+    """f(*args) and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        return f(*args), [str(w.message) for w in caught]
+
+
+_TINY = 5e-324  # the smallest denormal
+_EDGES = [0.0, -0.0, _TINY, -_TINY, 2.2250738585072014e-308, 1e-300, 1e-20, 0.3, 0.5,
+          1.0 - 2.0**-53, 1.0, 1.5, 2.0, -1.0, -40.0, 40.0, -1e155, 1e155, 1e300, -1e300,
+          math.inf, -math.inf, math.nan]
+_LOG_EDGES = [0.0, -0.0, -_TINY, -1e-300, -2.0**-53, -0.7, -40.0, -800.0, -3.3e5, -1e300,
+              -math.inf, 0.5, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("base, method, reference", _UFUNC_FORMS,
+                         ids=[f"{type(b).__name__}-{getattr(b, 'nu', getattr(b, 'sigma', ''))}-{m}"
+                              for b, m, _ in _UFUNC_FORMS])
+def test_scalar_methods_give_the_bits_of_the_ufunc_expressions(base, method, reference):
+    rng = np.random.default_rng(7)
+    if method.endswith("_logq"):
+        inputs = _LOG_EDGES + list(-rng.exponential(50.0, 500))
+    elif method in ("ppf", "isf"):
+        inputs = _EDGES + list(rng.random(500)) + list(10.0 ** rng.uniform(-300, 0, 500))
+    else:
+        inputs = _EDGES + list(rng.standard_cauchy(500) * 10.0 ** rng.uniform(-3, 200, 500))
+    for x in map(float, inputs):
+        (got, got_warned), (want, want_warned) = _call(getattr(base, method), x), _call(reference, base, x)
+        assert type(got) is float, (x, got)
+        assert struct.pack("<d", got) == struct.pack("<d", want), (x, got, want)
+        # the kernels warn of nothing; the Student-t tail term warns as it did
+        assert got_warned == want_warned, x
 
 
 def test_invalid_inputs_rejected():
