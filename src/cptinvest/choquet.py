@@ -16,8 +16,13 @@ closed-form binomial classification.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 
 from .preferences import CptPreference, Side, WeightingPair
 
@@ -69,17 +74,46 @@ class GainLoss:
         return self.gain - self.loss
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call: discrete laws and the
-    oracle's fixed-node grid never integrate adaptively, so they skip its import."""
-    from scipy.integrate import quad as scipy_quad
+_QUADPACK = "scipy.integrate._quadpack"
 
-    return scipy_quad(*args, **kwargs)
+
+@functools.cache
+def _qagse():
+    """QUADPACK's ``_qagse`` from scipy's extension module, loaded by itself:
+    importing ``scipy.integrate`` would load ``scipy.optimize`` and
+    ``scipy.linalg`` too.  The module is private, so where it or ``_qagse`` is
+    missing, ``scipy.integrate.quad``, which takes the same leading arguments,
+    stands in."""
+    ext = sys.modules.get(_QUADPACK)
+    if ext is None:
+        scipy_dirs = find_spec("scipy").submodule_search_locations
+        integrate = [os.path.join(d, "integrate") for d in scipy_dirs]
+        if (spec := PathFinder.find_spec(_QUADPACK, integrate)) is not None:
+            ext = module_from_spec(spec)
+            spec.loader.exec_module(ext)
+            sys.modules[_QUADPACK] = ext
+    qagse = getattr(ext, "_qagse", None)
+    if qagse is None:
+        from scipy.integrate import quad as qagse
+    return qagse
+
+
+def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
+    """Adaptive Gauss-Kronrod integral of f over a finite (a, b) by QUADPACK's
+    qagse, with its full output: (value, abserr, infodict, ier or message).
+
+    This is the call ``scipy.integrate.quad`` makes for finite bounds, so the
+    results are its bits.  The extension loads on the first call: discrete laws
+    and the oracle's fixed-node grid never integrate adaptively, so they skip it.
+    """
+    if a == b:
+        # scipy.integrate.quad's shortcut: QUADPACK would still evaluate f at a
+        return 0.0, 0.0, {"neval": 0, "last": 0}
+    return _qagse()(f, a, b, (), 1, epsabs, epsrel, limit)
 
 
 def _checked_quad(f, a: float, b: float, side: str):
-    res = quad(f, a, b, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
-               limit=_MAX_PANELS, full_output=1)
+    res = quad(f, a, b, _QUAD_EPSABS, _QUAD_EPSREL, _MAX_PANELS)
     value, abserr = res[0], res[1]
     if not math.isfinite(value):
         raise ProspectDivergenceError(side, f"non-finite quadrature value {value}")

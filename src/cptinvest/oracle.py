@@ -97,7 +97,7 @@ class OracleReport:
     argmax_theta: float | None = None
     max_value: float | None = None
     final_step: float | None = None
-    n_evaluations: int | None = None  # grid points the refined search evaluated
+    n_evaluations: int | None = None  # points the search, ladder and grid, or interval evaluated
 
     @property
     def matched(self) -> bool:
@@ -392,7 +392,7 @@ def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference,
 
 
 def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
-                       pref: CptPreference, spec: GridSpec, tol: float) -> tuple[bool, str]:
+                       pref: CptPreference, spec: GridSpec, tol: float) -> tuple[bool, str, int]:
     """Certify a claimed unbounded optimum along a geometric ladder.
 
     For bounded (exponential) utilities the objective may dip before rising
@@ -400,6 +400,7 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
     the ladder end within 1e-9 of the claimed limit prospect, and no grid
     point beating the limit.  Unbounded power objectives on an infinite ray
     are monotone, so there strict increase along the whole ladder is required.
+    Also returns how many points it evaluated: the ladder, plus the grid.
     """
     sign = 1.0 if solution.kind is SolutionKind.PLUS_INFINITY else -1.0
     scale = 1.0 / pref.utility.eta_gain if isinstance(pref.utility, ExponentialUtility) else 1.0
@@ -411,27 +412,29 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
         scale = scale * max(1.0, 0.04 / smallest)
     values = evaluate_objective_grid(p, m, pref, sign * scale * np.array(_LADDER))
     ladder = ", ".join(f"{v:.10g}" for v in values)
+    n_evals = len(values)
 
     if not math.isfinite(solution.prospect):
         if not (np.diff(values) > 0.0).all():
-            return False, f"objective not strictly increasing along the ladder: [{ladder}]"
-        return True, "monotone ladder certification passed"
+            return False, f"objective not strictly increasing along the ladder: [{ladder}]", n_evals
+        return True, "monotone ladder certification passed", n_evals
 
     gap = abs(values[-1] - solution.prospect)
     if gap > _LIMIT_TOL:
-        return False, f"ladder end misses the limit prospect by {gap:.3e}"
+        return False, f"ladder end misses the limit prospect by {gap:.3e}", n_evals
     if values[-1] < values[-2] - _LIMIT_TOL:
-        return False, f"objective not approaching the limit from below: [{ladder}]"
+        return False, f"objective not approaching the limit from below: [{ladder}]", n_evals
     grid = np.linspace(spec.lo, spec.hi, min(spec.n_points, 2001))
+    n_evals += len(grid)
     best = float(evaluate_objective_grid(p, m, pref, grid).max())
     if best > solution.prospect + tol:
         return False, (f"a finite trade beats the claimed limit: {best:.10g} vs "
-                       f"{solution.prospect:.10g}")
-    return True, "ladder limit and grid dominance certification passed"
+                       f"{solution.prospect:.10g}"), n_evals
+    return True, "ladder limit and grid dominance certification passed", n_evals
 
 
 def _certify_interval(solution: Solution, p: Portfolio, m: MarketModel,
-                      pref: CptPreference, tol: float) -> tuple[bool, str]:
+                      pref: CptPreference, tol: float) -> tuple[bool, str, int]:
     lo = solution.lo if math.isfinite(solution.lo) else solution.hi - 10.0
     hi = min(solution.hi, lo + 10.0)
     thetas = np.linspace(lo, hi, 11)
@@ -439,8 +442,8 @@ def _certify_interval(solution: Solution, p: Portfolio, m: MarketModel,
     worst = int(np.argmax(gaps))
     if gaps[worst] > tol:
         return False, (f"objective deviates by {gaps[worst]:.3e} from the reported prospect "
-                       f"at theta={thetas[worst]:.6g}")
-    return True, "interval is flat at the reported prospect"
+                       f"at theta={thetas[worst]:.6g}"), len(thetas)
+    return True, "interval is flat at the reported prospect", len(thetas)
 
 
 def _certify_point(solution: Solution, result: GridSearchResult, p: Portfolio,
@@ -475,12 +478,12 @@ def verify(solution: Solution, p: Portfolio, m: MarketModel, pref: CptPreference
     tol = (1e-5 if m.law.atoms is None else 1e-6) if tol_value is None else tol_value
     search = ()
     if solution.kind in (SolutionKind.PLUS_INFINITY, SolutionKind.MINUS_INFINITY):
-        ok, detail = _certify_unbounded(solution, p, m, pref, spec, tol)
+        ok, detail, n_evals = _certify_unbounded(solution, p, m, pref, spec, tol)
     elif solution.kind is SolutionKind.INTERVAL:
-        ok, detail = _certify_interval(solution, p, m, pref, tol)
+        ok, detail, n_evals = _certify_interval(solution, p, m, pref, tol)
     else:
         result = grid_search(p, m, pref, spec)
-        search = astuple(result)
+        *search, n_evals = astuple(result)
         ok, detail = _certify_point(solution, result, p, m, pref, tol)
-    return OracleReport("match" if ok else "mismatch", detail,
-                        solution.representative_theta, solution.prospect, *search)
+    return OracleReport("match" if ok else "mismatch", detail, solution.representative_theta,
+                        solution.prospect, *search, n_evaluations=n_evals)

@@ -11,7 +11,13 @@ from scipy import stats
 from scipy.integrate import quad
 
 import cptinvest
-from cptinvest.choquet import ProspectDivergenceError, prospect_value, rank_dependent_sum
+from cptinvest import choquet
+from cptinvest.choquet import (
+    ProspectDivergenceError,
+    distorted_tail_integral,
+    prospect_value,
+    rank_dependent_sum,
+)
 from cptinvest.distributions import ContinuousLaw, DiscreteLaw, constant_law
 from cptinvest.market import Lognormal, Normal, StudentT
 from cptinvest.preferences import (
@@ -333,19 +339,159 @@ report = ci.verify(sol, ci.Portfolio(1.0, 0.0), two_state, pref, ci.GridSpec(-5.
 assert report.matched, report
 ci.prospect_value(pref, ci.Empirical((0.9, 0.97, 1.0, 1.04, 1.3)).gross_law())
 assert "scipy.integrate" not in sys.modules, "loaded by discrete laws"
+assert "scipy.integrate._quadpack" not in sys.modules, "loaded by discrete laws"
 assert "scipy.special" not in sys.modules, "loaded by discrete laws"
 power = ci.CptPreference(ci.PowerUtility(0.7, 0.9, 2.25), pref.weighting)
 ci.solve(ci.Portfolio(1.0, 1.0), ci.MarketModel(0.01, 0.01, ci.Lognormal(0.05, 0.2)), power)
-assert "scipy.integrate" in sys.modules, "a continuous solve integrates adaptively"
+assert "scipy.integrate._quadpack" in sys.modules, "a continuous solve integrates adaptively"
+loaded = {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & set(sys.modules)
+assert not loaded, f"QUADPACK's extension loads by itself, not through {loaded}"
 assert "scipy.special" in sys.modules, "a continuous base computes with scipy.special"
 """
 
 
 def test_discrete_laws_never_import_the_adaptive_integrator():
-    """``choquet.quad`` imports ``scipy.integrate`` on its first call only, and
-    ``scipy.special`` loads with the first continuous base law."""
+    """``choquet.quad`` loads QUADPACK's extension on its first call only, without
+    ``scipy.integrate``, and ``scipy.special`` loads with the first continuous base law."""
     src = str(Path(cptinvest.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", _LAZY_QUAD_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _quad_summary(res):
+    """Value, abserr, neval, last and ier of a full-output QUADPACK result.
+
+    ``scipy.integrate.quad`` drops ier when it is 0 and puts QUADPACK's message in
+    its place otherwise; the extension returns ier itself.
+    """
+    ier = 0 if len(res) == 3 else res[3]
+    if isinstance(ier, str):
+        ier = 1 if ier.startswith("The maximum number of subdivisions") else ier
+    return res[0], res[1], res[2]["neval"], res[2]["last"], ier
+
+
+def _solver_integrands():
+    """(f, a, b, epsabs, epsrel, limit) of every adaptive integral the gain and loss
+    sides of three laws take under TK, Prelec and identity weightings."""
+    calls = []
+    real = choquet.quad
+    utility = PowerUtility(0.7, 0.85, 2.0).value
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(choquet, "quad", lambda *args: calls.append(args) or real(*args))
+        for returns in (Lognormal(0.02, 0.25), Normal(0.02, 0.25), StudentT(4.0, 0.02, 0.25)):
+            law = returns.gross_law().affine(-1.01, 1.0)
+            for weighting in (TK, PrelecWeighting(0.65, 1.0, 1.2), IdentityWeighting()):
+                for side, side_law in (("gain", law), ("loss", law.affine(0.0, -1.0))):
+                    try:
+                        distorted_tail_integral(utility, weighting, side, side_law)
+                    except ProspectDivergenceError:
+                        pass  # Student-t gains under Prelec are refused after integrating
+    assert len(calls) == 36  # two panels per side
+    return calls
+
+
+def test_quad_gives_the_bits_of_scipy_integrate_quad():
+    """The extension's qagse is the call scipy makes for finite bounds: same value,
+    error estimate, evaluation count, panel count and flag on every solver integrand."""
+    calls = _solver_integrands()
+    for f, a, b, epsabs, epsrel, limit in calls:
+        ours = choquet.quad(f, a, b, epsabs, epsrel, limit)
+        ref = quad(f, a, b, full_output=1, epsabs=epsabs, epsrel=epsrel, limit=limit)
+        assert _quad_summary(ours) == _quad_summary(ref)
+        assert ours[3] == 0
+    # the panel limit reached: QUADPACK's flag 1
+    f, a, b, epsabs, epsrel, _ = calls[0]
+    ours = choquet.quad(f, a, b, epsabs, epsrel, 2)
+    assert ours[3] == 1
+    assert _quad_summary(ours) == _quad_summary(quad(f, a, b, full_output=1, epsabs=epsabs,
+                                                      epsrel=epsrel, limit=2))
+
+
+def test_quad_on_an_empty_interval_never_calls_the_integrand():
+    def never(x):
+        raise AssertionError("integrand called on an empty interval")
+
+    ours = choquet.quad(never, 0.3, 0.3, 1e-12, 2e-10, 2000)
+    assert ours[:2] == (0.0, 0.0)
+    assert _quad_summary(ours) == _quad_summary(quad(never, 0.3, 0.3, full_output=1))
+
+
+def test_quad_propagates_the_integrands_exception():
+    class Boom(Exception):
+        pass
+
+    def boom(x):
+        if x > 0.5:
+            raise Boom(x)
+        return x
+
+    for integrate in (lambda: choquet.quad(boom, 0.0, 1.0, 1e-12, 2e-10, 2000),
+                      lambda: quad(boom, 0.0, 1.0, full_output=1)):
+        with pytest.raises(Boom):
+            integrate()
+
+
+def test_quad_falls_back_to_scipy_integrate_without_qagse(monkeypatch):
+    """An extension module without ``_qagse`` leaves the integrals to
+    ``scipy.integrate.quad``, with the same results.  (A missing module is run in a
+    fresh interpreter below.)"""
+    calls = _solver_integrands()
+    direct = [_quad_summary(choquet.quad(*c)) for c in calls]
+    monkeypatch.setattr(choquet, "_QUADPACK", "scipy.integrate._odepack")
+    choquet._qagse.cache_clear()
+    try:
+        assert choquet._qagse() is quad
+        assert [_quad_summary(choquet.quad(*c)) for c in calls] == direct
+    finally:
+        choquet._qagse.cache_clear()
+
+
+_QUADPACK_LOAD_SCRIPT = """
+import sys
+import cptinvest as ci
+from cptinvest import choquet
+
+fallback = sys.argv[1] == "fallback"
+if fallback:
+    choquet._QUADPACK = "scipy.integrate._no_such_extension"
+calls = []
+quad = choquet.quad
+choquet.quad = lambda *args: calls.append(args) or quad(*args)
+pref = ci.CptPreference(ci.PowerUtility(0.7, 0.9, 2.25), ci.TverskyKahnemanWeighting(0.61, 0.69))
+sol = ci.solve(ci.Portfolio(1.0, 1.0), ci.MarketModel(0.01, 0.01, ci.Lognormal(0.05, 0.2)), pref)
+choquet.quad = quad
+assert ("scipy.integrate" in sys.modules) == fallback
+import scipy.integrate
+
+assert (choquet._qagse() is scipy.integrate.quad) == fallback
+if not fallback:
+    # scipy.integrate took the extension module choquet loaded, not a second copy
+    assert choquet._qagse() is sys.modules["scipy.integrate._quadpack"]._qagse
+    assert scipy.integrate._quadpack_py._quadpack is sys.modules["scipy.integrate._quadpack"]
+summaries = []
+for f, a, b, epsabs, epsrel, limit in calls:
+    ours = quad(f, a, b, epsabs, epsrel, limit)
+    ref = scipy.integrate.quad(f, a, b, (), 1, epsabs, epsrel, limit)
+    summaries.append((ours[:2], ours[2]["neval"], ours[2]["last"]))
+    assert summaries[-1] == (ref[:2], ref[2]["neval"], ref[2]["last"]) and len(ref) == 3
+print(repr(sol), summaries)
+"""
+
+
+def test_quad_loads_quadpack_before_scipy_integrate_and_falls_back_without_it():
+    """In a fresh interpreter: a continuous solve loads QUADPACK's extension by itself,
+    ``import scipy.integrate`` still works after it and integrates to the same bits;
+    with the extension's lookup failing, the solve runs through ``scipy.integrate``
+    and prints the same solution and integrals."""
+    src = str(Path(cptinvest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = []
+    for mode in ("direct", "fallback"):
+        done = subprocess.run([sys.executable, "-c", _QUADPACK_LOAD_SCRIPT, mode], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        out.append(done.stdout)
+    assert out[0] == out[1]
+    assert out[0].startswith("Solution(")

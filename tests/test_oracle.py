@@ -542,7 +542,30 @@ def test_every_verdict_branch_of_verify(solution, port, m, pref, tol_value, agre
         assert search == astuple(grid_search(port, m, pref, spec))
         assert type(report.final_step) is float
     else:
-        assert search == (None,) * 4
+        assert search[:3] == (None,) * 3
+
+
+@pytest.mark.parametrize("branch, n_evaluations", [
+    ("interval-match", 11), ("interval-not-flat", 11),
+    ("infinite-match", 4), ("infinite-not-increasing", 4),
+    ("limit-match", 4 + 801), ("limit-missed", 4), ("limit-from-above", 4),
+    ("limit-beaten", 4 + 801),
+])
+def test_ladder_and_interval_verdicts_count_the_points_they_evaluated(branch, n_evaluations,
+                                                                     monkeypatch):
+    """The ladder counts its rungs and, past them, the dominance grid; an interval its
+    11 points.  Each count is the number of thetas handed to the grid evaluator."""
+    solution, port, m, pref, tol_value, *_ = next(
+        p.values for p in VERDICT_BRANCHES if p.id == branch)
+    thetas = []
+
+    def counted(p, m, pref, theta):
+        thetas.append(np.size(theta))
+        return evaluate_objective_grid(p, m, pref, theta)
+
+    monkeypatch.setattr("cptinvest.oracle.evaluate_objective_grid", counted)
+    report = verify(solution, port, m, pref, GridSpec(-5.0, 5.0, 801, 2), tol_value)
+    assert report.n_evaluations == sum(thetas) == n_evaluations
 
 
 def _refuse_the_adaptive_evaluator(*args):
