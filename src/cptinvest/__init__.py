@@ -18,7 +18,6 @@ from .binomial import (
     replicate,
     solve_binomial,
     solve_ray,
-    zeta_thresholds,
 )
 from .choquet import GainLoss, ProspectDivergenceError, prospect_value
 from .continuous import (

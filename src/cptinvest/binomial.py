@@ -29,7 +29,6 @@ __all__ = [
     "BinomialInputs",
     "pseudo_probabilities",
     "replicate",
-    "zeta_thresholds",
     "candidate_trade",
     "candidate_applies",
     "prospect_at",
@@ -125,10 +124,6 @@ class LossAversionThresholds:
     sell_interior: float | None
 
 
-def zeta_thresholds(m: MarketModel, pref: CptPreference) -> LossAversionThresholds:
-    return _thresholds(*_rays(m, pref))
-
-
 @dataclass(frozen=True)
 class _Ray:
     """One trade direction in buy terms: a sale is a buy of the mirrored payoff.
@@ -169,10 +164,6 @@ def _rays(m: MarketModel, pref: CptPreference) -> tuple[_Ray, _Ray]:
     return buy, sell
 
 
-def _thresholds(buy: _Ray, sell: _Ray) -> LossAversionThresholds:
-    return LossAversionThresholds(buy.unbounded, buy.interior, sell.unbounded, sell.interior)
-
-
 @dataclass(frozen=True)
 class BinomialInputs:
     """Market, preference and the two rays the dispatch compares."""
@@ -202,7 +193,8 @@ class BinomialInputs:
 
     @property
     def thresholds(self) -> LossAversionThresholds:
-        return _thresholds(self.buy, self.sell)
+        buy, sell = self.buy, self.sell
+        return LossAversionThresholds(buy.unbounded, buy.interior, sell.unbounded, sell.interior)
 
     @property
     def eta(self) -> float:

@@ -128,7 +128,7 @@ def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
                             law) -> tuple[float, float]:
     """Integrate value(side, max(Q(1 - q), 0)) * w'(q) over (0, law.sf(0)).
 
-    Q(1 - q) is the law's upper-tail quantile ``law.isf(q)``; where the law
+    Q(1 - q) is the law's upper-tail quantile at level q; where the law
     has log-tail quantiles it is taken at q = exp(-s) without forming q,
     enabling the deep lower tail of exp-log weightings.  Returns (value,
     error_estimate).
@@ -139,7 +139,7 @@ def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
     upper = min(upper, 1.0)
     mid = 0.5 * upper
     power = weighting.endpoint_exponent(side)
-    # law.isf and law.isf_logq without their range check and sign dispatch, per node
+    # the upper-tail quantile, with its sign dispatch done once rather than per node
     shift, scale = law.shift, law.scale
     base_quantile = law.base.isf if scale > 0 else law.base.ppf
 

@@ -198,17 +198,9 @@ class RunConfig:
                    portfolio=portfolio, mode=mode, oracle=oracle, grid=grid)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path) as handle:
             return cls.from_dict(json.load(handle))
-
-    def to_dict(self) -> dict[str, Any]:
-        """Effective configuration with all defaults filled in."""
-        return json.loads(self.to_json())
 
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True)

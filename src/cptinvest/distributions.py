@@ -253,18 +253,6 @@ class ContinuousLaw:
             return self.shift + self.scale * self.base.ppf(q)
         return self.shift + self.scale * self.base.isf(q)
 
-    def isf(self, q: float) -> float:
-        """Upper-tail quantile, exact for small q (no 1 - q cancellation)."""
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile level must be in (0, 1), got {q}")
-        if self.scale > 0:
-            return self.shift + self.scale * self.base.isf(q)
-        return self.shift + self.scale * self.base.ppf(q)
-
-    def cdf_array(self, x):
-        z = (np.asarray(x, dtype=float) - self.shift) / self.scale
-        return self.base.cdf_array(z) if self.scale > 0 else self.base.sf_array(z)
-
     def sf_array(self, x):
         z = (np.asarray(x, dtype=float) - self.shift) / self.scale
         return self.base.sf_array(z) if self.scale > 0 else self.base.cdf_array(z)
@@ -279,18 +267,6 @@ class ContinuousLaw:
         if self.scale > 0:
             return self.shift + self.scale * self.base.isf_array(q)
         return self.shift + self.scale * self.base.ppf_array(q)
-
-    def isf_logq(self, log_q: float) -> float:
-        """Upper-tail quantile at q = exp(log_q); requires a log-tail base."""
-        if self.scale > 0:
-            return self.shift + self.scale * self.base.isf_logq(log_q)
-        return self.shift + self.scale * self.base.ppf_logq(log_q)
-
-    def ppf_logq_array(self, log_q):
-        """Vectorized lower-tail quantiles at q = exp(log_q); requires a log-tail base."""
-        if self.scale > 0:
-            return self.shift + self.scale * self.base.ppf_logq_array(log_q)
-        return self.shift + self.scale * self.base.isf_logq_array(log_q)
 
     def isf_logq_array(self, log_q):
         if self.scale > 0:

@@ -99,10 +99,6 @@ class OracleReport:
     final_step: float | None = None
     n_evaluations: int | None = None  # points the search, ladder and grid, or interval evaluated
 
-    @property
-    def matched(self) -> bool:
-        return self.agreement == "match"
-
 
 def difference_law(p: Portfolio, m: MarketModel, theta: float):
     """Law of terminal wealth minus the do-nothing benchmark, built pathwise.
@@ -215,7 +211,7 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         return offset, (offset + _LN2) * log_ratio * tail_w
 
     def side_value(side, tail, law, b, s, upper):
-        """integral of u(b + s*law.isf(q)) w'(q) over (0, upper), s > 0: (0, upper/2] in sigma."""
+        """integral of u(b + s*Q(1 - q)) w'(q) over (0, upper), s > 0: (0, upper/2] in sigma."""
         live = upper > 1e-300
         # q-nodes depend on a row only through upper, one level per trade ray:
         # quantiles and weights once per level, the utility pathwise per row

@@ -272,7 +272,3 @@ class CptPreference:
 
     utility: UtilityPair
     weighting: WeightingPair
-
-    @property
-    def loss_aversion(self) -> float:
-        return self.utility.loss_aversion

@@ -97,7 +97,7 @@ def test_criterion_01_bull_market_example():
     solution = solve(Portfolio(1.0, 1.0), market, REFERENCE_PREF)
     elapsed = time.perf_counter() - started
     unit_buy = prospect_value(REFERENCE_PREF, difference_law(Portfolio(1.0, 1.0), market, 1.0))
-    pathwise_ratio = unit_buy.gain / (unit_buy.loss / REFERENCE_PREF.loss_aversion)
+    pathwise_ratio = unit_buy.gain / (unit_buy.loss / REFERENCE_PREF.utility.loss_aversion)
 
     failures = []
     if abs(inputs.ratio_buy - 2.5140) > 0.002:
@@ -299,7 +299,7 @@ def test_criterion_06_binomial_oracle_equivalence():
         span = 10.0 * (1.0 + abs(ref))
         outcome = verify(solution, port, market, pref, GridSpec(-span, span, 4001, 2),
                          tol_value=1e-6)
-        if not outcome.matched:
+        if outcome.agreement != "match":
             mismatches.append(f"#{i} {solution.case_id}: {outcome.detail}")
             if len(mismatches) >= 3:
                 break
@@ -338,7 +338,7 @@ def test_criterion_07_continuous_oracle_equivalence():
         span = max(10.0, 10.0 * abs(solution.theta))
         outcome = verify(solution, port, market, pref, GridSpec(-y0, span, 4001, 2),
                          tol_value=1e-5)
-        if not outcome.matched:
+        if outcome.agreement != "match":
             mismatches.append(f"#{accepted} {solution.case_id}: {outcome.detail}")
             if len(mismatches) >= 3:
                 break

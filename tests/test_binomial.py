@@ -18,7 +18,6 @@ from cptinvest.binomial import (
     replicate,
     solve_binomial,
     solve_ray,
-    zeta_thresholds,
 )
 from cptinvest.choquet import prospect_value
 from cptinvest.distributions import DiscreteLaw
@@ -127,7 +126,8 @@ class TestReplication:
 
 class TestThresholds:
     def test_identity_weighting_even_odds(self):
-        thr = zeta_thresholds(market(p=0.5), preference(weighting=IdentityWeighting()))
+        inputs = prepare_binomial_inputs(1.0, market(p=0.5), preference(weighting=IdentityWeighting()))
+        thr = inputs.thresholds
         assert thr.buy_unbounded == pytest.approx(1.0)
         assert thr.sell_unbounded == pytest.approx(1.0)
 
@@ -136,12 +136,12 @@ class TestThresholds:
         m = market(u=1.3, d=0.8, r=0.05, lam=0.0)
         pp = pseudo_probabilities(m)
         assert pp.buy_up == pytest.approx(pp.buy_down)
-        thr = zeta_thresholds(m, preference())
+        thr = prepare_binomial_inputs(1.0, m, preference()).thresholds
         assert thr.buy_interior == pytest.approx(thr.buy_unbounded)
 
     def test_cross_checked_against_weight_eval(self):
         m = market(p=0.5, lam=0.07)
-        thr = zeta_thresholds(m, preference())
+        thr = prepare_binomial_inputs(1.0, m, preference()).thresholds
         assert thr.buy_unbounded == pytest.approx(
             TK.weight("gain", 0.5) / TK.weight("loss", 0.5)
         )
@@ -157,7 +157,7 @@ class TestThresholds:
         m = admissible_market(u, d, p, r, lam)
         assume(m is not None)
         pp = pseudo_probabilities(m)
-        thr = zeta_thresholds(m, preference())
+        thr = prepare_binomial_inputs(1.0, m, preference()).thresholds
         assert thr.buy_interior == pytest.approx(
             (pp.buy_down / pp.buy_up) * thr.buy_unbounded, abs=1e-12, rel=1e-12
         )
@@ -174,7 +174,7 @@ class TestCandidates:
 
     def test_candidate_vanishes_at_the_threshold(self):
         m = self._interior_market()
-        thr = zeta_thresholds(m, preference())
+        thr = prepare_binomial_inputs(1.0, m, preference()).thresholds
         zeta = thr.buy_interior * (1 - 1e-12)
         inputs = prepare_binomial_inputs(1.0, m, preference(zeta=zeta))
         sol = solve_ray(inputs, "buy")
@@ -243,7 +243,7 @@ class TestSubSolvers:
         m = market(u=1.3, d=0.8, r=0.05, lam=0.0, p=0.2)
         pp = pseudo_probabilities(m)
         assert pp.buy_up == pytest.approx(pp.buy_down, abs=1e-12)
-        thr = zeta_thresholds(m, preference())
+        thr = prepare_binomial_inputs(1.0, m, preference()).thresholds
         assert thr.buy_unbounded > 1.0
         pref = preference(zeta=1.0 + 0.9 * (thr.buy_unbounded - 1.0))
         inputs = prepare_binomial_inputs(1.0, m, pref)
@@ -294,7 +294,7 @@ class TestSubSolvers:
         m = market(u=1.3, d=0.8, r=0.05, lam=0.0, p=0.8)
         pp = pseudo_probabilities(m)
         assert pp.sell_up == pytest.approx(pp.sell_down, abs=1e-12)
-        thr = zeta_thresholds(m, preference())
+        thr = prepare_binomial_inputs(1.0, m, preference()).thresholds
         assert thr.sell_unbounded > 1.0
         pref = preference(zeta=thr.sell_unbounded)
         sol = solve_ray(prepare_binomial_inputs(1.0, m, pref), "sell")
@@ -333,7 +333,7 @@ class TestSubSolvers:
             else:
                 w = IdentityWeighting()
             m = MarketModel(r, lam, Binomial(u, d, p))
-            thr = zeta_thresholds(m, preference(weighting=w))
+            thr = prepare_binomial_inputs(1.0, m, preference(weighting=w)).thresholds
             base = thr.sell_unbounded
             if rng.random() < 0.5 and thr.sell_interior is not None:
                 base = thr.sell_interior
@@ -387,7 +387,7 @@ def _knife_edge_problem(rng):
     m = MarketModel(r, lam, Binomial(u, d, p))
     if not check_no_arbitrage(m).passed:
         return None
-    thr = zeta_thresholds(m, preference(weighting=w))
+    thr = prepare_binomial_inputs(1.0, m, preference(weighting=w)).thresholds
     levels = [x for x in (thr.buy_unbounded, thr.buy_interior,
                           thr.sell_unbounded, thr.sell_interior) if x is not None and x > 1.0]
     if not levels:
@@ -416,7 +416,7 @@ class TestFullBinomialSolve:
         m = market(u=1.25, d=0.9, r=0.02, lam=0.0)
         pp = pseudo_probabilities(m)
         assert pp.buy_up < pp.buy_down
-        thr = zeta_thresholds(m, preference())
+        thr = prepare_binomial_inputs(1.0, m, preference()).thresholds
         zeta = max(thr.buy_interior, thr.sell_interior) * 1.05
         sol = solve_binomial(1.0, m, preference(zeta=zeta))
         assert sol.theta == 0.0
@@ -432,7 +432,7 @@ class TestFullBinomialSolve:
         assert sol.case_id in ("T4.3-2a", "T4.3-2b", "T4.3-2c")
         grid = GridSpec(-10 * (1 + abs(sol.theta)), 10 * (1 + abs(sol.theta)), 4001, 2)
         report = verify(sol, Portfolio(1.0, 0.0), m, pref, grid)
-        assert report.matched, report.detail
+        assert report.agreement == "match", report.detail
 
     def test_classification_complete_and_oracle_verified(self):
         rng = random.Random(90125)
@@ -464,7 +464,7 @@ class TestFullBinomialSolve:
             span = 10.0 * (1.0 + abs(ref))
             report = verify(sol, Portfolio(1.0, 0.0), m, pref,
                             GridSpec(-span, span, 2001, 2))
-            assert report.matched, (sol, report.detail)
+            assert report.agreement == "match", (sol, report.detail)
         assert SolutionKind.FINITE_POINT in kinds
         assert SolutionKind.PLUS_INFINITY in kinds or SolutionKind.MINUS_INFINITY in kinds
 
@@ -594,7 +594,8 @@ class TestNoTradeThreshold:
 def test_each_ray_is_built_once(monkeypatch):
     # the buy ray is unbounded (T4.1-3a), so no prospect is evaluated
     m = market(u=1.3, d=0.8, r=0.05, lam=0.0, p=0.2)
-    pref = preference(zeta=1.0 + 0.9 * (zeta_thresholds(m, preference()).buy_unbounded - 1.0))
+    buy_unbounded = prepare_binomial_inputs(1.0, m, preference()).thresholds.buy_unbounded
+    pref = preference(zeta=1.0 + 0.9 * (buy_unbounded - 1.0))
     calls = {"pseudo_probabilities": 0, "weight": 0}
 
     def counted(name, original):

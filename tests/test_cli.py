@@ -82,8 +82,8 @@ class TestConfig:
     def test_round_trip_reproduces_results(self):
         config = RunConfig.from_dict(BULL)
         text = config.to_json()
-        reloaded = RunConfig.from_json(text)
-        assert reloaded.to_dict() == config.to_dict()
+        reloaded = RunConfig.from_dict(json.loads(text))
+        assert reloaded.data == config.data
         assert solve_once(reloaded) == solve_once(config)
 
     def test_all_violations_reported(self):

@@ -99,7 +99,7 @@ class TestIntegrals:
         gl = long_integrals(REFERENCE_PREF, excess_transform(BULL, TradeDirection.BUY))
         unit = prospect_value(REFERENCE_PREF, difference_law(port, BULL, 1.0))
         assert gl.gain == pytest.approx(unit.gain, rel=1e-7)
-        assert REFERENCE_PREF.loss_aversion * gl.loss == pytest.approx(unit.loss, rel=1e-7)
+        assert REFERENCE_PREF.utility.loss_aversion * gl.loss == pytest.approx(unit.loss, rel=1e-7)
 
     def test_costs_favor_the_sell_side_for_symmetric_returns(self):
         # symmetric excess returns: selling keeps better gains and smaller losses
@@ -291,7 +291,7 @@ class TestFullSolve:
         report = verify(sol, port, m, pref,
                         GridSpec(-1.0, max(10.0, 10 * abs(sol.theta)), 4001, 2),
                         tol_value=1e-5)
-        assert report.matched, report.detail
+        assert report.agreement == "match", report.detail
 
     def test_loss_aversion_between_ratios_sells_out(self):
         # buying is flat-to-bad, selling strictly attractive: corner at -y0
@@ -651,7 +651,7 @@ class TestZeroInitial:
         port = Portfolio(1.0, 0.0)
         span = max(10.0, 10.0 * abs(sol.theta))
         report = verify(sol, port, m, pref, GridSpec(-span, span, 4001, 2), tol_value=1e-5)
-        assert report.matched, report.detail
+        assert report.agreement == "match", report.detail
 
 
 class TestProblemComparison:

@@ -94,13 +94,17 @@ def test_discrete_affine_negative_scale_resorts():
     assert flipped.atoms == ((-2.0, 0.75), (-1.0, 0.25))
 
 
-def test_vectorized_quantiles_match_scalar():
-    law = ContinuousLaw(LognormalBase(0.02, 0.4), shift=-1.0, scale=0.9)
+@pytest.mark.parametrize("scale", [0.9, -0.9], ids=["long", "negated"])
+def test_vectorized_quantiles_match_scalar(scale):
+    base = LognormalBase(0.02, 0.4)
+    law = ContinuousLaw(base, shift=-1.0, scale=scale)
     qs = np.array([1e-6, 0.2, 0.5, 0.8, 1 - 1e-6])
     np.testing.assert_allclose(law.ppf_array(qs), [law.ppf(q) for q in qs], rtol=1e-13)
-    np.testing.assert_allclose(law.isf_array(qs), [law.isf(q) for q in qs], rtol=1e-13)
+    upper = base.isf if scale > 0 else base.ppf
+    np.testing.assert_allclose(law.isf_array(qs), [-1.0 + scale * upper(q) for q in qs],
+                               rtol=1e-13)
     xs = np.array([-1.5, -0.5, 0.0, 1.0])
-    np.testing.assert_allclose(law.cdf_array(xs), [law.cdf(x) for x in xs], rtol=1e-13)
+    np.testing.assert_allclose(law.sf_array(xs), [law.sf(x) for x in xs], rtol=1e-13)
 
 
 def test_lognormal_survival_array_keeps_the_upper_tail():
@@ -112,9 +116,9 @@ def test_lognormal_survival_array_keeps_the_upper_tail():
 
 def test_log_tail_quantiles_reach_beyond_float_q():
     law = ContinuousLaw(LognormalBase(0.0, 0.2))
-    deep = law.isf_logq(-800.0)  # q = exp(-800), not representable as a float
+    deep = law.isf_logq_array(np.array([-800.0]))[0]  # q = exp(-800), not a float
     assert math.isfinite(deep)
-    assert deep > law.isf(1e-300)
+    assert deep > law.isf_array(np.array([1e-300]))[0]
 
 
 @pytest.mark.parametrize("law", [
@@ -125,12 +129,13 @@ def test_log_tail_quantiles_reach_beyond_float_q():
 ], ids=["normal", "normal-negated", "lognormal", "lognormal-negated"])
 def test_log_quantile_arrays_follow_the_scalar_and_plain_quantiles(law):
     log_q = np.array([-5e3, -800.0, -40.0, -2.0, -0.1])
-    np.testing.assert_allclose(law.isf_logq_array(log_q), [law.isf_logq(x) for x in log_q],
-                               rtol=1e-15)
-    # where q = exp(log_q) is a float, both tails match the plain quantile arrays
+    # a negated law takes its upper tail from the base's lower-tail methods
+    upper = law.base.isf_logq if law.scale > 0 else law.base.ppf_logq
+    np.testing.assert_allclose(law.isf_logq_array(log_q),
+                               [law.shift + law.scale * upper(x) for x in log_q], rtol=1e-15)
+    # where q = exp(log_q) is a float, they match the plain quantile arrays
     q = np.exp(log_q[2:])
     np.testing.assert_allclose(law.isf_logq_array(log_q[2:]), law.isf_array(q), rtol=1e-13)
-    np.testing.assert_allclose(law.ppf_logq_array(log_q[2:]), law.ppf_array(q), rtol=1e-13)
 
 
 def test_log_tail_quantiles_past_the_float_range_are_infinite():

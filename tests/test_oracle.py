@@ -81,7 +81,7 @@ def test_factorization_of_the_unit_buy():
     inputs = prepare_inputs(port, m, pref)
     direct = evaluate_objective(port, m, pref, 1.0)
     assert direct == pytest.approx(
-        inputs.buy.gain - pref.loss_aversion * inputs.buy.loss, rel=1e-7
+        inputs.buy.gain - pref.utility.loss_aversion * inputs.buy.loss, rel=1e-7
     )
 
 
@@ -184,10 +184,11 @@ def test_grid_rows_do_not_depend_on_their_neighbours_across_blocks(returns):
     assert buys.size > 40 * _ROW_BLOCK
     assert np.unique(_ray_crossing(-base[sales] / slope[sales])).size > 50
     positions = set()
-    for rows, gain_level in ((buys, law.sf_array), (sales, law.cdf_array)):
+    for rows, sign in ((buys, 1.0), (sales, -1.0)):
         # each side sorts a sign class's rows by the grid's own levels, then cuts
         # them into blocks; a block that spans levels gathers their nodes
-        gain = gain_level(_ray_crossing(-base[rows] / slope[rows]))
+        s = sign * slope[rows]
+        gain = law.affine(0.0, sign).sf_array(_ray_crossing(-base[rows] / s))
         for upper in (gain, 1.0 - gain):
             by_level = np.argsort(upper, kind="stable")
             group_edges = np.nonzero(np.diff(upper[by_level]) != 0.0)[0]
@@ -351,7 +352,7 @@ def test_verify_matches_the_closed_form_solution():
     sol = solve_binomial(1.0, BINOM, EXP_PREF)
     span = 10.0 * (1.0 + abs(sol.theta))
     report = verify(sol, CASH, BINOM, EXP_PREF, GridSpec(-span, span, 4001, 2))
-    assert report.matched
+    assert report.agreement == "match"
     assert report.final_step is not None
 
 
@@ -370,7 +371,7 @@ def test_verify_builds_each_decision_weight_list_once(monkeypatch):
 
     monkeypatch.setattr("cptinvest.oracle.rank_weights", spy)
     _decision_weights.cache_clear()
-    assert verify(sol, port, m, pref, GridSpec(-1.0, 10.0, 401, 2)).matched
+    assert verify(sol, port, m, pref, GridSpec(-1.0, 10.0, 401, 2)).agreement == "match"
     probs = tuple(p for _, p in m.law.atoms)
     assert sorted(built) == sorted([("gain", probs), ("gain", probs[::-1]),
                                     ("loss", probs), ("loss", probs[::-1])])
@@ -442,7 +443,7 @@ def test_verify_rejects_a_perturbed_solution():
     spec = GridSpec(-span, span, 4001, 2)
     fake = Solution.point(sol.theta + 0.1, sol.case_id, sol.prospect)
     report = verify(fake, CASH, BINOM, EXP_PREF, spec)
-    assert not report.matched
+    assert report.agreement == "mismatch"
 
 
 def test_negative_control_perturbation_loses_value():
@@ -459,14 +460,12 @@ def test_negative_control_perturbation_loses_value():
 def test_verify_interval_solutions():
     # equal pseudo-probabilities at the knife edge: a whole ray of optima
     m = MarketModel(0.05, 0.0, Binomial(1.3, 0.8, 0.2))
-    from cptinvest.binomial import zeta_thresholds
-
-    thr = zeta_thresholds(m, EXP_PREF)
+    thr = prepare_binomial_inputs(1.0, m, EXP_PREF).thresholds
     pref = CptPreference(ExponentialUtility(1.5, 1.5, thr.buy_unbounded), TK)
     sol = solve_binomial(1.0, m, pref)
     assert sol.kind is SolutionKind.INTERVAL
     report = verify(sol, CASH, m, pref, GridSpec(-10, 10, 2001, 1))
-    assert report.matched, report.detail
+    assert report.agreement == "match", report.detail
 
 
 

@@ -135,7 +135,7 @@ class TestWeightings:
 
 def test_preference_bundle():
     pref = CptPreference(PowerUtility(), TverskyKahnemanWeighting())
-    assert pref.loss_aversion == 2.25
+    assert pref.utility.loss_aversion == 2.25
 
 
 @pytest.mark.parametrize("build", [
