@@ -10,8 +10,6 @@ from .binomial import (
     LossAversionThresholds,
     Payoff2,
     PseudoProbabilities,
-    candidate_applies,
-    candidate_trade,
     lambda_bar,
     prepare_binomial_inputs,
     pseudo_probabilities,

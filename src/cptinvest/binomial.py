@@ -29,8 +29,6 @@ __all__ = [
     "BinomialInputs",
     "pseudo_probabilities",
     "replicate",
-    "candidate_trade",
-    "candidate_applies",
     "prospect_at",
     "solve_ray",
     "solve_binomial",
@@ -210,30 +208,6 @@ def prepare_binomial_inputs(x0: float, market: MarketModel,
     return BinomialInputs(market, pref, x0, *_rays(market, pref))
 
 
-def candidate_applies(inputs: BinomialInputs, side: str) -> bool:
-    """Whether the side's ray ("buy" or "sell") has an interior candidate."""
-    ray = inputs._ray(side)
-    return (ray.gain_weight > ray.loss_weight > 0 and ray.interior is not None
-            and inputs.zeta < ray.interior)
-
-
-def _candidate(ray: _Ray, inputs: BinomialInputs) -> float:
-    # gain weight > loss weight means gap > 0, but the two are rounded apart
-    if not ray.gap > 0.0:
-        side = "buy" if ray.sign > 0 else "sell"
-        raise ValueError(f"interior {side} candidate undefined: the {side} ray's "
-                         f"payoff gap {ray.gap!r} is not positive")
-    return ray.sign * math.log(ray.interior / inputs.zeta) / (inputs.eta * ray.gap)
-
-
-def candidate_trade(inputs: BinomialInputs, side: str) -> float:
-    """Interior candidate of one side (> 0 for a buy, < 0 for a sale); needs
-    gain weight > loss weight > 0 and loss aversion below the interior threshold."""
-    if not candidate_applies(inputs, side):
-        raise ValueError(f"interior {side} candidate undefined outside its regime")
-    return _candidate(inputs._ray(side), inputs)
-
-
 def prospect_at(inputs: BinomialInputs, theta: float) -> float:
     """Exact two-atom prospect of trading theta from the all-cash position."""
     law = _binomial_law(inputs.market)
@@ -275,7 +249,11 @@ def solve_ray(inputs: BinomialInputs, side: str) -> Solution:
     if zeta >= ray.interior or _close(zeta, ray.interior):
         return Solution.point(0.0, case + "1d", 0.0,
                               boundary=_close(zeta, ray.interior))
-    theta = _candidate(ray, inputs)
+    # gain weight > loss weight means gap > 0, but the two are rounded apart
+    if not ray.gap > 0.0:
+        raise ValueError(f"interior {side} candidate undefined: the {side} ray's "
+                         f"payoff gap {ray.gap!r} is not positive")
+    theta = ray.sign * math.log(ray.interior / zeta) / (inputs.eta * ray.gap)
     return Solution.point(theta, case + "4", prospect_at(inputs, theta))
 
 

@@ -84,23 +84,15 @@ def _solve_for_mode(config: RunConfig):
                                          zero_initial=config.mode == "zero-initial")
 
 
-def _interior_candidates(inputs: cont_solver.PowerCaseInputs) -> tuple[float, float] | None:
-    """Both interior candidates, or None when alpha >= beta or the sale has no losses."""
-    if inputs.alpha < inputs.beta and inputs.ratio_sell is not None:
-        return cont_solver.interior_candidates(inputs)
-    return None
-
-
 def _sweep_row(config: RunConfig, value: float) -> SweepRow:
     sol, inputs = _solve_for_mode(config)
     if config.mode == "binomial":
         ratios = (None, None)
-        candidates = [bin_solver.candidate_trade(inputs, side)
-                      if bin_solver.candidate_applies(inputs, side) else None
-                      for side in ("buy", "sell")]
+        rays = (bin_solver.solve_ray(inputs, side) for side in ("buy", "sell"))
+        candidates = [ray.theta if ray.case_id.endswith("-4") else None for ray in rays]
     else:
         ratios = (inputs.ratio_buy, inputs.ratio_sell)
-        candidates = _interior_candidates(inputs) or (None, None)
+        candidates = cont_solver.interior_candidates(inputs) or (None, None)
     return SweepRow(value, *ratios, *candidates, **_outcome(sol))
 
 
@@ -177,7 +169,7 @@ def solve_once(config: RunConfig) -> dict:
             "gain_sell": inputs.sell.gain, "loss_sell": inputs.sell.loss,
             "ratio_buy": inputs.ratio_buy, "ratio_sell": inputs.ratio_sell,
         }
-        if candidates := _interior_candidates(inputs):
+        if candidates := cont_solver.interior_candidates(inputs):
             diag["theta_buy"], diag["theta_sell"] = candidates
         summary["diagnostics"] = diag
 

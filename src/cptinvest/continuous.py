@@ -120,23 +120,18 @@ def _power_candidate(ratio: float, alpha: float, beta: float, k: float) -> float
     return math.exp(t)
 
 
-def interior_candidates(inputs: PowerCaseInputs) -> tuple[float, float]:
-    """The interior buy candidate (>= 0) and sell candidate (<= 0).
+def interior_candidates(inputs: PowerCaseInputs) -> tuple[float, float] | None:
+    """The interior buy candidate (>= 0) and sell candidate (<= 0), or None.
 
-    Only defined for alpha strictly below beta; each candidate is the unique
-    stationary point of the factorized objective on its ray.
+    Only defined for alpha strictly below beta and rays that both carry loss
+    mass; each candidate is the unique stationary point of the factorized
+    objective on its ray.
     """
-    if inputs.alpha >= inputs.beta:
-        raise ValueError("interior candidates are undefined when alpha equals beta")
-    if inputs.ratio_buy is None:
-        raise ValueError("buy ratio undefined: the buy ray has no loss mass")
-    if inputs.ratio_sell is None:
-        raise ValueError("sell ratio undefined: the sell ray has no loss mass")
-    theta_buy = _power_candidate(inputs.ratio_buy, inputs.alpha, inputs.beta,
-                                 inputs.loss_aversion)
-    theta_sell = -_power_candidate(inputs.ratio_sell, inputs.alpha, inputs.beta,
-                                   inputs.loss_aversion)
-    return theta_buy, theta_sell
+    ratio_buy, ratio_sell = inputs.ratio_buy, inputs.ratio_sell
+    if inputs.alpha >= inputs.beta or ratio_buy is None or ratio_sell is None:
+        return None
+    return (_power_candidate(ratio_buy, inputs.alpha, inputs.beta, inputs.loss_aversion),
+            -_power_candidate(ratio_sell, inputs.alpha, inputs.beta, inputs.loss_aversion))
 
 
 def prospect_along(inputs: PowerCaseInputs, theta: float) -> float:

@@ -136,12 +136,13 @@ class TverskyKahnemanWeighting:
                     f"increasing weighting, got {v}"
                 )
 
-    def _exponent(self, side: Side) -> float:
+    # the side's exponent g: w' blows up like q**(g - 1) at both endpoints
+    def endpoint_exponent(self, side: Side) -> float:
         _check_side(side)
         return self.gamma if side == "gain" else self.delta
 
     def weight(self, side: Side, q: float) -> float:
-        g = self._exponent(side)
+        g = self.endpoint_exponent(side)
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {q}")
         if q == 0.0 or q == 1.0:
@@ -150,7 +151,7 @@ class TverskyKahnemanWeighting:
         return a / (a + (1.0 - q) ** g) ** (1.0 / g)
 
     def derivative(self, side: Side, q: float) -> float:
-        g = self._exponent(side)
+        g = self.endpoint_exponent(side)
         if not 0.0 < q < 1.0:
             raise ValueError(f"derivative defined on (0, 1) only, got {q}")
         qg = q**g
@@ -160,16 +161,12 @@ class TverskyKahnemanWeighting:
 
     def derivative_array(self, side: Side, q) -> np.ndarray:
         """Vectorized derivative on arrays with entries strictly inside (0, 1)."""
-        g = self._exponent(side)
+        g = self.endpoint_exponent(side)
         q = np.asarray(q, dtype=float)
         a = q**g + (1.0 - q) ** g
         da = g * q ** (g - 1.0) - g * (1.0 - q) ** (g - 1.0)
         w = q**g / a ** (1.0 / g)
         return w * (g / q - da / (g * a))
-
-    # q**(exponent - 1) blow-up at both endpoints
-    def endpoint_exponent(self, side: Side) -> float:
-        return self._exponent(side)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from cptinvest import binomial
 from cptinvest.binomial import (
     Payoff2,
-    candidate_applies,
-    candidate_trade,
     lambda_bar,
     prepare_binomial_inputs,
     prospect_at,
@@ -167,6 +165,12 @@ class TestThresholds:
             )
 
 
+def _interior_trade(inputs, side):
+    """The side's interior candidate: the ray optimum where its case is T4.x-4, else None."""
+    sol = solve_ray(inputs, side)
+    return sol.theta if sol.case_id.endswith("-4") else None
+
+
 class TestCandidates:
     def _interior_market(self):
         # buy_down > buy_up > 0 requires (1-lam)(u+d) > 2(1+r)
@@ -184,18 +188,16 @@ class TestCandidates:
         buy_m = self._interior_market()
         i1 = prepare_binomial_inputs(1.0, buy_m, preference(eta=1.0, zeta=1.05))
         i2 = prepare_binomial_inputs(1.0, buy_m, preference(eta=2.0, zeta=1.05))
-        assert candidate_trade(i2, "buy") == pytest.approx(candidate_trade(i1, "buy") / 2.0,
+        assert _interior_trade(i2, "buy") == pytest.approx(_interior_trade(i1, "buy") / 2.0,
                                                            rel=1e-12)
         sell_m = market(u=1.04, d=0.85, r=0.02, lam=0.01, p=0.4)
         j1 = prepare_binomial_inputs(1.0, sell_m, preference(eta=1.0, zeta=1.05))
         j2 = prepare_binomial_inputs(1.0, sell_m, preference(eta=2.0, zeta=1.05))
-        assert candidate_trade(j2, "sell") == pytest.approx(candidate_trade(j1, "sell") / 2.0,
+        assert _interior_trade(j2, "sell") == pytest.approx(_interior_trade(j1, "sell") / 2.0,
                                                             rel=1e-12)
         # the interior regimes exclude each other across the two markets
-        with pytest.raises(ValueError):
-            candidate_trade(i1, "sell")
-        with pytest.raises(ValueError):
-            candidate_trade(j1, "buy")
+        assert _interior_trade(i1, "sell") is None
+        assert _interior_trade(j1, "buy") is None
 
     def test_grid_argmax_at_the_buy_candidate(self):
         m = self._interior_market()
@@ -211,8 +213,7 @@ class TestCandidates:
     def test_rejected_outside_regime(self):
         inputs = prepare_binomial_inputs(1.0, market(), preference(zeta=5.0))
         for side in ("buy", "sell"):
-            with pytest.raises(ValueError):
-                candidate_trade(inputs, side)
+            assert _interior_trade(inputs, side) is None
 
     def test_a_payoff_gap_rounded_to_zero_is_refused(self):
         # buy_down exceeds buy_up by 1.07e-12, past the 1e-12 comparison band, while
@@ -222,9 +223,9 @@ class TestCandidates:
         pref = CptPreference(ExponentialUtility(2.9645016195189533, 2.9645016195189533,
                                                 7.319383484359439), IdentityWeighting())
         inputs = prepare_binomial_inputs(1.0, m, pref)
-        assert candidate_applies(inputs, "buy")
-        for call in (lambda: solve_ray(inputs, "buy"), lambda: candidate_trade(inputs, "buy"),
-                     lambda: solve_binomial(1.0, m, pref)):
+        assert inputs.buy.gain_weight > inputs.buy.loss_weight > 0
+        assert inputs.zeta < inputs.buy.interior
+        for call in (lambda: solve_ray(inputs, "buy"), lambda: solve_binomial(1.0, m, pref)):
             with pytest.raises(ValueError, match="buy ray's payoff gap 0.0"):
                 call()
 
@@ -486,8 +487,8 @@ class TestFullBinomialSolve:
                 continue
             m, pref = problem
             inputs = prepare_binomial_inputs(1.0, m, pref)
-            assert not (candidate_applies(inputs, "buy") and candidate_applies(inputs, "sell"))
             buy, sell = solve_ray(inputs, "buy"), solve_ray(inputs, "sell")
+            assert not (buy.case_id.endswith("-4") and sell.case_id.endswith("-4"))
             sol = solve_binomial(1.0, m, pref)
             fired.add(sol.case_id)
             checked += 1
@@ -639,8 +640,8 @@ def test_solve_binomial_refuses_what_it_cannot_solve(m, pref, error, message):
     assert str(raised.value) == message
 
 
-def test_candidate_trade_names_a_bad_side():
+def test_solve_ray_names_a_bad_side():
     inputs = prepare_binomial_inputs(1.0, market(), REFUSAL_PREF)
     with pytest.raises(ValueError) as raised:
-        candidate_trade(inputs, "up")
+        solve_ray(inputs, "up")
     assert str(raised.value) == "side must be 'buy' or 'sell', got 'up'"

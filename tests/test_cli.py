@@ -72,6 +72,18 @@ ZERO_GAP = {
                    "weighting": "identity"},
 }
 
+# (1-lam)(u+d) rounds to 2(1+r): the buy pseudo weights, 0.5000000000000001 and
+# 0.4999999999999999, are equal within the 1e-12 band, so the buy ray is flat
+# (T4.1-3a) with no interior candidate; below loss aversion 1.8504 it is unbounded
+KNIFE_EDGE = {
+    **BINOM,
+    "market": {"r": 0.0, "lambda": 0.01,
+               "returns": {"kind": "binomial", "u": 1.3280978328590332,
+                           "d": 0.6921041873429872, "p": 0.26253057462494217}},
+    "preference": {"utility": "exponential", "eta_gain": 1.0, "eta_loss": 1.0,
+                   "loss_aversion": 1.2, "weighting": "tk"},
+}
+
 
 class TestConfig:
     def test_defaults_fill_in(self):
@@ -454,6 +466,16 @@ class TestCommandLine:
             records = list(csv.DictReader(handle))
         assert len(records) == 8
         assert list(records[0])[0] == "lambda"
+
+    def test_knife_edge_sweep_has_cases_and_blank_candidates(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", self._write(tmp_path, KNIFE_EDGE),
+                     "--sweep", "zeta=1.0:1.8:4", "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as handle:
+            records = list(csv.DictReader(handle))
+        assert [r["case_id"] for r in records] == ["T4.3-7a"] * 4
+        assert all(r["theta_buy"] == r["theta_sell"] == r["error"] == "" for r in records)
 
     def test_zero_payoff_gap_exits_with_code_2(self, tmp_path, capsys):
         code = main(["solve", "--config", self._write(tmp_path, ZERO_GAP)])

@@ -193,9 +193,12 @@ class TestInteriorCandidates:
         theta_buy, theta_sell = interior_candidates(inp)
         assert theta_sell == pytest.approx(-theta_buy, rel=1e-12)
 
-    def test_equal_exponents_rejected(self):
-        with pytest.raises(ValueError):
-            interior_candidates(synthetic_inputs(alpha=0.88, beta=0.88))
+    @pytest.mark.parametrize("overrides", [
+        dict(alpha=0.88, beta=0.88), dict(alpha=0.9, beta=0.8),
+        dict(loss_buy=0.0), dict(loss_sell=0.0),
+    ], ids=["equal-exponents", "alpha-above-beta", "no-buy-loss", "no-sell-loss"])
+    def test_undefined_candidates_are_none(self, overrides):
+        assert interior_candidates(synthetic_inputs(**overrides)) is None
 
     def test_candidate_maximizes_the_buy_ray(self):
         inp = synthetic_inputs()
