@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .choquet import prospect_value
 from .distributions import DiscreteLaw
@@ -194,6 +195,11 @@ class BinomialInputs:
         buy, sell = self.buy, self.sell
         return LossAversionThresholds(buy.unbounded, buy.interior, sell.unbounded, sell.interior)
 
+    @cached_property
+    def rays(self) -> tuple[Solution, Solution]:
+        """The optimum on the buy and on the sell ray, each solved once."""
+        return solve_ray(self, "buy"), solve_ray(self, "sell")
+
     @property
     def eta(self) -> float:
         return self.pref.utility.eta_gain
@@ -306,7 +312,7 @@ def solve_binomial_with_inputs(x0: float, market: MarketModel,
     """Checked solve that also returns the inputs it classified."""
     check_no_arbitrage(market).require()
     inputs = prepare_binomial_inputs(x0, market, pref)
-    return _merge_rays(solve_ray(inputs, "buy"), solve_ray(inputs, "sell")), inputs
+    return _merge_rays(*inputs.rays), inputs
 
 
 def solve_binomial(x0: float, market: MarketModel, pref: CptPreference) -> Solution:

@@ -126,12 +126,12 @@ def _checked_quad(f, a: float, b: float, side: str):
 
 def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
                             law) -> tuple[float, float]:
-    """Integrate value(side, max(Q(1 - q), 0)) * w'(q) over (0, law.sf(0)).
+    """Integrate u(max(Q(1 - q), 0)) * w'(q) over (0, law.sf(0)), u = value(side).
 
     Q(1 - q) is the law's upper-tail quantile at level q; where the law
     has log-tail quantiles it is taken at q = exp(-s) without forming q,
-    enabling the deep lower tail of exp-log weightings.  Returns (value,
-    error_estimate).
+    enabling the deep lower tail of exp-log weightings.  The side is resolved
+    once, before the first node.  Returns (value, error_estimate).
     """
     upper = law.sf(0.0)
     if upper <= 0.0:
@@ -139,15 +139,19 @@ def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
     upper = min(upper, 1.0)
     mid = 0.5 * upper
     power = weighting.endpoint_exponent(side)
+    u, sided = value(side), weighting.on_side(side)
+    derivative = sided.derivative
     # the upper-tail quantile, with its sign dispatch done once rather than per node
     shift, scale = law.shift, law.scale
     base_quantile = law.base.isf if scale > 0 else law.base.ppf
 
+    # a node floors its outcome with a conditional: max(x, 0.0) with no builtin call
     def outcome(q):
-        return value(side, max(shift + scale * base_quantile(q), 0.0))
+        x = shift + scale * base_quantile(q)
+        return u(0.0 if 0.0 > x else x)
 
     def plain(q):
-        return outcome(q) * weighting.derivative(side, q)
+        return outcome(q) * derivative(q)
 
     def at_end(end, sign, lo, hi):
         """Integral over (lo, hi), one of whose ends is q = end.
@@ -167,19 +171,19 @@ def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
                 # t**m is below one ulp of 1: take the last q below it
                 clamped = True
                 q = _BELOW_ONE
-            return outcome(q) * weighting.derivative(side, q) * m * t ** (m - 1.0)
+            return outcome(q) * derivative(q) * m * t ** (m - 1.0)
 
         v, e = _checked_quad(integrand, 0.0, (hi - lo) ** power, side)
         if clamped:
             # the outcome falls as q rises: bound the sliver of weight past _BELOW_ONE
-            e += (1.0 - weighting.weight(side, _BELOW_ONE)) * abs(outcome(_BELOW_ONE))
+            e += (1.0 - sided.weight(_BELOW_ONE)) * abs(outcome(_BELOW_ONE))
         return v, e
 
     total = 0.0
     err = 0.0
 
     # (0, mid]: weighting derivative blows up at q -> 0
-    log_density = getattr(weighting, "log_tail_density", None)
+    log_density = getattr(sided, "log_tail_density", None)
     if log_density is not None:
         # q = exp(-s); integrand decays like exp(-delta * s**gamma)
         s_lo = -math.log(mid)
@@ -188,7 +192,8 @@ def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
             base_logq = law.base.isf_logq if scale > 0 else law.base.ppf_logq
 
             def outcome_at_s(s):
-                return value(side, max(shift + scale * base_logq(-s), 0.0))
+                x = shift + scale * base_logq(-s)
+                return u(0.0 if 0.0 > x else x)
         else:
             s_hi = min(s_hi, _SIGMA_MAX)
 
@@ -196,7 +201,7 @@ def distorted_tail_integral(value, weighting: WeightingPair, side: Side,
                 return outcome(math.exp(-s))
 
         def log_integrand(s):
-            return outcome_at_s(s) * log_density(side, s)
+            return outcome_at_s(s) * log_density(s)
 
         cut = s_lo
         if s_hi > s_lo:
@@ -234,11 +239,12 @@ def rank_weights(weighting: WeightingPair, side: Side, probs) -> list[float]:
     ``c_i`` is the cumulative probability of the first i outcomes, clamped at 1
     against round-off; each increment depends only on its outcome's rank.
     """
+    weight = weighting.on_side(side).weight
     w = [0.0]  # w(0) = 0
     cum = 0.0
     for p in probs:
-        cum = min(cum + p, 1.0)
-        w.append(weighting.weight(side, cum))
+        cum = 1.0 if 1.0 < (c := cum + p) else c  # min(cum + p, 1.0), with no call
+        w.append(weight(cum))
     return [b - a for a, b in zip(w, w[1:])]
 
 
@@ -249,28 +255,28 @@ def rank_dependent_sum(
 ) -> tuple[float, float]:
     """Exact Choquet sums over a finite law: (gains part, losses part).
 
-    ``atoms`` are (value, prob) pairs; ``utility_value(side, x)`` maps
-    nonnegative magnitudes.  Gains are ranked from the top, losses from the
-    bottom; atoms exactly at zero contribute to neither side.
+    ``atoms`` are (value, prob) pairs; ``utility_value(side)`` is the side's
+    function of nonnegative magnitudes.  Gains are ranked from the top, losses
+    from the bottom; atoms exactly at zero contribute to neither side.
     """
     ordered = sorted(atoms)
     gains = [a for a in reversed(ordered) if a[0] > 0.0]
     losses = [a for a in ordered if a[0] < 0.0]
-    v_plus = 0.0
+    v_plus, u = 0.0, utility_value("gain")
     for (x, _), dw in zip(gains, rank_weights(weighting, "gain", [p for _, p in gains])):
-        v_plus += utility_value("gain", x) * dw
-    v_minus = 0.0
+        v_plus += u(x) * dw
+    v_minus, u = 0.0, utility_value("loss")
     for (x, _), dw in zip(losses, rank_weights(weighting, "loss", [p for _, p in losses])):
-        v_minus += utility_value("loss", -x) * dw
+        v_minus += u(-x) * dw
     return v_plus, v_minus
 
 
 def gain_loss(value, weighting: WeightingPair, dist) -> GainLoss:
     """Gains and losses parts of a signed distribution under a value function.
 
-    ``value(side, x)`` maps nonnegative magnitudes.  Discrete laws are exact
-    rank-dependent sums; continuous laws are two distorted upper-tail
-    integrals, with error estimates.
+    ``value(side)`` is the side's function of nonnegative magnitudes.  Discrete
+    laws are exact rank-dependent sums; continuous laws are two distorted
+    upper-tail integrals, with error estimates.
     """
     if dist.atoms is not None:
         return GainLoss(*rank_dependent_sum(value, weighting, dist.atoms))
@@ -286,4 +292,4 @@ def prospect_value(pref: CptPreference, dist) -> GainLoss:
 
     The loss part is the utility of the losses, loss aversion included.
     """
-    return gain_loss(pref.utility.value, pref.weighting, dist)
+    return gain_loss(pref.utility.value_on, pref.weighting, dist)

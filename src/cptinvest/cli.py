@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -88,8 +89,7 @@ def _sweep_row(config: RunConfig, value: float) -> SweepRow:
     sol, inputs = _solve_for_mode(config)
     if config.mode == "binomial":
         ratios = (None, None)
-        rays = (bin_solver.solve_ray(inputs, side) for side in ("buy", "sell"))
-        candidates = [ray.theta if ray.case_id.endswith("-4") else None for ray in rays]
+        candidates = [ray.theta if ray.case_id.endswith("-4") else None for ray in inputs.rays]
     else:
         ratios = (inputs.ratio_buy, inputs.ratio_sell)
         candidates = cont_solver.interior_candidates(inputs) or (None, None)
@@ -216,7 +216,10 @@ def _parse_sweep_axis(text: str) -> tuple[str, float, float, int]:
             f"sweep must look like axis=start:stop:count, got {text!r}") from exc
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it takes longer
+    than a two-state solve."""
     parser = argparse.ArgumentParser(
         prog="cptinvest",
         description="Optimal single-period investment under transaction costs "
@@ -246,8 +249,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_arb = sub.add_parser("check-arb", help="check the no-arbitrage condition")
     p_arb.add_argument("--config", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "estimate":

@@ -53,10 +53,10 @@ def _require_power(pref: CptPreference) -> PowerUtility:
 
 
 def _unit_value(pref: CptPreference):
-    """The per-unit value function: x**alpha on gains, x**beta on losses."""
+    """The per-unit value function of each side: x**alpha on gains, x**beta on losses."""
     u = _require_power(pref)
-    alpha, beta = u.alpha, u.beta
-    return lambda side, x: x ** (alpha if side == "gain" else beta)
+    # p.__rpow__ is the function x -> x ** p
+    return lambda side: (u.alpha if side == "gain" else u.beta).__rpow__
 
 
 def long_integrals(pref: CptPreference, z_law) -> GainLoss:

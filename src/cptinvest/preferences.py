@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Literal, Union
 
 import numpy as np
@@ -34,6 +35,12 @@ _TK_MIN_EXPONENT = 0.28
 def _check_side(side: str) -> None:
     if side not in ("gain", "loss"):
         raise ValueError(f"side must be 'gain' or 'loss', got {side!r}")
+
+
+def _magnitude(x: float) -> float:
+    if x < 0:
+        raise ValueError(f"utility argument must be >= 0, got {x}")
+    return x
 
 
 def _check_above(params, floor: float, *names: str) -> None:
@@ -62,12 +69,13 @@ class PowerUtility:
         _check_above(self, 1.0, "loss_aversion")
 
     def value(self, side: Side, x: float) -> float:
+        return self.value_on(side)(x)
+
+    def value_on(self, side: Side):
+        """``value`` on one side, resolved once: a function of the magnitude alone."""
         _check_side(side)
-        if x < 0:
-            raise ValueError(f"utility argument must be >= 0, got {x}")
-        if side == "gain":
-            return x**self.alpha
-        return self.loss_aversion * x**self.beta
+        power, scale = (self.alpha, 1.0) if side == "gain" else (self.beta, self.loss_aversion)
+        return lambda x: scale * _magnitude(x) ** power  # times 1.0 is exact
 
     def value_array(self, side: Side, x: np.ndarray, out=None) -> np.ndarray:
         """Vectorized ``value`` on an array of nonnegative magnitudes; ``out``
@@ -97,12 +105,13 @@ class ExponentialUtility:
         _check_above(self, 1.0, "loss_aversion")
 
     def value(self, side: Side, x: float) -> float:
+        return self.value_on(side)(x)
+
+    def value_on(self, side: Side):
+        """``value`` on one side, resolved once: a function of the magnitude alone."""
         _check_side(side)
-        if x < 0:
-            raise ValueError(f"utility argument must be >= 0, got {x}")
-        if side == "gain":
-            return -math.expm1(-self.eta_gain * x)
-        return -self.loss_aversion * math.expm1(-self.eta_loss * x)
+        eta, scale = (self.eta_gain, -1.0) if side == "gain" else (self.eta_loss, -self.loss_aversion)
+        return lambda x: scale * math.expm1(-eta * _magnitude(x))  # times -1.0 is exact
 
     def value_array(self, side: Side, x: np.ndarray, out=None) -> np.ndarray:
         """Vectorized ``value`` on an array of nonnegative magnitudes; ``out``
@@ -121,8 +130,18 @@ class ExponentialUtility:
 UtilityPair = Union[PowerUtility, ExponentialUtility]
 
 
+class _Weighting:
+    """Two-argument methods over ``on_side(side)``: one side's functions of q alone."""
+
+    def weight(self, side: Side, q: float) -> float:
+        return self.on_side(side).weight(q)
+
+    def derivative(self, side: Side, q: float) -> float:
+        return self.on_side(side).derivative(q)
+
+
 @dataclass(frozen=True)
-class TverskyKahnemanWeighting:
+class TverskyKahnemanWeighting(_Weighting):
     """Inverse-S weighting q**g / (q**g + (1-q)**g)**(1/g), per-side exponents."""
 
     gamma: float = 0.61
@@ -141,23 +160,25 @@ class TverskyKahnemanWeighting:
         _check_side(side)
         return self.gamma if side == "gain" else self.delta
 
-    def weight(self, side: Side, q: float) -> float:
+    def on_side(self, side: Side) -> SimpleNamespace:
         g = self.endpoint_exponent(side)
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {q}")
-        if q == 0.0 or q == 1.0:
-            return q
-        a = q**g
-        return a / (a + (1.0 - q) ** g) ** (1.0 / g)
 
-    def derivative(self, side: Side, q: float) -> float:
-        g = self.endpoint_exponent(side)
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"derivative defined on (0, 1) only, got {q}")
-        qg = q**g
-        a = qg + (1.0 - q) ** g
-        da = g * q ** (g - 1.0) - g * (1.0 - q) ** (g - 1.0)
-        return qg / a ** (1.0 / g) * (g / q - da / (g * a))
+        def weight(q: float) -> float:
+            if not 0.0 <= q <= 1.0:
+                raise ValueError(f"probability must be in [0, 1], got {q}")
+            if q == 0.0 or q == 1.0:
+                return q
+            a = q**g
+            return a / (a + (1.0 - q) ** g) ** (1.0 / g)
+
+        def derivative(q: float) -> float:
+            if not 0.0 < q < 1.0:
+                raise ValueError(f"derivative defined on (0, 1) only, got {q}")
+            qg = q**g
+            a = qg + (1.0 - q) ** g
+            da = g * q ** (g - 1.0) - g * (1.0 - q) ** (g - 1.0)
+            return qg / a ** (1.0 / g) * (g / q - da / (g * a))
+        return SimpleNamespace(weight=weight, derivative=derivative)
 
     def derivative_array(self, side: Side, q) -> np.ndarray:
         """Vectorized derivative on arrays with entries strictly inside (0, 1)."""
@@ -170,7 +191,7 @@ class TverskyKahnemanWeighting:
 
 
 @dataclass(frozen=True)
-class PrelecWeighting:
+class PrelecWeighting(_Weighting):
     """Weighting exp(-delta * (-ln q)**gamma) with per-side delta."""
 
     gamma: float = 0.65
@@ -194,29 +215,34 @@ class PrelecWeighting:
         """The sigma past which the weight left out, ``tail_weight``, is below e**-45 = 3e-20."""
         return (45.0 / self._delta(side)) ** (1.0 / self.gamma)
 
-    def weight(self, side: Side, q: float) -> float:
-        d = self._delta(side)
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {q}")
-        if q == 0.0:
-            return 0.0
-        if q == 1.0:
-            return 1.0
-        return math.exp(-d * (-math.log(q)) ** self.gamma)
+    def on_side(self, side: Side) -> SimpleNamespace:
+        d, gamma = self._delta(side), self.gamma
 
-    def derivative(self, side: Side, q: float) -> float:
-        d = self._delta(side)
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"derivative defined on (0, 1) only, got {q}")
-        t = -math.log(q)
-        return math.exp(-d * t**self.gamma) * d * self.gamma * t ** (self.gamma - 1.0) / q
+        def weight(q: float) -> float:
+            if not 0.0 <= q <= 1.0:
+                raise ValueError(f"probability must be in [0, 1], got {q}")
+            if q == 0.0:
+                return 0.0
+            if q == 1.0:
+                return 1.0
+            return math.exp(-d * (-math.log(q)) ** gamma)
+
+        def derivative(q: float) -> float:
+            if not 0.0 < q < 1.0:
+                raise ValueError(f"derivative defined on (0, 1) only, got {q}")
+            t = -math.log(q)
+            return math.exp(-d * t**gamma) * d * gamma * t ** (gamma - 1.0) / q
+
+        def log_tail_density(s: float) -> float:
+            if s <= 0.0:
+                raise ValueError(f"log-tail coordinate must be > 0, got {s}")
+            return d * gamma * s ** (gamma - 1.0) * math.exp(-d * s**gamma)
+        return SimpleNamespace(weight=weight, derivative=derivative,
+                               log_tail_density=log_tail_density)
 
     def log_tail_density(self, side: Side, s: float) -> float:
         """w'(q) * q at q = exp(-s), computed from s to avoid overflow."""
-        d = self._delta(side)
-        if s <= 0.0:
-            raise ValueError(f"log-tail coordinate must be > 0, got {s}")
-        return d * self.gamma * s ** (self.gamma - 1.0) * math.exp(-d * s**self.gamma)
+        return self.on_side(side).log_tail_density(s)
 
     def log_tail_density_array(self, side: Side, s) -> np.ndarray:
         """Vectorized ``log_tail_density`` on an array of coordinates s > 0."""
@@ -236,20 +262,22 @@ class PrelecWeighting:
 
 
 @dataclass(frozen=True)
-class IdentityWeighting:
+class IdentityWeighting(_Weighting):
     """No probability distortion: w(q) = q on both sides."""
 
-    def weight(self, side: Side, q: float) -> float:
+    def on_side(self, side: Side) -> SimpleNamespace:
         _check_side(side)
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {q}")
-        return q
 
-    def derivative(self, side: Side, q: float) -> float:
-        _check_side(side)
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"derivative defined on (0, 1) only, got {q}")
-        return 1.0
+        def weight(q: float) -> float:
+            if not 0.0 <= q <= 1.0:
+                raise ValueError(f"probability must be in [0, 1], got {q}")
+            return q
+
+        def derivative(q: float) -> float:
+            if not 0.0 < q < 1.0:
+                raise ValueError(f"derivative defined on (0, 1) only, got {q}")
+            return 1.0
+        return SimpleNamespace(weight=weight, derivative=derivative)
 
     def derivative_array(self, side: Side, q) -> np.ndarray:
         _check_side(side)

@@ -18,8 +18,9 @@ from cptinvest.choquet import (
     prospect_value,
     rank_dependent_sum,
 )
+from cptinvest.continuous import prepare_inputs
 from cptinvest.distributions import ContinuousLaw, DiscreteLaw, constant_law
-from cptinvest.market import Lognormal, Normal, StudentT
+from cptinvest.market import Lognormal, MarketModel, Normal, Portfolio, StudentT
 from cptinvest.preferences import (
     CptPreference,
     ExponentialUtility,
@@ -93,7 +94,7 @@ def test_comonotonic_additivity_exact():
     """Rank sums equal the definition-based telescoping tail sums exactly."""
     pref = CptPreference(PowerUtility(0.6, 0.9, 3.0), TverskyKahnemanWeighting(0.4, 0.8))
     atoms = [(-2.0, 0.15), (-0.5, 0.2), (0.0, 0.05), (0.3, 0.35), (1.7, 0.25)]
-    got_plus, got_minus = rank_dependent_sum(pref.utility.value, pref.weighting, atoms)
+    got_plus, got_minus = rank_dependent_sum(pref.utility.value_on, pref.weighting, atoms)
 
     # independent route: telescoping sums of weighted cumulative tail probabilities
     w, u = pref.weighting, pref.utility
@@ -388,7 +389,7 @@ def _solver_integrands():
     sides of three laws take under TK, Prelec and identity weightings."""
     calls = []
     real = choquet.quad
-    utility = PowerUtility(0.7, 0.85, 2.0).value
+    utility = PowerUtility(0.7, 0.85, 2.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(choquet, "quad", lambda *args: calls.append(args) or real(*args))
         for returns in (Lognormal(0.02, 0.25), Normal(0.02, 0.25), StudentT(4.0, 0.02, 0.25)):
@@ -396,7 +397,7 @@ def _solver_integrands():
             for weighting in (TK, PrelecWeighting(0.65, 1.0, 1.2), IdentityWeighting()):
                 for side, side_law in (("gain", law), ("loss", law.affine(0.0, -1.0))):
                     try:
-                        distorted_tail_integral(utility, weighting, side, side_law)
+                        distorted_tail_integral(utility.value_on, weighting, side, side_law)
                     except ProspectDivergenceError:
                         pass  # Student-t gains under Prelec are refused after integrating
     assert len(calls) == 36  # two panels per side
@@ -506,3 +507,84 @@ def test_quad_loads_quadpack_before_scipy_integrate_and_falls_back_without_it():
         out.append(done.stdout)
     assert out[0] == out[1]
     assert out[0].startswith("Solution(")
+
+
+# float.hex of (gain, gain error, loss, loss error) of the buy and the sell ray's per-unit
+# integrals: PowerUtility(0.7, 0.85, 2.0), MarketModel(0.01, 0.01, law), y0 = 1
+_GOLDEN_LAWS = {"lognormal": Lognormal(0.06, 0.22), "normal": Normal(0.05, 0.2),
+                "student-t": StudentT(4.0, 0.05, 0.2)}
+_GOLDEN_WEIGHTINGS = {"tk": TK, "prelec": PrelecWeighting(0.65, 0.9, 1.1),
+                      "identity": IdentityWeighting()}
+_GOLDEN_INTEGRALS = {
+    ("lognormal", "tk"): (
+        ("0x1.b72d5c70cc504p-3", "0x1.a6ba6c0000000p-36",
+         "0x1.9a48169f59d62p-4", "0x1.4d91f80000000p-38"),
+        ("0x1.f3f4b785c7b7fp-4", "0x1.4725200000000p-38",
+         "0x1.867008347d7dfp-3", "0x1.5285c00000000p-36"),
+    ),
+    ("lognormal", "prelec"): (
+        ("0x1.1281684e8156cp-2", "0x1.18af1c13f8fe4p-38",
+         "0x1.7c8607b9d304fp-4", "0x1.66953d815c32ep-47"),
+        ("0x1.2b5602fb7b406p-3", "0x1.a5fd161ad7500p-40",
+         "0x1.7a44a48019c20p-3", "0x1.a07420ef272eap-45"),
+    ),
+    ("lognormal", "identity"): (
+        ("0x1.7f877bad5cc06p-3", "0x1.456d800000000p-39",
+         "0x1.46b8421bf3a0ap-4", "0x1.72dc800000000p-41"),
+        ("0x1.8fd80dd553231p-4", "0x1.5807800000000p-41",
+         "0x1.49f5ed7298bf2p-3", "0x1.2d8cc00000000p-39"),
+    ),
+    ("normal", "tk"): (
+        ("0x1.558f8710d2ecep-3", "0x1.d43e780000000p-37",
+         "0x1.b7063f4226274p-4", "0x1.557b600000000p-37"),
+        ("0x1.0ac636238dae4p-3", "0x1.69c1a80000000p-37",
+         "0x1.2610a6b10d48ep-3", "0x1.c672500000000p-37"),
+    ),
+    ("normal", "prelec"): (
+        ("0x1.9eba75927829fp-3", "0x1.f2f9a1d7f0829p-39",
+         "0x1.9fa80107988a1p-4", "0x1.1ab8d8a72893cp-47"),
+        ("0x1.46b8ce2751220p-3", "0x1.9c7b70f1f6ee6p-40",
+         "0x1.15b502a31b62fp-3", "0x1.92c882c6230b1p-45"),
+    ),
+    ("normal", "identity"): (
+        ("0x1.3627f6ac9447ep-3", "0x1.a538000000000p-40",
+         "0x1.55b1e9b33f214p-4", "0x1.3a00000000000p-40"),
+        ("0x1.9f6f1c2cb590ap-4", "0x1.361d400000000p-40",
+         "0x1.01f6de63e4cc0p-3", "0x1.b080c00000000p-40"),
+    ),
+    ("student-t", "tk"): (
+        ("0x1.b71748c2dd3b9p-3", "0x1.406dd00000000p-37",
+         "0x1.34756b7a720a4p-3", "0x1.f0f4d00000000p-37"),
+        ("0x1.70708cb0799c7p-3", "0x1.c3856c0000000p-36",
+         "0x1.7cf681f2d33cfp-3", "0x1.2439000000000p-40"),
+    ),
+    ("student-t", "identity"): (
+        ("0x1.5b66c61a1dc52p-3", "0x1.fcba600000000p-38",
+         "0x1.a7696be3c40acp-4", "0x1.5f0b100000000p-38"),
+        ("0x1.f0a0a7d489428p-4", "0x1.d758c00000000p-39",
+         "0x1.29291358a4434p-3", "0x1.72a7b80000000p-36"),
+    ),
+}
+
+
+def _hex(gl):
+    return gl.gain.hex(), gl.gain_error.hex(), gl.loss.hex(), gl.loss_error.hex()
+
+
+@pytest.mark.parametrize("law, weighting", sorted(_GOLDEN_INTEGRALS))
+def test_per_unit_integrals_keep_their_bits(law, weighting):
+    """prepare_inputs' four per-unit integrals and their error estimates, bit for bit."""
+    pref = CptPreference(PowerUtility(0.7, 0.85, 2.0), _GOLDEN_WEIGHTINGS[weighting])
+    inputs = prepare_inputs(Portfolio(1.0, 1.0),
+                            MarketModel(0.01, 0.01, _GOLDEN_LAWS[law]), pref)
+    assert (_hex(inputs.buy), _hex(inputs.sell)) == _GOLDEN_INTEGRALS[law, weighting]
+
+
+def test_exponential_prospect_value_keeps_its_bits():
+    """The oracle's adaptive path: prospect_value of a continuous law under
+    ExponentialUtility, loss aversion included, bit for bit."""
+    law = Lognormal(0.06, 0.22).gross_law().affine(-1.01, 1.0)
+    pref = CptPreference(ExponentialUtility(1.3, 0.8, 2.0), TK)
+    assert _hex(prospect_value(pref, law)) == (
+        "0x1.4c8d58c46422ep-3", "0x1.f0008ecb3d89ep-36",
+        "0x1.c92038ce7fdebp-4", "0x1.6aebe3d877832p-38")

@@ -322,6 +322,16 @@ class TestSweep:
         assert "buy ray's payoff gap 0.0" in rows[0].error
         assert rows[1].error is None and rows[1].case_id == "T4.3-1"
 
+    def test_a_binomial_row_solves_each_ray_once(self, monkeypatch):
+        """A row reads its candidates from the ray optima the solve merged."""
+        calls = []
+        monkeypatch.setattr(binomial, "solve_ray", lambda inputs, side, _real=binomial.solve_ray:
+                            calls.append(side) or _real(inputs, side))
+        rows = run_sweep(RunConfig.from_dict(BINOM), "zeta", [1.1, 1.3, 4.0])
+        assert [row.error for row in rows] == [None] * 3
+        assert rows[0].theta_buy is not None  # an interior buy candidate
+        assert calls == ["buy", "sell"] * 3
+
     def test_csv_round_trip_and_tokens(self, tmp_path):
         config = RunConfig.from_dict(BULL)
         rows = run_sweep(config, "lambda", sweep_grid(0.0, 0.02, 4))
@@ -847,3 +857,39 @@ def test_an_interval_summary_gives_its_ends():
     assert (summary["case_id"], summary["kind"]) == ("T4.3-4", "interval")
     assert summary["interval"] == ["0.0", "inf"]
     assert summary["boundary"] is True
+
+
+def test_main_called_again_in_one_process_gives_the_same_bytes(tmp_path, capsys):
+    """The parser is built once per process: each command's stdout and CSV match its
+    first run after other commands and a usage error, and an ``--out`` given in one
+    call is not carried into the next."""
+    continuous_config, binomial_config = tmp_path / "bull.json", tmp_path / "binom.json"
+    continuous_config.write_text(json.dumps(BULL))
+    binomial_config.write_text(json.dumps(BINOM))
+    solve_csv, sweep_csv = tmp_path / "solve.csv", tmp_path / "sweep.csv"
+    commands = [
+        ["solve", "--config", str(continuous_config), "--out", str(solve_csv)],
+        ["sweep", "--config", str(binomial_config), "--sweep", "zeta=1:2:2",
+         "--out", str(sweep_csv)],
+        ["verify", "--config", str(binomial_config)],
+        ["check-arb", "--config", str(continuous_config)],
+    ]
+
+    def run(argv):
+        for path in (solve_csv, sweep_csv):
+            path.unlink(missing_ok=True)
+        code = main(argv)
+        written = {path.name: path.read_bytes() for path in (solve_csv, sweep_csv)
+                   if path.exists()}
+        return code, capsys.readouterr().out, written
+
+    first = [run(argv) for argv in commands]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0]
+    assert [sorted(written) for _, _, written in first] == [["solve.csv"], ["sweep.csv"], [], []]
+    with pytest.raises(SystemExit) as usage:
+        main(["solve"])
+    assert usage.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    # the same solve without --out prints the same summary and writes no CSV
+    assert run(commands[0][:3]) == (0, first[0][1], {})
+    assert [run(argv) for argv in commands] == first
