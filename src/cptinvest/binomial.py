@@ -20,7 +20,7 @@ from functools import cached_property
 from .choquet import prospect_value
 from .distributions import DiscreteLaw
 from .market import Binomial, MarketModel, Portfolio, check_no_arbitrage, terminal_wealth
-from .preferences import CptPreference, ExponentialUtility, WeightingPair
+from .preferences import CptPreference, ExponentialUtility
 from .solution import Solution
 
 __all__ = [
@@ -143,9 +143,9 @@ class _Ray:
     prefix: str
 
 
-def _ray(w: WeightingPair, gain_weight: float, loss_weight: float, p_gain: float,
-         p_loss: float, gap: float, sign: float, prefix: str) -> _Ray:
-    w_gain, w_loss = w.weight("gain", p_gain), w.weight("loss", p_loss)
+def _ray(side_weights, gain_weight: float, loss_weight: float, p_gain: float, p_loss: float,
+         gap: float, sign: float, prefix: str) -> _Ray:
+    w_gain, w_loss = side_weights[0](p_gain), side_weights[1](p_loss)
     unbounded = w_gain / w_loss
     interior = (gain_weight / loss_weight) * unbounded if loss_weight > 0 else None
     return _Ray(gain_weight, loss_weight, w_gain, w_loss, unbounded, interior, gap, sign, prefix)
@@ -156,9 +156,10 @@ def _rays(m: MarketModel, pref: CptPreference) -> tuple[_Ray, _Ray]:
     law = _binomial_law(m)
     pp = pseudo_probabilities(m)
     keep = 1.0 - m.lam
-    buy = _ray(pref.weighting, pp.buy_down, pp.buy_up, 1.0 - law.p, law.p,
+    side_weights = [pref.weighting.on_side(side).weight for side in ("gain", "loss")]
+    buy = _ray(side_weights, pp.buy_down, pp.buy_up, 1.0 - law.p, law.p,
                keep * (law.u + law.d) - 2.0 * (1.0 + m.r), 1.0, "T4.1-")
-    sell = _ray(pref.weighting, pp.sell_up, pp.sell_down, law.p, 1.0 - law.p,
+    sell = _ray(side_weights, pp.sell_up, pp.sell_down, law.p, 1.0 - law.p,
                 2.0 * keep * (1.0 + m.r) - (law.u + law.d), -1.0, "T4.2-")
     return buy, sell
 

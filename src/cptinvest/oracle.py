@@ -10,6 +10,7 @@ growth along a geometric ladder toward the stated limit prospect.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import astuple, dataclass
 from functools import lru_cache
@@ -49,6 +50,8 @@ _ROW_BLOCK = 128
 # integrand vanishes at the crossing, so moving it by <= 2**-32 relative moves a row
 # by about eps**(1 + kink), ~1e-15.  Short sales past the holdings keep distinct levels
 _CROSSING_BITS = 32
+# relative widening of a discrete grid column's crossing -b/s, far above rounding
+_CROSSING_MARGIN = 2.0**-30
 _LN2 = math.log(2.0)
 
 
@@ -315,32 +318,57 @@ def _discrete_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
     of a ``verify``.  Blocks hold one row per atom and the thetas across; summed
     over the atoms, every theta accumulates atom by atom, independent of its
     neighbours.
+
+    In a block of one slope sign, each side works on one run of atoms, past every
+    column's crossing -b/s or up to it: the atoms left out have b + s*x of the other
+    sign, so their terms are exact +0.0 at the ends of each theta's sum.  A block
+    across s = 0, and a law of two atoms, whose runs drop one atom at most, take all.
     """
     xs, probs = zip(*m.law.atoms)  # ascending gross returns
-    # blocks of the continuous grid's element budget; numpy sums a lone column
-    # pairwise, not atom by atom, so every block keeps two columns or more
-    width = max(2, _ROW_BLOCK * 160 // len(xs))
-    cols = np.append(thetas, thetas[-1:]) if thetas.size % width == 1 else thetas
+    n, x_col = len(xs), np.array(xs)[:, None]
+    width = max(2, _ROW_BLOCK * 160 // n)  # blocks of the continuous grid's element budget
+    cols = np.concatenate((thetas, thetas)) if thetas.size == 1 else thetas
     base, slope = _affine_coefficients(p, m, cols)
-    utility = pref.utility
+    up = slope >= 0.0
+    starts = [0] if cols.size else []
+    if cols.size > width:  # past one block, a single sign change starts a block
+        cuts, f = [0, cols.size], np.flatnonzero(up[1:] != up[:-1]) + 1
+        if f.size == 1 and 1 < f[0] < cols.size - 1:
+            cuts.insert(1, int(f[0]))
+        # numpy sums a lone column pairwise, not atom by atom: one left over joins the last block
+        starts = [e for lo, hi in zip(cuts, cuts[1:]) for e in range(lo, hi, width) if hi - e > 1]
+    # per block, the atoms below every widened crossing and up to past every one; NaN: all
+    runs = [(0, n)] * len(starts)
+    if n > 2:
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at theta = 0
+            cross = -base / slope
+        runs = [(bisect.bisect_left(xs, lo - _CROSSING_MARGIN * abs(lo)),
+                 bisect.bisect_right(xs, hi + _CROSSING_MARGIN * abs(hi)))
+                for lo, hi in zip(np.minimum.reduceat(cross, starts).tolist(),
+                                  np.maximum.reduceat(cross, starts).tolist())]
     gain, loss = _decision_weights(pref.weighting, probs)
-    x_col = np.array(xs)[:, None]
     out = np.empty_like(cols)
-    for lo in range(0, cols.size, width):
-        blk = slice(lo, lo + width)
-        up = slope[blk] >= 0.0
-        n_up = np.count_nonzero(up)
-        if n_up in (0, up.size):  # slopes of one sign: one column, broadcast
-            gw, lw = (gain[:, :1], loss[:, :1]) if n_up else (gain[:, 1:], loss[:, 1:])
-        else:  # the block across s = 0
-            gw, lw = np.where(up, gain[:, :1], gain[:, 1:]), np.where(up, loss[:, :1], loss[:, 1:])
-        d = x_col * slope[blk]
+    buf = np.empty(2 * n * min(cols.size, width + 1))  # b + s*x in front, the gain run behind
+    for lo, hi, (k_lo, k_hi) in zip(starts, starts[1:] + [cols.size], runs):
+        blk, o, w = slice(lo, hi), out[lo:hi], hi - lo
+        k_up = np.count_nonzero(up[blk])
+        if 0 < k_up < w:  # the block across s = 0: every atom
+            k_lo, k_hi = 0, n
+            gw = np.where(up[blk], gain[:, :1], gain[:, 1:])
+            lw = np.where(up[blk], loss[:, :1], loss[:, 1:])
+        else:  # slopes of one sign: one column, broadcast
+            gw, lw = (gain[:, :1], loss[:, :1]) if k_up else (gain[:, 1:], loss[:, 1:])
+        (g0, g1), (l0, l1) = ((k_lo, n), (0, k_hi)) if k_up else ((0, k_hi), (k_lo, n))
+        d = np.multiply(x_col, slope[blk], out=buf[:n * w].reshape(n, w))
         d += base[blk]
-        u = utility.value_array("gain", np.maximum(d, 0.0))
-        u *= gw
-        utility.value_array("loss", np.maximum(np.negative(d, out=d), 0.0, out=d), out=d)
-        d *= lw
-        np.subtract(u.sum(axis=0), d.sum(axis=0), out=out[blk])
+        u = np.maximum(d[g0:g1], 0.0, out=buf[buf.size - (g1 - g0) * w:].reshape(g1 - g0, w))
+        pref.utility.value_array("gain", u, out=u)
+        u *= gw[g0:g1]
+        np.add.reduce(u, axis=0, out=o)
+        d = d[l0:l1]
+        pref.utility.value_array("loss", np.maximum(np.negative(d, out=d), 0.0, out=d), out=d)
+        d *= lw[l0:l1]
+        o -= np.add.reduce(d, axis=0)
     return out[:thetas.size]
 
 

@@ -162,6 +162,7 @@ class TverskyKahnemanWeighting(_Weighting):
 
     def on_side(self, side: Side) -> SimpleNamespace:
         g = self.endpoint_exponent(side)
+        g_less_one, inv_g = g - 1.0, 1.0 / g  # bound once per side, not per node
 
         def weight(q: float) -> float:
             if not 0.0 <= q <= 1.0:
@@ -169,15 +170,15 @@ class TverskyKahnemanWeighting(_Weighting):
             if q == 0.0 or q == 1.0:
                 return q
             a = q**g
-            return a / (a + (1.0 - q) ** g) ** (1.0 / g)
+            return a / (a + (1.0 - q) ** g) ** inv_g
 
         def derivative(q: float) -> float:
             if not 0.0 < q < 1.0:
                 raise ValueError(f"derivative defined on (0, 1) only, got {q}")
             qg = q**g
             a = qg + (1.0 - q) ** g
-            da = g * q ** (g - 1.0) - g * (1.0 - q) ** (g - 1.0)
-            return qg / a ** (1.0 / g) * (g / q - da / (g * a))
+            da = g * q**g_less_one - g * (1.0 - q) ** g_less_one
+            return qg / a**inv_g * (g / q - da / (g * a))
         return SimpleNamespace(weight=weight, derivative=derivative)
 
     def derivative_array(self, side: Side, q) -> np.ndarray:

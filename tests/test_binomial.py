@@ -597,7 +597,7 @@ def test_each_ray_is_built_once(monkeypatch):
     m = market(u=1.3, d=0.8, r=0.05, lam=0.0, p=0.2)
     buy_unbounded = prepare_binomial_inputs(1.0, m, preference()).thresholds.buy_unbounded
     pref = preference(zeta=1.0 + 0.9 * (buy_unbounded - 1.0))
-    calls = {"pseudo_probabilities": 0, "weight": 0}
+    calls = {"pseudo_probabilities": 0, "on_side": 0}
 
     def counted(name, original):
         def call(*args):
@@ -607,14 +607,15 @@ def test_each_ray_is_built_once(monkeypatch):
 
     monkeypatch.setattr(binomial, "pseudo_probabilities",
                         counted("pseudo_probabilities", binomial.pseudo_probabilities))
-    monkeypatch.setattr(TverskyKahnemanWeighting, "weight",
-                        counted("weight", TverskyKahnemanWeighting.weight))
+    # each side's weight function is resolved once per solve, for both rays
+    monkeypatch.setattr(TverskyKahnemanWeighting, "on_side",
+                        counted("on_side", TverskyKahnemanWeighting.on_side))
     inputs = prepare_binomial_inputs(1.0, m, pref)
-    assert calls == {"pseudo_probabilities": 1, "weight": 4}
+    assert calls == {"pseudo_probabilities": 1, "on_side": 2}
     assert solve_ray(inputs, "buy").case_id == "T4.1-3a"
     calls.update(dict.fromkeys(calls, 0))
     sol = solve_binomial(1.0, m, pref)
-    assert (sol.case_id, calls) == ("T4.3-7a", {"pseudo_probabilities": 1, "weight": 4})
+    assert (sol.case_id, calls) == ("T4.3-7a", {"pseudo_probabilities": 1, "on_side": 2})
     # the limit prospect reads the ray's two decision weights
     assert sol.prospect == TK.weight("gain", 0.8) - pref.utility.loss_aversion * TK.weight(
         "loss", 0.2)

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -409,6 +411,88 @@ def test_decision_weights_are_cached_by_weighting_and_masses():
     for weights in _decision_weights(TK, (0.25, 0.75)):
         with pytest.raises(ValueError, match="read-only"):
             weights[0, 0] = 1.0
+
+
+EMPIRICAL_52 = Empirical(tuple(np.exp(np.random.default_rng(5).normal(0.002, 0.03, 52))))
+
+
+def _discrete_grid_digest(returns, utility, weighting) -> str:
+    """SHA-256 of the float.hex of a discrete law's grid rows, over sorted, permuted,
+    short-sale, one-row and empty grids and a sorted grid whose sales end in a lone
+    column."""
+    m, port = MarketModel(0.01, 0.02, returns), Portfolio(1.0, 1.0)
+    width = max(2, _ROW_BLOCK * 160 // len(m.law.atoms))  # the thetas of one block
+    short = np.linspace(-3.0, 10.0, 4001)  # short sales past the holdings below -1
+    grids = [np.linspace(-1.0, 10.0, 401), short, np.random.default_rng(9).permutation(short),
+             np.array([0.37]), np.array([-0.5]), np.array([-2.0]), np.array([0.0]), np.array([]),
+             # width + 1 sales, then width thetas from 0 up: a lone sale after one block
+             np.arange(-(width + 1), width) / width]
+    digest = hashlib.sha256()
+    for thetas in grids:
+        values = evaluate_objective_grid(port, m, CptPreference(utility, weighting), thetas)
+        digest.update(",".join(float(v).hex() for v in values).encode())
+    return digest.hexdigest()
+
+
+# _discrete_grid_digest of the grid that evaluated every atom of every row
+_GOLDEN_GRID_DIGESTS = {
+    "TverskyKahnemanWeighting-PowerUtility-Binomial":
+        "825567376ad8d7fc1c5975ac1da61968e1a9eaaffbd01bc0a4a67c6601e67ac2",
+    "IdentityWeighting-PowerUtility-Binomial":
+        "0e5658ff7ab0bccb9e2b8e907f84496b8fb502ab31683708aa77bff318758513",
+    "TverskyKahnemanWeighting-ExponentialUtility-Binomial":
+        "a53a92b0a77436a7970b2529bd6fdb33de9c1bd5e507896d7d64eeeb5002c59f",
+    "IdentityWeighting-ExponentialUtility-Binomial":
+        "1fa01195c66e756b90cc5fdfe71e2735f2ab3d1feee36356c32d89a5b713e56a",
+    "TverskyKahnemanWeighting-PowerUtility-Empirical-52":
+        "73cfb6532ec03d6a8cb8b3922786fbd1e6e5df1f2a19286312691fff06d0dba4",
+    "IdentityWeighting-PowerUtility-Empirical-52":
+        "2f93a08808eb12bbdfff0c90ab58ce58e885f15c101200823eb6ddf55b58ef0a",
+    "TverskyKahnemanWeighting-ExponentialUtility-Empirical-52":
+        "bb491a3c259b68035f73c45fe32aab4a0319eb93f37e034ac33f41d1d9ba87b8",
+    "IdentityWeighting-ExponentialUtility-Empirical-52":
+        "c7f9a4be8c2c320bb1eb305c9a1e295b9ece23caf319d5386bdeb431fab03a21",
+    "TverskyKahnemanWeighting-PowerUtility-Empirical-260":
+        "0d1edff92bbe08ba3aa24093c27dda75f9d76ce7ffd6c50c6dba6ce59562136b",
+    "IdentityWeighting-PowerUtility-Empirical-260":
+        "5465ae1ddd108642487b74aa0b1f665fcb73b2bbdaddd564d3f76ba03565cfdc",
+    "TverskyKahnemanWeighting-ExponentialUtility-Empirical-260":
+        "d32fedd2ba80635ed36c7636580b2c48ab80fab927295b36c468c2770106fefc",
+    "IdentityWeighting-ExponentialUtility-Empirical-260":
+        "01c536a733922df79e045cecffce8153cda19e3b318ccefdc61642088815d7a7",
+}
+
+
+@pytest.mark.parametrize("returns", [Binomial(1.5, 0.95, 0.55),
+                                     pytest.param(EMPIRICAL_52, id="Empirical-52"),
+                                     pytest.param(EMPIRICAL_260, id="Empirical-260")], ids=_kind)
+@pytest.mark.parametrize("utility", [POWER, BOUNDED], ids=_kind)
+@pytest.mark.parametrize("weighting", [TK, IdentityWeighting()], ids=_kind)
+def test_discrete_grid_rows_keep_their_bits(returns, utility, weighting, request):
+    """Rows keep the bits of the grid that evaluated every atom on both sides, and the
+    0/0 crossing at theta = 0 warns nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        digest = _discrete_grid_digest(returns, utility, weighting)
+    assert digest == _GOLDEN_GRID_DIGESTS[request.node.callspec.id]
+
+
+@pytest.mark.parametrize("n_rows", [401, 4001])
+def test_discrete_grid_utility_sees_about_one_atom_per_row(n_rows, monkeypatch):
+    """On a sorted grid, the gain and the loss side together evaluate the utility on
+    about one atom per row and atom, not two."""
+    sizes = []
+    original = PowerUtility.value_array
+
+    def spy(utility, side, x, out=None):
+        sizes.append(np.size(x))
+        return original(utility, side, x, out=out)
+
+    monkeypatch.setattr(PowerUtility, "value_array", spy)
+    m = MarketModel(0.01, 0.02, EMPIRICAL_260)
+    evaluate_objective_grid(Portfolio(1.0, 1.0), m, CptPreference(POWER, TK),
+                            np.linspace(-1.0, 10.0, n_rows))
+    assert sum(sizes) <= 1.1 * n_rows * 260, sum(sizes) / (n_rows * 260)
 
 
 @pytest.mark.parametrize("returns", [Binomial(1.5, 0.95, 0.55),
