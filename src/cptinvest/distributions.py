@@ -172,7 +172,7 @@ class StudentTBase(_SymmetricBase):
     def __init__(self, nu: float):
         if nu <= 0:
             raise ValueError(f"student-t nu must be > 0, got {nu}")
-        self.nu = nu
+        self.nu = nu = float(nu)  # cython_special's stdtr/stdtrit refuse an int nu
         # lower tail F(t) ~ K * nu**((nu - 1)/2) * |t|**-nu,
         # K = Gamma((nu + 1)/2) / (sqrt(nu pi) Gamma(nu/2)); this is its log coefficient
         self._log_tail = (gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu)

@@ -68,17 +68,14 @@ class PowerUtility:
             raise ValueError(f"alpha must not exceed beta, got {self.alpha} > {self.beta}")
         _check_above(self, 1.0, "loss_aversion")
 
-    def value(self, side: Side, x: float) -> float:
-        return self.value_on(side)(x)
-
     def value_on(self, side: Side):
-        """``value`` on one side, resolved once: a function of the magnitude alone."""
+        """One side's utility, resolved once: a function of the magnitude alone."""
         _check_side(side)
         power, scale = (self.alpha, 1.0) if side == "gain" else (self.beta, self.loss_aversion)
         return lambda x: scale * _magnitude(x) ** power  # times 1.0 is exact
 
     def value_array(self, side: Side, x: np.ndarray, out=None) -> np.ndarray:
-        """Vectorized ``value`` on an array of nonnegative magnitudes; ``out``
+        """Vectorized ``value_on(side)`` on an array of nonnegative magnitudes; ``out``
         (which may be ``x``) receives the result, as in numpy ufuncs."""
         _check_side(side)
         if side == "gain":
@@ -104,17 +101,14 @@ class ExponentialUtility:
         _check_above(self, 0.0, "eta_gain", "eta_loss")
         _check_above(self, 1.0, "loss_aversion")
 
-    def value(self, side: Side, x: float) -> float:
-        return self.value_on(side)(x)
-
     def value_on(self, side: Side):
-        """``value`` on one side, resolved once: a function of the magnitude alone."""
+        """One side's utility, resolved once: a function of the magnitude alone."""
         _check_side(side)
         eta, scale = (self.eta_gain, -1.0) if side == "gain" else (self.eta_loss, -self.loss_aversion)
         return lambda x: scale * math.expm1(-eta * _magnitude(x))  # times -1.0 is exact
 
     def value_array(self, side: Side, x: np.ndarray, out=None) -> np.ndarray:
-        """Vectorized ``value`` on an array of nonnegative magnitudes; ``out``
+        """Vectorized ``value_on(side)`` on an array of nonnegative magnitudes; ``out``
         (which may be ``x``) receives the result, as in numpy ufuncs."""
         _check_side(side)
         eta = self.eta_gain if side == "gain" else self.eta_loss
@@ -130,18 +124,8 @@ class ExponentialUtility:
 UtilityPair = Union[PowerUtility, ExponentialUtility]
 
 
-class _Weighting:
-    """Two-argument methods over ``on_side(side)``: one side's functions of q alone."""
-
-    def weight(self, side: Side, q: float) -> float:
-        return self.on_side(side).weight(q)
-
-    def derivative(self, side: Side, q: float) -> float:
-        return self.on_side(side).derivative(q)
-
-
 @dataclass(frozen=True)
-class TverskyKahnemanWeighting(_Weighting):
+class TverskyKahnemanWeighting:
     """Inverse-S weighting q**g / (q**g + (1-q)**g)**(1/g), per-side exponents."""
 
     gamma: float = 0.61
@@ -192,7 +176,7 @@ class TverskyKahnemanWeighting(_Weighting):
 
 
 @dataclass(frozen=True)
-class PrelecWeighting(_Weighting):
+class PrelecWeighting:
     """Weighting exp(-delta * (-ln q)**gamma) with per-side delta."""
 
     gamma: float = 0.65
@@ -241,12 +225,8 @@ class PrelecWeighting(_Weighting):
         return SimpleNamespace(weight=weight, derivative=derivative,
                                log_tail_density=log_tail_density)
 
-    def log_tail_density(self, side: Side, s: float) -> float:
-        """w'(q) * q at q = exp(-s), computed from s to avoid overflow."""
-        return self.on_side(side).log_tail_density(s)
-
     def log_tail_density_array(self, side: Side, s) -> np.ndarray:
-        """Vectorized ``log_tail_density`` on an array of coordinates s > 0."""
+        """w'(q) * q at q = exp(-s), computed from s to avoid overflow, on an array of s > 0."""
         d = self._delta(side)
         s = np.asarray(s, dtype=float)
         return d * self.gamma * s ** (self.gamma - 1.0) * np.exp(-d * s**self.gamma)
@@ -259,11 +239,12 @@ class PrelecWeighting(_Weighting):
 
     def endpoint_exponent(self, side: Side) -> float:
         # near q=1 the weighting behaves like 1 - delta*(1-q)**gamma
+        _check_side(side)
         return self.gamma
 
 
 @dataclass(frozen=True)
-class IdentityWeighting(_Weighting):
+class IdentityWeighting:
     """No probability distortion: w(q) = q on both sides."""
 
     def on_side(self, side: Side) -> SimpleNamespace:

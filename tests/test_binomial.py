@@ -141,7 +141,7 @@ class TestThresholds:
         m = market(p=0.5, lam=0.07)
         thr = prepare_binomial_inputs(1.0, m, preference()).thresholds
         assert thr.buy_unbounded == pytest.approx(
-            TK.weight("gain", 0.5) / TK.weight("loss", 0.5)
+            TK.on_side("gain").weight(0.5) / TK.on_side("loss").weight(0.5)
         )
 
     @given(
@@ -251,7 +251,8 @@ class TestSubSolvers:
         sol = solve_ray(inputs, "buy")
         assert sol.kind is SolutionKind.PLUS_INFINITY
         assert sol.case_id == "T4.1-3a"
-        expected = TK.weight("gain", 0.8) - pref.utility.loss_aversion * TK.weight("loss", 0.2)
+        expected = (TK.on_side("gain").weight(0.8)
+                    - pref.utility.loss_aversion * TK.on_side("loss").weight(0.2))
         assert sol.prospect == pytest.approx(expected)
         assert sol.prospect > 0
 
@@ -617,8 +618,8 @@ def test_each_ray_is_built_once(monkeypatch):
     sol = solve_binomial(1.0, m, pref)
     assert (sol.case_id, calls) == ("T4.3-7a", {"pseudo_probabilities": 1, "on_side": 2})
     # the limit prospect reads the ray's two decision weights
-    assert sol.prospect == TK.weight("gain", 0.8) - pref.utility.loss_aversion * TK.weight(
-        "loss", 0.2)
+    assert sol.prospect == (TK.on_side("gain").weight(0.8)
+                            - pref.utility.loss_aversion * TK.on_side("loss").weight(0.2))
 
 
 REFUSAL_PREF = CptPreference(ExponentialUtility(1, 1, 2.25), TK)

@@ -65,8 +65,8 @@ def test_two_point_prospect_closed_form():
     pref = CptPreference(POWER, TK)
     dist = DiscreteLaw([1.0, -1.0], [1.0 - p, p])
     b = prospect_value(pref, dist)
-    assert b.gain == pytest.approx(TK.weight("gain", 1.0 - p) * POWER.value("gain", 1.0))
-    assert b.loss == pytest.approx(TK.weight("loss", p) * POWER.value("loss", 1.0))
+    assert b.gain == pytest.approx(TK.on_side("gain").weight(1.0 - p) * POWER.value_on("gain")(1.0))
+    assert b.loss == pytest.approx(TK.on_side("loss").weight(p) * POWER.value_on("loss")(1.0))
 
 
 def test_uniform_closed_form_matches_quadrature():
@@ -85,8 +85,8 @@ def test_atoms_at_zero_contribute_nothing():
     # the zero atom may absorb probability on either side of the ranking;
     # only the tail weights seen by nonzero atoms matter
     b = prospect_value(pref, with_zero)
-    assert b.gain == pytest.approx(TK.weight("gain", 0.25) * POWER.value("gain", 2.0))
-    assert b.loss == pytest.approx(TK.weight("loss", 0.25) * POWER.value("loss", 1.0))
+    assert b.gain == pytest.approx(TK.on_side("gain").weight(0.25) * POWER.value_on("gain")(2.0))
+    assert b.loss == pytest.approx(TK.on_side("loss").weight(0.25) * POWER.value_on("loss")(1.0))
     assert without.atoms[0][0] == -1.0  # sanity on the comparison fixture
 
 
@@ -97,7 +97,7 @@ def test_comonotonic_additivity_exact():
     got_plus, got_minus = rank_dependent_sum(pref.utility.value_on, pref.weighting, atoms)
 
     # independent route: telescoping sums of weighted cumulative tail probabilities
-    w, u = pref.weighting, pref.utility
+    w, u = pref.weighting.on_side, pref.utility.value_on
     pos = sorted([a for a in atoms if a[0] > 0], reverse=True)
     tails = []
     c = 0.0
@@ -105,7 +105,7 @@ def test_comonotonic_additivity_exact():
         c += prob
         tails.append(c)
     expect_plus = sum(
-        u.value("gain", x) * (w.weight("gain", tails[i]) - w.weight("gain", tails[i - 1] if i else 0.0))
+        u("gain")(x) * (w("gain").weight(tails[i]) - w("gain").weight(tails[i - 1] if i else 0.0))
         for i, (x, _) in enumerate(pos)
     )
     neg = sorted([a for a in atoms if a[0] < 0])
@@ -115,7 +115,7 @@ def test_comonotonic_additivity_exact():
         c += prob
         cums.append(c)
     expect_minus = sum(
-        u.value("loss", -x) * (w.weight("loss", cums[i]) - w.weight("loss", cums[i - 1] if i else 0.0))
+        u("loss")(-x) * (w("loss").weight(cums[i]) - w("loss").weight(cums[i - 1] if i else 0.0))
         for i, (x, _) in enumerate(neg)
     )
     assert got_plus == expect_plus  # exact, no tolerance
@@ -240,7 +240,7 @@ def _outcome_domain_side(pref, gross, shift, side, outcome_max=math.inf):
         if isinstance(weighting, PrelecWeighting):
             delta = weighting.delta_gain if side == "gain" else weighting.delta_loss
             return math.exp(-delta * (-log_q) ** weighting.gamma)
-        return weighting.weight(side, math.exp(log_q))
+        return weighting.on_side(side).weight(math.exp(log_q))
 
     if isinstance(utility, PowerUtility):
         power = utility.alpha if side == "gain" else utility.beta

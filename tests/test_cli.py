@@ -852,7 +852,7 @@ FLAT_BUY = {
 
 def test_an_interval_summary_gives_its_ends():
     tk = RunConfig.from_dict(FLAT_BUY).preference.weighting
-    assert tk.weight("gain", 0.7) / tk.weight("loss", 0.3) == 1.6296077564369587
+    assert tk.on_side("gain").weight(0.7) / tk.on_side("loss").weight(0.3) == 1.6296077564369587
     summary = solve_once(RunConfig.from_dict(FLAT_BUY))
     assert (summary["case_id"], summary["kind"]) == ("T4.3-4", "interval")
     assert summary["interval"] == ["0.0", "inf"]

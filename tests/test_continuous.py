@@ -32,9 +32,17 @@ from cptinvest.market import (
     Portfolio,
     StudentT,
     TradeDirection,
+    check_no_arbitrage,
     excess_transform,
 )
-from cptinvest.oracle import GridSpec, difference_law, evaluate_objective, grid_search, verify
+from cptinvest.oracle import (
+    GridSpec,
+    difference_law,
+    evaluate_objective,
+    evaluate_objective_grid,
+    grid_search,
+    verify,
+)
 from cptinvest.preferences import (
     CptPreference,
     ExponentialUtility,
@@ -82,9 +90,9 @@ class TestIntegrals:
         w = pref.weighting
 
         def telescoped(ranked, side, exponent):
-            total, cum = 0.0, 0.0
+            total, cum, weight = 0.0, 0.0, w.on_side(side).weight
             for x, prob in ranked:
-                total += abs(x) ** exponent * (w.weight(side, cum + prob) - w.weight(side, cum))
+                total += abs(x) ** exponent * (weight(cum + prob) - weight(cum))
                 cum += prob
             return total
 
@@ -798,6 +806,23 @@ def test_adaptive_solves_keep_their_bits(solver, expected):
     # scalar quantiles and utility powers are computed as they always were
     assert repr(solver()) == ("Solution(kind=<SolutionKind.FINITE_POINT: 'finite_point'>, "
                               f"{expected}, lo=None, hi=None, boundary=False)")
+
+
+def test_an_integer_nu_gives_the_bits_of_its_float():
+    # scipy's Student-t kernels have no signature for a Python int nu next to a float
+    port, pref = Portfolio(1.0, 1.0), CptPreference(PowerUtility(0.6, 0.8, 1.2), TK)
+    as_int, as_float = (MarketModel(0.01, 0.01, StudentT(nu, 0.05, 0.2)) for nu in (3, 3.0))
+    assert repr(as_int.returns) == "StudentT(nu=3, loc=0.05, scale=0.2)"
+    assert check_no_arbitrage(as_int) == check_no_arbitrage(as_float)
+    sol = solve(port, as_int, pref)
+    assert sol.case_id == "T3.1-2b" and repr(sol) == repr(solve(port, as_float, pref))
+    for theta in (-0.5, sol.theta, 2.0):
+        int_value, float_value = (evaluate_objective(port, m, pref, theta)
+                                  for m in (as_int, as_float))
+        assert int_value.hex() == float_value.hex()
+        int_row, float_row = (evaluate_objective_grid(port, m, pref, np.array([theta]))
+                              for m in (as_int, as_float))
+        assert int_row.tobytes() == float_row.tobytes()
 
 
 

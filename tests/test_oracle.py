@@ -71,8 +71,8 @@ def test_two_state_objective_matches_the_replication_form():
     xi_u = terminal_wealth(CASH, m, theta, 1.5)
     xi_d = terminal_wealth(CASH, m, theta, 0.95)
     w, u = pref.weighting, pref.utility
-    expected = (w.weight("gain", 1 - 0.55) * u.value("gain", xi_u - b)
-                - w.weight("loss", 0.55) * u.value("loss", b - xi_d))
+    expected = (w.on_side("gain").weight(1 - 0.55) * u.value_on("gain")(xi_u - b)
+                - w.on_side("loss").weight(0.55) * u.value_on("loss")(b - xi_d))
     assert evaluate_objective(CASH, m, pref, theta) == pytest.approx(expected, rel=1e-12)
 
 
