@@ -235,15 +235,14 @@ def solve_ray(inputs: BinomialInputs, side: str) -> Solution:
     case = ray.prefix
 
     def unbounded(label: str) -> Solution:
-        end = Solution.plus_infinity if ray.sign > 0 else Solution.minus_infinity
-        return end(case + label, ray.w_gain - zeta * ray.w_loss)
+        return Solution.unbounded(ray.sign, case + label, ray.w_gain - zeta * ray.w_loss)
 
     if gain <= 0 or _close(gain, 0.0):
         return Solution.point(0.0, case + "1a", 0.0, boundary=_close(gain, 0.0))
     if _close(gain, loss):
         if _close(zeta, ray.unbounded):
             lo, hi = sorted((0.0, ray.sign * math.inf))
-            return Solution.interval(lo, hi, case + "2", 0.0, boundary=True)
+            return Solution.interval(lo, hi, case + "2")
         if zeta > ray.unbounded:
             return Solution.point(0.0, case + "1b", 0.0)
         return unbounded("3a")
@@ -264,14 +263,8 @@ def solve_ray(inputs: BinomialInputs, side: str) -> Solution:
     return Solution.point(theta, case + "4", prospect_at(inputs, theta))
 
 
-def _group(sol: Solution) -> str:
-    if sol.kind.name == "INTERVAL":
-        return "interval"
-    if sol.kind.name in ("PLUS_INFINITY", "MINUS_INFINITY"):
-        return "unbounded"
-    return "zero" if sol.prospect == 0.0 else "interior"
-
-
+# each ray optimum's group, from the digit after its T4.1-/T4.2- prefix
+_GROUPS = {"1": "zero", "2": "interval", "3": "unbounded", "4": "interior"}
 # T4.3 case of each pair of (buy, sell) ray groups; where both rays trade it is
 # the pair (buy wins, sell wins).  Two interior candidates cannot coexist, since
 # (1-lam)(u+d) > 2(1+r) and 2(1-lam)(1+r) > u+d exclude each other.
@@ -290,15 +283,14 @@ _IDLE = ("zero", "interval")
 
 def _merge_rays(buy: Solution, sell: Solution) -> Solution:
     """T4.3: the better ray, relabelled, or the union of two idle rays."""
-    gb, gs = _group(buy), _group(sell)
+    gb, gs = _GROUPS[buy.case_id[5]], _GROUPS[sell.case_id[5]]
     case = _MERGED[gb, gs]
     carried = buy.boundary or sell.boundary
     if gb in _IDLE and gs in _IDLE:
         if case == "1":
             return Solution.point(0.0, "T4.3-1", 0.0, boundary=carried)
         return Solution.interval(-math.inf if gs == "interval" else 0.0,
-                                 math.inf if gb == "interval" else 0.0,
-                                 "T4.3-" + case, 0.0, boundary=True)
+                                 math.inf if gb == "interval" else 0.0, "T4.3-" + case)
     if gb in _IDLE or gs in _IDLE:
         return replace(sell if gb in _IDLE else buy, case_id="T4.3-" + case, boundary=carried)
     tie = _close(buy.prospect, sell.prospect)

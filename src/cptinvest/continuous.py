@@ -176,10 +176,8 @@ def _value_band(inputs: PowerCaseInputs, *thetas: float) -> float:
 
 def _ray_end(inputs: PowerCaseInputs, end: float, case_id: str) -> Solution:
     """Trade to the end of a ray: the sell floor -y0, or without bound."""
-    if end == math.inf:
-        return Solution.plus_infinity(case_id, math.inf)
-    if end == -math.inf:
-        return Solution.minus_infinity(case_id, math.inf)
+    if math.isinf(end):
+        return Solution.unbounded(end, case_id, math.inf)
     return Solution.point(end, case_id, prospect_along(inputs, end))
 
 
@@ -219,7 +217,7 @@ def _solve_ray(inputs: PowerCaseInputs, side: str, floor: float = -math.inf) -> 
         return Solution.point(0.0, prefix + "1b", 0.0)
     if k < ratio - band:
         return _ray_end(inputs, end, prefix + ("4" if buy else "4b"))
-    return Solution.interval(min(0.0, end), max(0.0, end), prefix + "3", 0.0, boundary=True)
+    return Solution.interval(min(0.0, end), max(0.0, end), prefix + "3")
 
 
 def _answer(ray: Solution, side: str) -> Solution:
@@ -273,7 +271,7 @@ def classify(inputs: PowerCaseInputs) -> Solution:
     case = _MERGED[buy_case, sell_case]
     if case == "7":
         # both rays flat at zero
-        return Solution.interval(floor, math.inf, prefix + case, 0.0, boundary=True)
+        return Solution.interval(floor, math.inf, prefix + case)
     if case in ("3b", "4d"):
         value_band = _value_band(inputs, buy.theta, sell.theta)
         if buy.prospect >= sell.prospect - value_band:

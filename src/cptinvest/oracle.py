@@ -174,7 +174,8 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
     law = m.law
     base, slope = _affine_coefficients(p, m, thetas)
     utility = pref.utility
-    out = np.zeros_like(thetas)
+    # rows in no slope class (theta NaN or +inf) stay NaN, refused by the caller
+    out = np.full_like(thetas, np.nan)
 
     const_rows = slope == 0.0
     if const_rows.any():
@@ -268,7 +269,8 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
             utility.value_array(side, np.maximum(d, 0.0, out=d), out=d)
             d *= weights[k]
             d.sum(axis=1, out=sums[blk])
-        result = np.zeros_like(b)
+        # 0.0, or NaN for a row without a level (theta = -inf, where b is NaN)
+        result = upper * 0.0
         result[rows] = sums
         return result
 
@@ -459,9 +461,8 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
 
 def _certify_interval(solution: Solution, p: Portfolio, m: MarketModel,
                       pref: CptPreference, tol: float) -> tuple[bool, str, int]:
-    lo = solution.lo if math.isfinite(solution.lo) else solution.hi - 10.0
-    hi = min(solution.hi, lo + 10.0)
-    thetas = np.linspace(lo, hi, 11)
+    # the part within 10 of no trade, which every interval contains
+    thetas = np.linspace(max(solution.lo, -10.0), min(solution.hi, 10.0), 11)
     gaps = np.abs(evaluate_objective_grid(p, m, pref, thetas) - solution.prospect)
     worst = int(np.argmax(gaps))
     if gaps[worst] > tol:

@@ -39,25 +39,24 @@ class Solution:
         return cls(SolutionKind.FINITE_POINT, case_id, prospect, theta=theta, boundary=boundary)
 
     @classmethod
-    def interval(cls, lo: float, hi: float, case_id: str, prospect: float = 0.0,
-                 boundary: bool = False):
-        return cls(SolutionKind.INTERVAL, case_id, prospect, lo=lo, hi=hi, boundary=boundary)
+    def interval(cls, lo: float, hi: float, case_id: str):
+        """A flat interval [lo, hi] of optima.  Every interval is a knife edge
+        (``boundary``), is worth 0 and contains no trade, theta = 0."""
+        return cls(SolutionKind.INTERVAL, case_id, 0.0, lo=lo, hi=hi, boundary=True)
 
     @classmethod
-    def plus_infinity(cls, case_id: str, prospect: float, boundary: bool = False):
-        return cls(SolutionKind.PLUS_INFINITY, case_id, prospect, theta=math.inf,
-                   boundary=boundary)
-
-    @classmethod
-    def minus_infinity(cls, case_id: str, prospect: float, boundary: bool = False):
-        return cls(SolutionKind.MINUS_INFINITY, case_id, prospect, theta=-math.inf,
-                   boundary=boundary)
+    def unbounded(cls, direction: float, case_id: str, prospect: float):
+        """A trade without bound, in the direction of ``direction``'s sign."""
+        theta = math.copysign(math.inf, direction)
+        kind = SolutionKind.PLUS_INFINITY if theta > 0 else SolutionKind.MINUS_INFINITY
+        return cls(kind, case_id, prospect, theta=theta)
 
     @property
     def representative_theta(self) -> float:
-        """A concrete theta: the point itself, or the finite interval end."""
+        """A concrete theta: the point itself, or the interval's finite lower end, else
+        its upper end capped at no trade (0.0 on the whole line)."""
         if self.kind is SolutionKind.INTERVAL:
-            return self.lo if math.isfinite(self.lo) else self.hi
+            return self.lo if math.isfinite(self.lo) else min(self.hi, 0.0)
         return self.theta
 
     def describe(self) -> str:

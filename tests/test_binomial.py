@@ -528,6 +528,19 @@ class TestFullBinomialSolve:
         assert fired == {"T4.3-" + label for label in (
             "1", "2a", "2b", "3a", "3b", "4", "5", "6", "7a", "7b", "7c", "8a", "8b", "8c")}
 
+    def test_an_interior_trade_worth_zero_after_rounding_stays_a_trade(self):
+        """The merge reads a ray's group from its label: a T4.1-4 buy of 2.5e-18,
+        whose wealth differences cancel to 0.0 against the cash, is T4.3-2a."""
+        m = market(u=1.5, d=0.95, p=0.55, r=0.0, lam=0.02)
+        interior = prepare_binomial_inputs(1.0, m, preference()).thresholds.buy_interior
+        pref = preference(eta=1e7, zeta=interior * (1.0 - 1e-11))
+        buy, sell = prepare_binomial_inputs(1.0, m, pref).rays
+        assert (buy.case_id, buy.prospect, sell.case_id) == ("T4.1-4", 0.0, "T4.2-1c")
+        assert 0.0 < buy.theta < 1e-17
+        sol = solve_binomial(1.0, m, pref)
+        assert sol == Solution.point(buy.theta, "T4.3-2a", 0.0)
+        assert verify(sol, Portfolio(1.0, 0.0), m, pref, GridSpec(-10.0, 10.0)).agreement == "match"
+
     @pytest.mark.parametrize("m, w, bracket, label", [
         (market(u=1.08, d=0.8, p=0.4, r=0.016), TverskyKahnemanWeighting(0.94, 0.68),
          (1.3, 1.31), "T4.3-3b"),

@@ -859,6 +859,39 @@ def test_an_interval_summary_gives_its_ends():
     assert summary["boundary"] is True
 
 
+# knife edges flat on the whole line: theta* is no trade, and verify samples the line
+# within 10 of it.  The two-state one used to exit 2 on a grid of NaN thetas
+WHOLE_LINE = [
+    pytest.param({"market": {"r": 0.0, "lambda": 0.0,
+                             "returns": {"kind": "binomial", "u": 1.5, "d": 0.5, "p": 0.5}},
+                  "preference": {"utility": "exponential", "eta_gain": 1.0, "eta_loss": 1.0,
+                                 "loss_aversion": 1.0000000000001, "weighting": "identity"},
+                  "portfolio": {"x0": 1.0, "y0": 0.0}, "solve": {"mode": "binomial"}},
+                 "T4.3-6", id="two-state"),
+    pytest.param({"market": {"r": 0.01, "lambda": 0.0,
+                             "returns": {"kind": "normal", "mu": 0.01, "sigma": 0.2}},
+                  "preference": {"utility": "power", "alpha": 0.8, "beta": 0.8,
+                                 "loss_aversion": 1.000000000001, "weighting": "identity"},
+                  "portfolio": {"x0": 1.0, "y0": 0.0}, "solve": {"mode": "zero-initial"}},
+                 "T3.4-7", id="zero-initial"),
+]
+
+
+@pytest.mark.parametrize("payload, case", WHOLE_LINE)
+def test_a_whole_line_of_optima_reports_no_trade_and_is_verified(payload, case, tmp_path,
+                                                                 capsys):
+    config, csv_path = tmp_path / "config.json", tmp_path / "run.csv"
+    config.write_text(json.dumps(payload))
+    assert main(["solve", "--config", str(config), "--out", str(csv_path)]) == 0
+    assert f"case:        {case}  [boundary]\ntheta*:      0.0\n" in capsys.readouterr().out
+    assert b"\r\ntheta_star,0.0\r\n" in csv_path.read_bytes()
+    assert solve_once(RunConfig.from_dict(payload))["interval"] == ["-inf", "inf"]
+    assert main(["verify", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "theta*:      0.0\n" in out
+    assert out.endswith("oracle:      match (interval is flat at the reported prospect)\n")
+
+
 def test_main_called_again_in_one_process_gives_the_same_bytes(tmp_path, capsys):
     """The parser is built once per process: each command's stdout and CSV match its
     first run after other commands and a usage error, and an ``--out`` given in one

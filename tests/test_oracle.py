@@ -301,6 +301,23 @@ def test_grid_refuses_a_row_whose_wealth_difference_overflows(returns, theta):
         evaluate_objective_grid(Portfolio(1.0, 1.0), m, pref, np.array([1.0, theta]))
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("lam", [0.01, 0.0])
+@pytest.mark.parametrize("returns", [Lognormal(0.05, 0.2), Normal(0.05, 0.2),
+                                     StudentT(5.0, 0.02, 0.1), Binomial(1.5, 0.95, 0.55),
+                                     EMPIRICAL],
+                         ids=["lognormal", "normal", "student-t", "two-state", "empirical"])
+# inf - inf and 0 * inf in the wealth difference's coefficients
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_grid_refuses_a_theta_that_is_not_finite(returns, lam, theta):
+    """A continuous row with a NaN slope (theta NaN or +inf) or a NaN base (-inf) used
+    to come back as 0.0; every law refuses it and names it."""
+    m = MarketModel(0.01, lam, returns)
+    with pytest.raises(GridRangeError, match=re.escape(f"theta={theta!r} overflows")):
+        evaluate_objective_grid(Portfolio(1.0, 1.0), m, CptPreference(POWER, TK),
+                                np.array([-0.5, theta, 2.0]))
+
+
 @pytest.mark.parametrize("m, port, pref", [
     # the NaN atom used to come back as a finite -0.5827
     (BINOM, CASH, EXP_PREF),
@@ -578,34 +595,41 @@ VERDICT_BRANCHES = [
     pytest.param(Solution.point(2.0, "T4.3-2a", 0.192), CASH, BINOM, EXP_PREF, 0.003,
                  "mismatch", "grid argmax 2.54425 sits 5.443e-01 away with a strictly "
                  "better value 0.1945771033", id="point-distant-argmax"),
-    pytest.param(Solution.interval(0.0, math.inf, "T4.3-4", 0.0, boundary=True),
+    pytest.param(Solution.interval(0.0, math.inf, "T4.3-4"),
                  CASH, KNIFE_EDGE, _exp_pref(1.5, 1.5, 2.3633427534449534), None,
                  "match", "interval is flat at the reported prospect", id="interval-match"),
-    pytest.param(Solution.interval(0.0, 1.0, "T4.3-4", 0.0), CASH, BINOM, EXP_PREF, None,
+    pytest.param(Solution(SolutionKind.INTERVAL, "T4.3-4", 0.0, lo=0.0, hi=1.0),
+                 CASH, BINOM, EXP_PREF, None,
                  "mismatch", "objective deviates by 1.426e-01 from the reported prospect "
                  "at theta=1", id="interval-not-flat"),
-    pytest.param(Solution.plus_infinity("T3.1-8b", math.inf), HOLDING, BULL, POWER_PREF, None,
+    # a whole line of optima claimed where only no trade is optimal (T3.4-1d): the 11
+    # points on [-10, 10] find the slope that the NaN ends of the whole line used to miss
+    pytest.param(Solution.interval(-math.inf, math.inf, "T3.4-7"), CASH,
+                 MarketModel(0.01, 0.01, Lognormal(0.05, 0.2)), POWER_PREF, None,
+                 "mismatch", "objective deviates by 2.261e+00 from the reported prospect "
+                 "at theta=-10", id="whole-line-not-flat"),
+    pytest.param(Solution.unbounded(1.0, "T3.1-8b", math.inf), HOLDING, BULL, POWER_PREF, None,
                  "match", "monotone ladder certification passed", id="infinite-match"),
-    pytest.param(Solution.minus_infinity("T3.1-8b", math.inf), HOLDING, BULL, POWER_PREF, None,
+    pytest.param(Solution.unbounded(-1.0, "T3.1-8b", math.inf), HOLDING, BULL, POWER_PREF, None,
                  "mismatch", "objective not strictly increasing along the ladder: "
                  "[-0.3727132081, -2.974282862, -22.674142, -172.085872]",
                  id="infinite-not-increasing"),
-    pytest.param(Solution.plus_infinity("T4.3-7a", 0.3478435528938286),
+    pytest.param(Solution.unbounded(1.0, "T4.3-7a", 0.3478435528938286),
                  CASH, KNIFE_EDGE, _exp_pref(2.0, 2.0, 1.01), None,
                  "match", "ladder limit and grid dominance certification passed",
                  id="limit-match"),
-    pytest.param(Solution.plus_infinity("T4.3-7a", 0.35),
+    pytest.param(Solution.unbounded(1.0, "T4.3-7a", 0.35),
                  CASH, KNIFE_EDGE, _exp_pref(2.0, 2.0, 1.01), None,
                  "mismatch", "ladder end misses the limit prospect by 2.156e-03",
                  id="limit-missed"),
     # slow loss saturation: the sale's objective still falls at the last rung
-    pytest.param(Solution.minus_infinity("T4.3-7a", -0.22130668009531557),
+    pytest.param(Solution.unbounded(-1.0, "T4.3-7a", -0.22130668009531557),
                  CASH, KNIFE_EDGE, _exp_pref(2.0, 0.01, 1.01), None,
                  "mismatch", "objective not approaching the limit from below: "
                  "[0.05683658253, 0.2309654334, 0.1813727373, -0.2213066801]",
                  id="limit-from-above"),
     # the ladder saturates at the limit, but a small buy does better
-    pytest.param(Solution.plus_infinity("T4.3-7a", -0.18749405646786),
+    pytest.param(Solution.unbounded(1.0, "T4.3-7a", -0.18749405646786),
                  CASH, BINOM, _exp_pref(1.5, 6.0, 1.2), None,
                  "mismatch", "a finite trade beats the claimed limit: 0.008453359662 vs "
                  "-0.1874940565", id="limit-beaten"),
@@ -629,7 +653,7 @@ def test_every_verdict_branch_of_verify(solution, port, m, pref, tol_value, agre
 
 
 @pytest.mark.parametrize("branch, n_evaluations", [
-    ("interval-match", 11), ("interval-not-flat", 11),
+    ("interval-match", 11), ("interval-not-flat", 11), ("whole-line-not-flat", 11),
     ("infinite-match", 4), ("infinite-not-increasing", 4),
     ("limit-match", 4 + 801), ("limit-missed", 4), ("limit-from-above", 4),
     ("limit-beaten", 4 + 801),
