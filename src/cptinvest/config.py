@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .market import (
@@ -88,6 +88,9 @@ _RETURNS = {
     "binomial": lambda s: Binomial(*_numbers(s, "u", "d", "p")),
     "empirical": lambda s: Empirical(tuple(_number(v, "every value") for v in s["values"])),
 }
+# the law each kind builds: its fields are the keys that kind's section takes besides "kind"
+_RETURN_LAWS = {"lognormal": Lognormal, "normal": Normal, "student-t": StudentT,
+                "binomial": Binomial, "empirical": Empirical}
 _UTILITIES = {
     "power": lambda s: PowerUtility(*_numbers(s, "alpha", "beta", "loss_aversion")),
     "exponential": lambda s: ExponentialUtility(*_numbers(s, "eta_gain", "eta_loss",
@@ -158,8 +161,13 @@ class RunConfig:
         problems: list[str] = []
         data = _merge(DEFAULT_CONFIG, raw, problems)
 
-        returns = _build(_RETURNS, data["market"]["returns"], "kind", "market.returns.kind",
+        spec = data["market"]["returns"]
+        returns = _build(_RETURNS, spec, "kind", "market.returns.kind",
                          f"one of {tuple(_RETURNS)}", "market.returns", problems)
+        if isinstance(spec.get("kind"), str) and spec["kind"] in _RETURN_LAWS:
+            known = {"kind", *(f.name for f in fields(_RETURN_LAWS[spec["kind"]]))}
+            problems.extend(f"unknown key market.returns.{key}" for key in spec
+                            if key not in known)
         market = None
         if returns is not None:
             market = _attempt(problems, "market",

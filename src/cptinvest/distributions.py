@@ -9,8 +9,14 @@ resampling or interpolation.  Discrete laws carry their atoms explicitly.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
+from importlib import import_module
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -25,14 +31,66 @@ __all__ = [
 ]
 
 
+_SPECIAL = "scipy.special"
+
+
+def _deferred_special():
+    """``scipy.special`` with only ``_ufuncs`` and ``cython_special`` loaded, its
+    ``__init__`` deferred to the first name it lacks; None without a spec.  While
+    the extensions load, their own ``from . import`` must find no name there, so
+    the loading thread's lookups fail."""
+    spec = find_spec(_SPECIAL)
+    if spec is None or spec.loader is None:
+        return None
+    package = module_from_spec(spec)
+    loading = threading.get_ident()
+
+    def __getattr__(name):
+        if loading == threading.get_ident():
+            raise AttributeError(f"module {_SPECIAL!r} has no attribute {name!r}")
+        if vars(package).pop("__getattr__", None) is not None:
+            spec.loader.exec_module(package)
+        return getattr(package, name)
+
+    package.__getattr__ = __getattr__
+    sys.modules[_SPECIAL] = sys.modules["scipy"].special = package
+    try:
+        for ext in ("_ufuncs", "cython_special"):
+            import_module(f"{_SPECIAL}.{ext}")
+    except ImportError:
+        return package  # the first name taken from it runs its __init__ at once
+    finally:
+        loading = None
+    return package._ufuncs
+
+
+@functools.cache
+def _bind_special() -> None:
+    """Bind ``sc`` and the ufuncs: the objects ``from scipy.special import`` gives,
+    some of which the package's ``__init__`` wraps under ``SCIPY_ARRAY_API``."""
+    global gammaln, ndtr, ndtri, ndtri_exp, stdtr, stdtrit, sc
+    deferred = _SPECIAL not in sys.modules and not os.environ.get("SCIPY_ARRAY_API")
+    ufuncs = (deferred and _deferred_special()) or import_module(_SPECIAL)
+    sc = import_module(f"{_SPECIAL}.cython_special")
+    gammaln, ndtr, ndtri = ufuncs.gammaln, ufuncs.ndtr, ufuncs.ndtri
+    ndtri_exp, stdtr, stdtrit = ufuncs.ndtri_exp, ufuncs.stdtr, ufuncs.stdtrit
+
+
 class _AnalyticBase:
-    """A base law computed by ``scipy.special``: built, copied or unpickled, it imports that.
-    Scalar methods call ``cython_special`` (``sc``): the ufuncs' C kernels, no array dispatch."""
+    """A base law computed by ``scipy.special``: built, copied or unpickled, it binds
+    that package's ``cython_special`` and ufuncs.  Scalar methods call
+    ``cython_special`` (``sc``): the ufuncs' C kernels, no array dispatch.
+
+    A continuous run loads only the package's extension modules ``_ufuncs`` and
+    ``cython_special``.  Its ``__init__``, about 0.27 s of CPU spent mostly on
+    array-API support, is deferred: the package object runs it on the first name
+    it lacks, so any later ``import scipy.special`` gets the full package.  Where
+    the package is imported already, or its private layout is missing or fails to
+    import, the ``__init__`` runs at once and the names come from the package.
+    """
 
     def __new__(cls, *args, **kwargs):
-        global gammaln, ndtr, ndtri, ndtri_exp, stdtr, stdtrit, sc
-        from scipy.special import cython_special as sc
-        from scipy.special import gammaln, ndtr, ndtri, ndtri_exp, stdtr, stdtrit
+        _bind_special()
         return super().__new__(cls)
 
     def __reduce_ex__(self, protocol):  # pickle protocols 0 and 1 would skip __new__

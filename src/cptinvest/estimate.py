@@ -40,7 +40,12 @@ def read_price_csv(path: str | Path) -> list[PriceRow]:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["date", "close"]:
             raise ValueError(f"expected header 'date,close', got {reader.fieldnames}")
-        for line_no, record in enumerate(reader, start=2):
+        for record in reader:
+            line_no = reader.line_num  # the record's last line: blank lines are skipped
+            # DictReader files a short row's missing fields as None, a long row's rest under None
+            got = 2 + len(record.pop(None, ())) - list(record.values()).count(None)
+            if got != 2:
+                raise ValueError(f"line {line_no}: expected 2 fields, date and close, got {got}")
             try:
                 date = dt.date.fromisoformat(record["date"].strip())
             except ValueError as exc:

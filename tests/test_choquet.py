@@ -359,17 +359,130 @@ assert "scipy.integrate._quadpack" in sys.modules, "a continuous solve integrate
 loaded = {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & set(sys.modules)
 assert not loaded, f"QUADPACK's extension loads by itself, not through {loaded}"
 assert "scipy.special" in sys.modules, "a continuous base computes with scipy.special"
+assert {"scipy.special._ufuncs", "scipy.special.cython_special"} <= set(sys.modules)
+loaded = {"scipy.special._basic", "scipy._lib._array_api"} & set(sys.modules)
+assert not loaded, f"scipy.special's __init__ is deferred, but {loaded} loaded"
 """
+
+
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter on this checkout, ``SCIPY_ARRAY_API``
+    unset; return its stdout."""
+    src = str(Path(cptinvest.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "SCIPY_ARRAY_API"}
+    done = subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_discrete_laws_never_import_the_adaptive_integrator():
     """``choquet.quad`` loads QUADPACK's extension on its first call only, without
-    ``scipy.integrate``, and ``scipy.special`` loads with the first continuous base law."""
-    src = str(Path(cptinvest.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", _LAZY_QUAD_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    ``scipy.integrate``, and ``scipy.special``'s extension modules load with the first
+    continuous base law, without the package's ``__init__``."""
+    _run_fresh(_LAZY_QUAD_SCRIPT)
+
+
+_CONTINUOUS_SOLVE = """
+import sys
+import cptinvest as ci
+from cptinvest import distributions
+from cptinvest.continuous import prepare_inputs
+
+pref = ci.CptPreference(ci.PowerUtility(0.7, 0.85, 2.0), ci.TverskyKahnemanWeighting(0.61, 0.69))
+inputs = prepare_inputs(ci.Portfolio(1.0, 1.0), ci.MarketModel(0.01, 0.01, ci.Lognormal(0.06, 0.22)),
+                        pref)
+"""
+_BOUND_FROM_PACKAGE = """
+import scipy.special
+names = ("gammaln", "ndtr", "ndtri", "ndtri_exp", "stdtr", "stdtrit")
+assert all(getattr(distributions, n) is getattr(scipy.special, n) for n in names)
+assert distributions.sc is sys.modules["scipy.special.cython_special"]
+assert "__getattr__" not in vars(scipy.special)
+assert "scipy.special._basic" in sys.modules, "the package ran its __init__"
+print([(gl.gain.hex(), gl.gain_error.hex(), gl.loss.hex(), gl.loss_error.hex())
+       for gl in (inputs.buy, inputs.sell)])
+"""
+_DEFERRED_SPECIAL_SCRIPTS = {
+    # the deferred package becomes the full one on its first missing name
+    "full-package-later": _CONTINUOUS_SOLVE + """
+import pickle
+assert "scipy.special._basic" not in sys.modules
+import scipy.special.cython_special
+assert scipy.special.cython_special.ndtri(0.5) == 0.0
+assert "scipy.special._basic" not in sys.modules
+from scipy.special import gamma
+assert gamma(5.0) == 24.0
+import scipy.stats
+assert scipy.stats.norm.ppf(0.3) == scipy.special.ndtri(0.3)
+assert pickle.loads(pickle.dumps(scipy.special.ndtr)) is scipy.special.ndtr
+assert scipy.special.ndtri is distributions.ndtri
+assert scipy.special._ufuncs is sys.modules["scipy.special._ufuncs"]
+""" + _BOUND_FROM_PACKAGE,
+    # imported before: the loader binds that package's modules
+    "stats-first": "import scipy.stats\nimport scipy.special\nfull = scipy.special\n"
+                   + _CONTINUOUS_SOLVE + "assert sys.modules['scipy.special'] is full\n"
+                   + _BOUND_FROM_PACKAGE,
+    # the private layout fails once: the package's __init__ runs at once
+    "fallback": """
+import sys
+from importlib.abc import MetaPathFinder
+
+class RefuseUfuncsOnce(MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "scipy.special._ufuncs":
+            sys.meta_path.remove(self)
+            raise ModuleNotFoundError(f"refused: {name}", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseUfuncsOnce())
+""" + _CONTINUOUS_SOLVE + """
+assert not any(isinstance(f, RefuseUfuncsOnce) for f in sys.meta_path), "never refused"
+""" + _BOUND_FROM_PACKAGE,
+    # another thread's lookup between the two extensions' imports (where the loading
+    # thread holds no import lock) runs the __init__ in that thread
+    "other-thread": """
+import threading
+from cptinvest import distributions
+
+found = []
+real_import = distributions.import_module
+
+def look_up_from_another_thread(name):
+    if name == "scipy.special.cython_special":
+        distributions.import_module = real_import
+        def look_up():
+            from scipy.special import gamma
+            found.append(gamma(5.0))
+        worker = threading.Thread(target=look_up)
+        worker.start()
+        worker.join(60)
+        assert not worker.is_alive()
+    return real_import(name)
+
+distributions.import_module = look_up_from_another_thread
+""" + _CONTINUOUS_SOLVE + """
+assert found == [24.0], found
+""" + _BOUND_FROM_PACKAGE,
+    # under it the package's __init__ wraps some ufuncs, so it runs at once
+    "scipy-array-api": "import os\nos.environ['SCIPY_ARRAY_API'] = '1'\n"
+                       + _CONTINUOUS_SOLVE + _BOUND_FROM_PACKAGE
+                       + "assert scipy.special.ndtri is not scipy.special._ufuncs.ndtri\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEFERRED_SPECIAL_SCRIPTS))
+def test_continuous_laws_bind_the_objects_scipy_special_exports(case):
+    """In a fresh interpreter, whether ``scipy.special``'s ``__init__`` is deferred,
+    ran before, runs in another thread while the extensions load, or runs at once
+    because its ``_ufuncs`` fails to import or ``SCIPY_ARRAY_API`` makes it wrap the
+    ufuncs: the laws compute with the objects that package exports, and a per-unit
+    integral keeps the bits of this process's."""
+    out = _run_fresh(_DEFERRED_SPECIAL_SCRIPTS[case])
+    pref = CptPreference(PowerUtility(0.7, 0.85, 2.0), TK)
+    inputs = prepare_inputs(Portfolio(1.0, 1.0), MarketModel(0.01, 0.01, Lognormal(0.06, 0.22)),
+                            pref)
+    assert out.strip() == repr([_hex(inputs.buy), _hex(inputs.sell)])
 
 
 def _quad_summary(res):

@@ -819,6 +819,39 @@ def test_a_number_must_be_a_json_number(payload, problems, tmp_path, capsys):
         f"  - {problem}\n" for problem in problems)
 
 
+UNKNOWN_RETURN_KEYS = [
+    pytest.param({"kind": "student-t", "nu": 5, "loc": 0.05, "sclae": 0.2},
+                 ["unknown key market.returns.sclae"], id="student-t-typo"),
+    pytest.param({"kind": "lognormal", "mu": 0.05, "sigam": 0.2, "nu": 3},
+                 ["market.returns: missing parameter 'sigma'", "unknown key market.returns.sigam",
+                  "unknown key market.returns.nu"], id="lognormal-typo-and-foreign-key"),
+    pytest.param({"kind": "empirical", "values": [0.9, 1.1], "p": 0.5},
+                 ["unknown key market.returns.p"], id="empirical-extra"),
+]
+
+
+@pytest.mark.parametrize("returns, problems", UNKNOWN_RETURN_KEYS)
+def test_a_returns_key_its_law_does_not_take_is_refused(returns, problems):
+    """A returns section is replaced whole, not merged with defaults, so each key its
+    kind's law has no field for is reported, as in the other sections."""
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict({"market": {"returns": returns}})
+    assert err.value.problems == problems
+
+
+@pytest.mark.parametrize("command", ["check-arb", "solve"])
+def test_cli_refuses_a_misspelt_returns_key(command, tmp_path, capsys):
+    """The misspelt scale used to run as a Student-t law of scale 1.0."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"market": {"returns": {
+        "kind": "student-t", "nu": 5, "loc": 0.05, "sclae": 0.2}}}))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid configuration:\n"
+                            "  - unknown key market.returns.sclae\n")
+
+
 def test_json_integers_load_as_the_floats_they_name():
     as_floats = RunConfig.from_dict({**BINOM, "market": {"r": 1.0, "lambda": 0.0, "returns": {
         "kind": "binomial", "u": 3.0, "d": 1.0, "p": 0.5}}, "solve": {

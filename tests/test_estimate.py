@@ -106,3 +106,30 @@ def test_read_price_csv_refuses_a_non_finite_close(tmp_path, capsys, close):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("row, got", [("2024-01-02", 1), ("2024-01-02,100,7", 3)],
+                         ids=["no-close", "extra-field"])
+def test_read_price_csv_refuses_a_row_of_the_wrong_width(tmp_path, capsys, row, got):
+    """A row without its close used to end in a TypeError traceback, and a row with
+    a third field was read as if that field were not there."""
+    path = tmp_path / "prices.csv"
+    path.write_text(f"date,close\n2024-01-01,100\n{row}\n2024-01-03,102\n")
+    message = f"line 3: expected 2 fields, date and close, got {got}"
+    with pytest.raises(ValueError, match=message):
+        read_price_csv(path)
+    assert main(["estimate", "--prices", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["2024-01-01,100\n\n2024-01-02,bad\n",
+                                  '2024-01-01,"100\n"\n2024-01-02,bad\n'],
+                         ids=["blank-line", "quoted-newline"])
+def test_read_price_csv_names_the_line_of_the_file(tmp_path, text):
+    """A blank line or a quoted newline before a bad row used to shift its number."""
+    path = tmp_path / "prices.csv"
+    path.write_text("date,close\n" + text)
+    with pytest.raises(ValueError, match="^line 4: bad close 'bad'$"):
+        read_price_csv(path)
