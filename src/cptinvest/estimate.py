@@ -34,9 +34,9 @@ class LognormalEstimate:
 
 
 def read_price_csv(path: str | Path) -> list[PriceRow]:
-    """Read a ``date,close`` CSV with ISO-8601 dates."""
+    """Read a UTF-8 ``date,close`` CSV with ISO-8601 dates, byte-order mark or not."""
     rows: list[PriceRow] = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["date", "close"]:
             raise ValueError(f"expected header 'date,close', got {reader.fieldnames}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -393,9 +393,30 @@ def evaluate_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
     return values.reshape(shape)
 
 
+def _evaluate_with(p: Portfolio, m: MarketModel, pref: CptPreference,
+                   thetas: np.ndarray, extra: np.ndarray):
+    """The values of ``thetas`` and of ``extra`` from one grid call; rows do not depend
+    on their neighbours, so each is bitwise its value in a call of its own.  Where that
+    call is refused, ``thetas`` are evaluated alone, raising as they would alone, and
+    ``extra`` comes back None: its reader evaluates it where it needs it, so each error
+    comes where and as it would from two calls."""
+    try:
+        values = evaluate_objective_grid(p, m, pref, np.concatenate((thetas, extra)))
+    except (GridRangeError, ProspectDivergenceError):
+        return evaluate_objective_grid(p, m, pref, thetas), None
+    return values[:thetas.size], values[thetas.size:]
+
+
 def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference,
                 spec: GridSpec) -> GridSearchResult:
     """Deterministic refined grid argmax of the objective."""
+    return _grid_search(p, m, pref, spec, np.empty(0))[0]
+
+
+def _grid_search(p: Portfolio, m: MarketModel, pref: CptPreference, spec: GridSpec,
+                 extra: np.ndarray):
+    """``grid_search``, whose last round evaluates the thetas ``extra`` in its own grid
+    call: the result, and their values (None, see ``_evaluate_with``)."""
     lo, hi = spec.lo, spec.hi
     sub_lo, sub_hi, count = lo, hi, spec.n_points
     n_evals = 0
@@ -406,7 +427,10 @@ def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference,
             step = step / 10.0
             count = max(3, int(round((sub_hi - sub_lo) / step)) + 1)
         grid = np.linspace(sub_lo, sub_hi, count)
-        values = evaluate_objective_grid(p, m, pref, grid)
+        if refinement < spec.refinement_rounds:
+            values = evaluate_objective_grid(p, m, pref, grid)
+        else:
+            values, extra_values = _evaluate_with(p, m, pref, grid, extra)
         n_evals += count
         best = int(np.argmax(values))
         if not refinement or values[best] >= best_value:
@@ -414,7 +438,7 @@ def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference,
             best_value = float(values[best])
         step = (sub_hi - sub_lo) / (count - 1)
 
-    return GridSearchResult(best_theta, best_value, step, n_evals)
+    return GridSearchResult(best_theta, best_value, step, n_evals), extra_values
 
 
 def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
@@ -426,7 +450,8 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
     the ladder end within 1e-9 of the claimed limit prospect, and no grid
     point beating the limit.  Unbounded power objectives on an infinite ray
     are monotone, so there strict increase along the whole ladder is required.
-    Also returns how many points it evaluated: the ladder, plus the grid.
+    The ladder and the grid share one grid call.  Also returns how many points it
+    evaluated: the ladder, plus the grid.
     """
     sign = 1.0 if solution.kind is SolutionKind.PLUS_INFINITY else -1.0
     scale = 1.0 / pref.utility.eta_gain if isinstance(pref.utility, ExponentialUtility) else 1.0
@@ -436,9 +461,13 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
         unit = [abs(x) for x, _ in difference_law(p, m, sign).atoms]
         smallest = min((u for u in unit if u > 0), default=1.0)
         scale = scale * max(1.0, 0.04 / smallest)
-    values = evaluate_objective_grid(p, m, pref, sign * scale * np.array(_LADDER))
+    rungs = sign * scale * np.array(_LADDER)
+    # only a finite limit has a dominance grid
+    grid = (np.linspace(spec.lo, spec.hi, min(spec.n_points, 2001))
+            if math.isfinite(solution.prospect) else rungs[:0])
+    values, grid_values = _evaluate_with(p, m, pref, rungs, grid)
     ladder = ", ".join(f"{v:.10g}" for v in values)
-    n_evals = len(values)
+    n_evals = len(values) + (0 if grid_values is None else len(grid))
 
     if not math.isfinite(solution.prospect):
         if not (np.diff(values) > 0.0).all():
@@ -450,9 +479,10 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
         return False, f"ladder end misses the limit prospect by {gap:.3e}", n_evals
     if values[-1] < values[-2] - _LIMIT_TOL:
         return False, f"objective not approaching the limit from below: [{ladder}]", n_evals
-    grid = np.linspace(spec.lo, spec.hi, min(spec.n_points, 2001))
-    n_evals += len(grid)
-    best = float(evaluate_objective_grid(p, m, pref, grid).max())
+    if grid_values is None:
+        grid_values = evaluate_objective_grid(p, m, pref, grid)
+        n_evals += len(grid)
+    best = float(grid_values.max())
     if best > solution.prospect + tol:
         return False, (f"a finite trade beats the claimed limit: {best:.10g} vs "
                        f"{solution.prospect:.10g}"), n_evals
@@ -471,14 +501,19 @@ def _certify_interval(solution: Solution, p: Portfolio, m: MarketModel,
     return True, "interval is flat at the reported prospect", len(thetas)
 
 
-def _certify_point(solution: Solution, result: GridSearchResult, p: Portfolio,
-                   m: MarketModel, pref: CptPreference, tol: float) -> tuple[bool, str]:
+def _certify_point(solution: Solution, result: GridSearchResult, direct: np.ndarray | None,
+                   p: Portfolio, m: MarketModel, pref: CptPreference,
+                   tol: float) -> tuple[bool, str]:
+    """``direct``: the value at the reported theta from the search's last grid call, or
+    None where that call was refused."""
     gap = result.max_value - solution.prospect
     if abs(gap) > tol:
         return False, (f"grid maximum {result.max_value:.10g} vs reported "
                        f"{solution.prospect:.10g} (gap {gap:.3e}, worst theta "
                        f"{result.argmax_theta:.6g})")
-    direct = float(evaluate_objective_grid(p, m, pref, np.array([solution.theta]))[0])
+    if direct is None:
+        direct = evaluate_objective_grid(p, m, pref, np.array([solution.theta]))
+    direct = float(direct[0])
     if abs(direct - solution.prospect) > tol:
         return False, (f"objective at the reported theta is {direct:.10g}, not the reported "
                        f"prospect {solution.prospect:.10g}")
@@ -497,7 +532,9 @@ def verify(solution: Solution, p: Portfolio, m: MarketModel, pref: CptPreference
 
     Finite points must match the refined grid argmax within one final step
     and the grid maximum within tolerance; intervals must be flat; unbounded
-    solutions must pass the geometric-ladder certification.
+    solutions must pass the geometric-ladder certification.  The value at a
+    finite theta* is evaluated in the search's last grid call, and a ladder's
+    rungs in its dominance grid's.
     """
     # closed-form arithmetic for discrete laws, quadrature-limited otherwise
     tol = (1e-5 if m.law.atoms is None else 1e-6) if tol_value is None else tol_value
@@ -507,8 +544,9 @@ def verify(solution: Solution, p: Portfolio, m: MarketModel, pref: CptPreference
     elif solution.kind is SolutionKind.INTERVAL:
         ok, detail, n_evals = _certify_interval(solution, p, m, pref, tol)
     else:
-        result = grid_search(p, m, pref, spec)
-        *search, n_evals = astuple(result)
-        ok, detail = _certify_point(solution, result, p, m, pref, tol)
+        result, direct = _grid_search(p, m, pref, spec, np.array([solution.theta]))
+        search = (result.argmax_theta, result.max_value, result.final_step)
+        n_evals = result.n_evaluations
+        ok, detail = _certify_point(solution, result, direct, p, m, pref, tol)
     return OracleReport("match" if ok else "mismatch", detail, solution.representative_theta,
                         solution.prospect, *search, n_evaluations=n_evals)

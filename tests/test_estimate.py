@@ -1,3 +1,4 @@
+import codecs
 import datetime as dt
 import math
 import random
@@ -133,3 +134,19 @@ def test_read_price_csv_names_the_line_of_the_file(tmp_path, text):
     path.write_text("date,close\n" + text)
     with pytest.raises(ValueError, match="^line 4: bad close 'bad'$"):
         read_price_csv(path)
+
+
+def test_estimate_reads_a_price_file_with_a_byte_order_mark(tmp_path, capsys):
+    """Spreadsheet programs save CSV with a UTF-8 byte-order mark.  It used to stay
+    on the header, read as '\\ufeffdate', and the file was refused with exit status 2."""
+    text = ("date,close\n2024-01-01,100\n2024-01-03,101\n2024-01-08,102\n"
+            "2024-01-12,103\n2024-01-17,104\n")
+    outputs = []
+    for name, data in (("plain", text.encode()), ("marked", codecs.BOM_UTF8 + text.encode())):
+        prices, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-estimate.csv"
+        prices.write_bytes(data)
+        assert main(["estimate", "--prices", str(prices), "--weekly", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        outputs.append((captured.out, captured.err, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].startswith("mu:     0.014635191150056613\n")

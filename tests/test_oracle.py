@@ -6,7 +6,10 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cptinvest import oracle
 from cptinvest.binomial import prepare_binomial_inputs, solve_binomial, solve_ray
 from cptinvest.choquet import ProspectDivergenceError, prospect_value, rank_weights
 from cptinvest.continuous import prepare_inputs, solve
@@ -652,27 +655,144 @@ def test_every_verdict_branch_of_verify(solution, port, m, pref, tol_value, agre
         assert search[:3] == (None,) * 3
 
 
+def _count_grid_calls(monkeypatch) -> list:
+    """Spy on the oracle's grid evaluator: the number of thetas of each call, in order."""
+    calls = []
+
+    def counted(p, m, pref, theta):
+        calls.append(np.size(theta))
+        return evaluate_objective_grid(p, m, pref, theta)
+
+    monkeypatch.setattr("cptinvest.oracle.evaluate_objective_grid", counted)
+    return calls
+
+
 @pytest.mark.parametrize("branch, n_evaluations", [
     ("interval-match", 11), ("interval-not-flat", 11), ("whole-line-not-flat", 11),
     ("infinite-match", 4), ("infinite-not-increasing", 4),
-    ("limit-match", 4 + 801), ("limit-missed", 4), ("limit-from-above", 4),
+    ("limit-match", 4 + 801), ("limit-missed", 4 + 801), ("limit-from-above", 4 + 801),
     ("limit-beaten", 4 + 801),
 ])
 def test_ladder_and_interval_verdicts_count_the_points_they_evaluated(branch, n_evaluations,
                                                                      monkeypatch):
-    """The ladder counts its rungs and, past them, the dominance grid; an interval its
-    11 points.  Each count is the number of thetas handed to the grid evaluator."""
+    """The ladder counts its rungs and, under a finite limit, the dominance grid that
+    shares their grid call; an interval its 11 points.  Each count is the number of
+    thetas handed to the grid evaluator."""
     solution, port, m, pref, tol_value, *_ = next(
         p.values for p in VERDICT_BRANCHES if p.id == branch)
-    thetas = []
-
-    def counted(p, m, pref, theta):
-        thetas.append(np.size(theta))
-        return evaluate_objective_grid(p, m, pref, theta)
-
-    monkeypatch.setattr("cptinvest.oracle.evaluate_objective_grid", counted)
+    thetas = _count_grid_calls(monkeypatch)
     report = verify(solution, port, m, pref, GridSpec(-5.0, 5.0, 801, 2), tol_value)
     assert report.n_evaluations == sum(thetas) == n_evaluations
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 3])
+@pytest.mark.parametrize("branch", [p.id for p in VERDICT_BRANCHES])
+def test_each_verify_branch_makes_as_few_grid_calls_as_its_search_allows(branch, rounds,
+                                                                         monkeypatch):
+    """A finite point's check at theta* joins the search's last round, one call per
+    round; a ladder and its dominance grid share one call, and an interval takes one."""
+    solution, port, m, pref, tol_value, *_ = next(
+        p.values for p in VERDICT_BRANCHES if p.id == branch)
+    calls = _count_grid_calls(monkeypatch)
+    report = verify(solution, port, m, pref, GridSpec(-5.0, 5.0, 801, rounds), tol_value)
+    assert len(calls) == (rounds + 1 if solution.kind is SolutionKind.FINITE_POINT else 1)
+    if solution.kind is SolutionKind.FINITE_POINT:
+        # the search's own points, and theta* with the last round
+        assert report.n_evaluations == sum(calls) - 1
+
+
+THETA_STAR_CASES = [
+    *(_case(returns, POWER, weighting) for returns in CONTINUOUS_LAWS[:2]
+      for weighting in (TK, PrelecWeighting(0.65, 0.8, 1.2), IdentityWeighting())),
+    _case(CONTINUOUS_LAWS[2], POWER, TK),
+    _case(CONTINUOUS_LAWS[2], POWER, IdentityWeighting()),
+    # Student-t tails against Prelec converge only under the bounded utility
+    _case(CONTINUOUS_LAWS[2], BOUNDED, PrelecWeighting(0.7, 0.8, 1.2)),
+    _case(Binomial(1.5, 0.95, 0.55), BOUNDED, TK),
+    _case(EMPIRICAL, POWER, TK),
+]
+
+
+@pytest.mark.parametrize("returns, utility, weighting", THETA_STAR_CASES)
+@given(where=st.sampled_from(["argmax", "sale-of-all", "mirror"]) | st.floats(-3.0, 5.0))
+@example(where="argmax")
+@example(where="sale-of-all")
+@example(where="mirror")
+@settings(max_examples=8, deadline=None)
+def test_verify_compares_the_value_of_a_one_row_call_at_theta_star(returns, utility,
+                                                                   weighting, where):
+    """The value at theta*, evaluated with the search's last round, is bitwise that of
+    a call of its own: at the argmax, at the sale of all holdings (-y0), on the other
+    side of no trade from the argmax (a mismatch) and anywhere on the grid."""
+    m, pref, port = MarketModel(0.01, 0.02, returns), CptPreference(utility, weighting), HOLDING
+    spec = GridSpec(-3.0, 5.0, 201, 2)
+    search = grid_search(port, m, pref, spec)
+    theta = {"argmax": search.argmax_theta, "sale-of-all": -port.y0,
+             "mirror": -search.argmax_theta}.get(where, where)
+    # the prospect the search found, so the check at theta* is reached
+    solution = Solution.point(theta, "T3.1-2b", search.max_value)
+    compared = []
+
+    def spy(solution, result, direct, *args):
+        compared.append(direct)
+        return certify_point(solution, result, direct, *args)
+
+    # a function-scoped fixture would be shared by every example hypothesis draws
+    certify_point = oracle._certify_point
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_certify_point", spy)
+        report = verify(solution, port, m, pref, spec)
+    (direct,) = compared
+    alone = evaluate_objective_grid(port, m, pref, np.array([theta]))
+    assert direct.shape == (1,)
+    assert float(direct[0]).hex() == float(alone[0]).hex()
+    assert (report.argmax_theta, report.max_value, report.final_step,
+            report.n_evaluations) == (search.argmax_theta, search.max_value,
+                                      search.final_step, search.n_evaluations)
+    if where == "mirror":
+        assert report.agreement == "mismatch"
+        assert report.detail.startswith("objective at the reported theta is ")
+
+
+def _overflow(theta: str) -> GridRangeError:
+    return GridRangeError(f"the wealth difference at theta={theta} overflows the float range")
+
+
+POINT_PROBLEM = (MarketModel(0.01, 0.02, Lognormal(0.05, 0.2)), CptPreference(POWER, TK),
+                 GridSpec(-3.0, 5.0, 201, 2))
+# the ladder rises toward no limit, and the dominance grid runs past the float range
+LADDER_PROBLEM = (BULL, POWER_PREF, GridSpec(0.0, 1.7e308, 801, 2))
+
+
+@pytest.mark.parametrize("solution, problem, outcome", [
+    # theta* overflows, but the grid maximum already disagrees
+    pytest.param(Solution.point(1.7e308, "T3.1-2b", 0.2), POINT_PROBLEM,
+                 "grid maximum 0.01145907943 vs reported 0.2 (gap -1.885e-01, worst theta "
+                 "0.1592)", id="point-grid-maximum"),
+    pytest.param(Solution.point(1.7e308, "T3.1-2b", 0.011459079429349067), POINT_PROBLEM,
+                 _overflow("1.7e+308"), id="point-at-theta"),
+    # the dominance grid overflows, but the ladder already misses the limit
+    pytest.param(Solution.unbounded(1.0, "T3.1-8b", 0.35), LADDER_PROBLEM,
+                 "ladder end misses the limit prospect by 8.749e+00", id="ladder-end"),
+    pytest.param(Solution.unbounded(1.0, "T3.1-8b", None), LADDER_PROBLEM,
+                 _overflow("1.7000000000000001e+307"), id="dominance-grid"),
+])
+def test_verify_refuses_a_point_where_two_grid_calls_would(solution, problem, outcome):
+    """Where the call that evaluates two sets of points together is refused, verify
+    answers as two calls would: a verdict reached before the second set is read
+    stands, and a refused point raises only when it is read."""
+    (m, pref, spec), port = problem, HOLDING
+    if solution.prospect is None:  # the ladder end, so the ladder passes
+        end = evaluate_objective_grid(port, m, pref, np.array([1000.0]))
+        solution = Solution.unbounded(1.0, solution.case_id, float(end[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the refused rows' inf - inf
+        if isinstance(outcome, Exception):
+            with pytest.raises(type(outcome), match=f"^{re.escape(str(outcome))}$"):
+                verify(solution, port, m, pref, spec)
+            return
+        report = verify(solution, port, m, pref, spec)
+    assert (report.agreement, report.detail) == ("mismatch", outcome)
 
 
 def _refuse_the_adaptive_evaluator(*args):
