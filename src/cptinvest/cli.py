@@ -288,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
             return 3 if config.oracle and summary["oracle"]["agreement"] != "match" else 0
 
         # sweep
+        if config.oracle:
+            raise ValueError("sweep does not run the oracle; set solve.oracle to false, "
+                             "or run verify at each point")
         axis, start, stop, count = _parse_sweep_axis(args.sweep)
         grid = sweep_grid(start, stop, count)
         rows = run_sweep(config, axis, grid)

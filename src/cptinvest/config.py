@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 from .market import (
@@ -79,28 +79,21 @@ def _numbers(section: dict, *keys: str) -> list[float]:
     return [_number(section[key], key) for key in keys]
 
 
-# each kind a config may name, and its builder from the config section
-_RETURNS = {
-    "lognormal": lambda s: Lognormal(*_numbers(s, "mu", "sigma")),
-    "normal": lambda s: Normal(*_numbers(s, "mu", "sigma")),
-    "student-t": lambda s: StudentT(*_numbers({"loc": 0.0, "scale": 1.0, **s},
-                                              "nu", "loc", "scale")),
-    "binomial": lambda s: Binomial(*_numbers(s, "u", "d", "p")),
-    "empirical": lambda s: Empirical(tuple(_number(v, "every value") for v in s["values"])),
-}
-# the law each kind builds: its fields are the keys that kind's section takes besides "kind"
-_RETURN_LAWS = {"lognormal": Lognormal, "normal": Normal, "student-t": StudentT,
-                "binomial": Binomial, "empirical": Empirical}
-_UTILITIES = {
-    "power": lambda s: PowerUtility(*_numbers(s, "alpha", "beta", "loss_aversion")),
-    "exponential": lambda s: ExponentialUtility(*_numbers(s, "eta_gain", "eta_loss",
-                                                             "loss_aversion")),
-}
-_WEIGHTINGS = {
-    "tk": lambda s: TverskyKahnemanWeighting(*_numbers(s, "gamma", "delta")),
-    "prelec": lambda s: PrelecWeighting(*_numbers(s, "gamma", "delta_gain", "delta_loss")),
-    "identity": lambda s: IdentityWeighting(),
-}
+# each kind a config may name, and the class it builds from the section's fields
+_RETURNS = {"lognormal": Lognormal, "normal": Normal, "student-t": StudentT,
+            "binomial": Binomial, "empirical": Empirical}
+_UTILITIES = {"power": PowerUtility, "exponential": ExponentialUtility}
+_WEIGHTINGS = {"tk": TverskyKahnemanWeighting, "prelec": PrelecWeighting,
+               "identity": IdentityWeighting}
+
+
+def _from_fields(cls, section: dict):
+    """``cls`` from the section's number for each field in field order, a left-out one
+    taking its default; an empirical law's one field is a list of numbers."""
+    if cls is Empirical:
+        return Empirical(tuple(_number(v, "every value") for v in section["values"]))
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    return cls(*_numbers({**defaults, **section}, *(f.name for f in fields(cls))))
 
 
 class ConfigError(ValueError):
@@ -164,8 +157,8 @@ class RunConfig:
         spec = data["market"]["returns"]
         returns = _build(_RETURNS, spec, "kind", "market.returns.kind",
                          f"one of {tuple(_RETURNS)}", "market.returns", problems)
-        if isinstance(spec.get("kind"), str) and spec["kind"] in _RETURN_LAWS:
-            known = {"kind", *(f.name for f in fields(_RETURN_LAWS[spec["kind"]]))}
+        if isinstance(spec.get("kind"), str) and spec["kind"] in _RETURNS:
+            known = {"kind", *(f.name for f in fields(_RETURNS[spec["kind"]]))}
             problems.extend(f"unknown key market.returns.{key}" for key in spec
                             if key not in known)
         market = None
@@ -175,8 +168,7 @@ class RunConfig:
                               data["market"])
 
         preference = _build_preference(data["preference"], problems)
-        portfolio = _attempt(problems, "portfolio",
-                             lambda s: Portfolio(*_numbers(s, "x0", "y0")), data["portfolio"])
+        portfolio = _attempt(problems, "portfolio", _from_fields, Portfolio, data["portfolio"])
 
         mode = data["solve"]["mode"]
         if mode not in _MODES:
@@ -210,9 +202,6 @@ class RunConfig:
         with open(path) as handle:
             return cls.from_dict(json.load(handle))
 
-    def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True)
-
     def replace_values(self, **section_updates) -> "RunConfig":
         """New config with path overrides, ``__`` between keys, e.g. ``market__lambda=0.01``."""
         data = json.loads(json.dumps(self.data))
@@ -235,13 +224,13 @@ def _build(table: dict, spec: dict, key: str, field: str, choices: str, label: s
     if not (isinstance(kind, str) and kind in table):
         problems.append(f"{field} must be {choices}, got {kind!r}")
         return None
-    return _attempt(problems, label, table[kind], spec)
+    return _attempt(problems, label, _from_fields, table[kind], spec)
 
 
-def _attempt(problems: list[str], label: str, build, section: dict):
-    """``build(section)``, or None with its error as one problem under ``label``."""
+def _attempt(problems: list[str], label: str, build, *args):
+    """``build(*args)``, or None with its error as one problem under ``label``."""
     try:
-        return build(section)
+        return build(*args)
     except KeyError as exc:
         problems.append(f"{label}: missing parameter {exc}")
     except (TypeError, ValueError) as exc:

@@ -12,8 +12,17 @@ import pytest
 import cptinvest
 from cptinvest import binomial, cli, continuous
 from cptinvest.cli import main, run_sweep, solve_once, sweep_grid, write_sweep_csv
-from cptinvest.config import DEFAULT_CONFIG, ConfigError, RunConfig
-from cptinvest.market import Empirical, MarketModel, Normal, StudentT
+from cptinvest.config import (
+    _RETURNS,
+    _UTILITIES,
+    _WEIGHTINGS,
+    DEFAULT_CONFIG,
+    ConfigError,
+    RunConfig,
+    _attempt,
+    _from_fields,
+)
+from cptinvest.market import Empirical, MarketModel, Normal, Portfolio, StudentT
 from cptinvest.oracle import GridSpec
 from cptinvest.preferences import ExponentialUtility, PowerUtility, PrelecWeighting
 
@@ -93,7 +102,7 @@ class TestConfig:
 
     def test_round_trip_reproduces_results(self):
         config = RunConfig.from_dict(BULL)
-        text = config.to_json()
+        text = json.dumps(config.data, indent=2, sort_keys=True)
         reloaded = RunConfig.from_dict(json.loads(text))
         assert reloaded.data == config.data
         assert solve_once(reloaded) == solve_once(config)
@@ -456,6 +465,22 @@ class TestCommandLine:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_sweep_refuses_the_oracle_before_solving_a_row(self, tmp_path, capsys,
+                                                           monkeypatch):
+        """A sweep used to write uncertified rows and exit 0 with solve.oracle true."""
+        monkeypatch.setattr(cli, "_sweep_row", lambda *args: pytest.fail("a row was solved"))
+        payload = {"market": {"returns": {"kind": "lognormal", "mu": 0.05, "sigma": 0.2}},
+                   "solve": {"oracle": True}}
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", self._write(tmp_path, payload),
+                     "--sweep", "lambda=0:0.02:3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: sweep does not run the oracle; set solve.oracle to "
+                                "false, or run verify at each point\n")
+        assert not out.exists()
 
     def test_check_arb_command(self, tmp_path, capsys):
         code = main(["check-arb", "--config", self._write(tmp_path, BINOM)])
@@ -837,6 +862,51 @@ def test_a_returns_key_its_law_does_not_take_is_refused(returns, problems):
     with pytest.raises(ConfigError) as err:
         RunConfig.from_dict({"market": {"returns": returns}})
     assert err.value.problems == problems
+
+
+# a valid value for each field of every class a config section builds
+FIELD_VALUES = {"mu": 0.05, "sigma": 0.2, "nu": 5, "loc": 0.01, "scale": 0.3, "u": 1.3,
+                "d": 0.9, "p": 0.4, "values": [1.1, 0.9, 1.0], "alpha": 0.7, "beta": 0.9,
+                "loss_aversion": 1.5, "eta_gain": 1.2, "eta_loss": 0.8, "gamma": 0.6,
+                "delta": 0.7, "delta_gain": 0.9, "delta_loss": 1.1, "x0": 2.0, "y0": 0.5}
+BUILT_KINDS = [pytest.param(label, kind, cls, id=f"{label}-{kind}")
+               for label, table in (("market.returns", _RETURNS),
+                                    ("preference utility", _UTILITIES),
+                                    ("preference weighting", _WEIGHTINGS),
+                                    ("portfolio", {"portfolio": Portfolio}))
+               for kind, cls in table.items()]
+
+
+@pytest.mark.parametrize("label, kind, cls", BUILT_KINDS)
+def test_each_kind_is_built_from_its_fields(label, kind, cls):
+    """A section's keys are its class's fields: exactly those build the class, a required
+    one left out is one problem, a defaulted one left out takes its default, and a returns
+    section refuses every other law's field."""
+    def build(section):
+        problems = []
+        return _attempt(problems, label, _from_fields, cls, section), problems
+
+    names = [f.name for f in dataclasses.fields(cls)]
+    section = {name: FIELD_VALUES[name] for name in names}
+    assert build(section) == (cls(**section), [])
+    for field in dataclasses.fields(cls):
+        rest = {name: value for name, value in section.items() if name != field.name}
+        if field.default is dataclasses.MISSING:
+            assert build(rest) == (None, [f"{label}: missing parameter '{field.name}'"])
+        else:
+            assert build(rest) == (cls(**rest), [])
+    if label == "market.returns":
+        foreign = list(dict.fromkeys(f.name for other in _RETURNS.values()
+                                     for f in dataclasses.fields(other) if f.name not in names))
+        returns = {"kind": kind, **section, **{name: FIELD_VALUES[name] for name in foreign}}
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({"market": {"returns": returns}})
+        assert err.value.problems == [f"unknown key market.returns.{name}" for name in foreign]
+
+
+def test_a_student_t_section_needs_only_nu():
+    config = RunConfig.from_dict({"market": {"returns": {"kind": "student-t", "nu": 5}}})
+    assert repr(config.market.returns) == repr(StudentT(5.0))
 
 
 @pytest.mark.parametrize("command", ["check-arb", "solve"])
