@@ -2,7 +2,7 @@
 
 Closed-form single-period solvers for continuous return laws (power utility)
 and two-state laws (exponential utility), a Choquet-integral prospect
-evaluator, and an independent brute-force oracle for verification.
+evaluator, and an independent grid oracle for verification.
 """
 
 from .binomial import (

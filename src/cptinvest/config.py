@@ -91,7 +91,10 @@ def _from_fields(cls, section: dict):
     """``cls`` from the section's number for each field in field order, a left-out one
     taking its default; an empirical law's one field is a list of numbers."""
     if cls is Empirical:
-        return Empirical(tuple(_number(v, "every value") for v in section["values"]))
+        values = section["values"]
+        if not isinstance(values, list):
+            raise ValueError(f"values must be a JSON list of numbers, got {values!r}")
+        return Empirical(tuple(_number(v, "every value") for v in values))
     defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
     return cls(*_numbers({**defaults, **section}, *(f.name for f in fields(cls))))
 

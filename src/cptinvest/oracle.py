@@ -1,11 +1,12 @@
-"""Brute-force verification of solver output, straight from definitions.
+"""Verification of solver output, straight from definitions.
 
 The objective is built from the wealth difference against the do-nothing
 benchmark pathwise (no per-unit factorization, no case analysis).  ``verify``
 evaluates it on the grid evaluator only; ``evaluate_objective``, the adaptive
 reference, feeds its law to the generic prospect evaluator.  A refined grid
-search certifies finite optima; unbounded claims are certified by monotone
-growth along a geometric ladder toward the stated limit prospect.
+search, exhaustive over its grid, certifies finite optima; unbounded claims are
+certified by monotone growth along a geometric ladder toward the stated limit
+prospect.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ _CROSSING_BITS = 32
 # relative widening of a discrete grid column's crossing -b/s, far above rounding
 _CROSSING_MARGIN = 2.0**-30
 _LN2 = math.log(2.0)
+# a continuous first search pass bounds blocks of this many grid points by their ends
+# (verify CPU per op on 48 certify problems: blocks of 32 as fast, 128 1.2-1.3x slower),
+# and skips a block whose bound falls short of the best evaluated row by this much
+# relative to its far end's parts: 100x the 1e-11 accuracy of the fixed-node rows
+_BOUND_BLOCK = 64
+_BOUND_MARGIN = 1e-9
 
 
 class GridRangeError(ValueError):
@@ -85,6 +92,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridSearchResult:
+    """The search's argmax and maximum, its last round's step, and ``n_evaluations``:
+    the points its rounds covered, a block the first pass skips counting its points."""
+
     argmax_theta: float
     max_value: float
     final_step: float
@@ -93,6 +103,10 @@ class GridSearchResult:
 
 @dataclass(frozen=True)
 class OracleReport:
+    """``verify``'s verdict.  ``n_evaluations`` counts the points covered: the search's
+    grid points (a skipped block's too, see ``GridSearchResult``), the ladder and its
+    grid, or the interval's points."""
+
     agreement: str  # "match" | "mismatch"
     detail: str
     closed_form_theta: float
@@ -100,7 +114,7 @@ class OracleReport:
     argmax_theta: float | None = None
     max_value: float | None = None
     final_step: float | None = None
-    n_evaluations: int | None = None  # points the search, ladder and grid, or interval evaluated
+    n_evaluations: int | None = None
 
 
 def difference_law(p: Portfolio, m: MarketModel, theta: float):
@@ -162,8 +176,9 @@ def _ray_crossing(cross: np.ndarray) -> np.ndarray:
 
 
 def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
-                               thetas: np.ndarray) -> np.ndarray:
-    """Fixed-node Choquet evaluation of the whole theta grid at once.
+                               thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-node Choquet evaluation of the whole theta grid at once: each row's gain
+    part and loss part, the loss aversion included, whose difference is its value.
 
     Each theta's wealth difference is an affine map of the gross return, so
     its quantile function reuses the return law's quantiles.  A side of
@@ -175,13 +190,13 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
     base, slope = _affine_coefficients(p, m, thetas)
     utility = pref.utility
     # rows in no slope class (theta NaN or +inf) stay NaN, refused by the caller
-    out = np.full_like(thetas, np.nan)
+    gain, loss = np.full_like(thetas, np.nan), np.full_like(thetas, np.nan)
 
     const_rows = slope == 0.0
     if const_rows.any():
         vals = base[const_rows]
-        out[const_rows] = (utility.value_array("gain", np.maximum(vals, 0.0))
-                           - utility.value_array("loss", np.maximum(-vals, 0.0)))
+        gain[const_rows] = utility.value_array("gain", np.maximum(vals, 0.0))
+        loss[const_rows] = utility.value_array("loss", np.maximum(-vals, 0.0))
 
     weighting = pref.weighting
     prelec = isinstance(weighting, PrelecWeighting)
@@ -289,9 +304,9 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         gain_tail, loss_tail = tail_nodes("gain"), tail_nodes("loss")
         # rows whose b + s*Q overflows come out infinite or NaN, refused by the caller
         with np.errstate(over="ignore", invalid="ignore"):
-            out[rows] = (side_value("gain", gain_tail, gain_law, b, s, prob_gain)
-                         - side_value("loss", loss_tail, loss_law, -b, s, 1.0 - prob_gain))
-    return out
+            gain[rows] = side_value("gain", gain_tail, gain_law, b, s, prob_gain)
+            loss[rows] = side_value("loss", loss_tail, loss_law, -b, s, 1.0 - prob_gain)
+    return gain, loss
 
 
 @lru_cache(maxsize=8)
@@ -384,8 +399,12 @@ def evaluate_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
     """
     shape = np.shape(thetas)
     thetas = np.asarray(thetas, dtype=float).ravel()
-    grid = _continuous_objective_grid if m.law.atoms is None else _discrete_objective_grid
-    values = grid(p, m, pref, thetas)
+    if m.law.atoms is None:
+        gain, loss = _continuous_objective_grid(p, m, pref, thetas)
+        with np.errstate(invalid="ignore"):  # inf - inf on a row that overflows
+            values = gain - loss
+    else:
+        values = _discrete_objective_grid(p, m, pref, thetas)
     # a wealth difference that overflows makes its row, and so the sum, infinite or NaN
     if not math.isfinite(values.sum()) and not np.isfinite(values).all():
         theta = float(thetas[~np.isfinite(values)][0])
@@ -407,9 +426,59 @@ def _evaluate_with(p: Portfolio, m: MarketModel, pref: CptPreference,
     return values[:thetas.size], values[thetas.size:]
 
 
+def _bounded_first_pass(p: Portfolio, m: MarketModel, pref: CptPreference,
+                        grid: np.ndarray) -> np.ndarray:
+    """The values of an ascending grid on a continuous law, -inf on each block of
+    _BOUND_BLOCK points that provably cannot hold the maximum; every other row is
+    bitwise its value in a call of the whole grid, so the grid's argmax is unchanged.
+
+    Next to theta = 0, up to the kink at -y0 (where the holding changes sign), the
+    wealth difference is theta times one per-unit payoff.  The utility and the
+    weighting are increasing, as every one in ``preferences`` is, so a row's gain
+    part G and loss part L grow with |theta| there, and no row of a block between
+    its near end (smaller |theta|) and its far end beats G(far) - L(near).  One call
+    evaluates the parts at both ends of every block and at each point past -y0; a
+    block whose bound falls short of the best of them is skipped, and one grid call
+    evaluates the inside of the others.  Where the bounding call is refused or gives
+    a part that is not finite, the grid is evaluated in one call, raising as it would.
+    The bound reads no solver output: it compares rows the oracle evaluated pathwise.
+    """
+    # on a piece next to theta = 0: theta >= -y0 for y0 > 0, theta <= -y0 for y0 < 0
+    on = np.sign(p.y0) * grid >= -abs(p.y0)
+    firsts, lasts = [], []
+    for piece in (on & (grid < 0.0), on & (grid >= 0.0)):
+        rows = np.flatnonzero(piece)  # consecutive: the grid ascends
+        firsts.append(rows[::_BOUND_BLOCK])
+        # rows[-1:]: the piece's last row, or nothing on an empty piece
+        lasts.append(np.minimum(firsts[-1] + (_BOUND_BLOCK - 1), rows[-1:]))
+    first, last = np.concatenate(firsts), np.concatenate(lasts)
+    below = grid[first] < 0.0
+    near, far = np.where(below, last, first), np.where(below, first, last)
+    probe = ~on
+    probe[first] = probe[last] = True
+    try:
+        gain, loss = _continuous_objective_grid(p, m, pref, grid[probe])
+        bounded = np.isfinite(gain).all() and np.isfinite(loss).all()
+    except (ArithmeticError, ValueError):
+        bounded = False
+    if not bounded:
+        return evaluate_objective_grid(p, m, pref, grid)
+    probed, at = gain - loss, np.cumsum(probe) - 1  # at: a probed point's row in the call
+    g_far, l_far, l_near = gain[at[far]], loss[at[far]], loss[at[near]]
+    keep = g_far - l_near >= probed.max() - _BOUND_MARGIN * (g_far + l_far)
+    values = np.full(grid.size, -np.inf)
+    values[probe] = probed
+    inside = np.zeros(grid.size, dtype=bool)
+    for lo, hi in zip(first[keep], last[keep]):
+        inside[lo + 1:hi] = True
+    values[inside] = evaluate_objective_grid(p, m, pref, grid[inside])
+    return values
+
+
 def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference,
                 spec: GridSpec) -> GridSearchResult:
-    """Deterministic refined grid argmax of the objective."""
+    """Deterministic refined grid argmax of the objective, exhaustive over each round's
+    grid (a continuous first round skips only blocks that cannot hold its maximum)."""
     return _grid_search(p, m, pref, spec, np.empty(0))[0]
 
 
@@ -427,10 +496,12 @@ def _grid_search(p: Portfolio, m: MarketModel, pref: CptPreference, spec: GridSp
             step = step / 10.0
             count = max(3, int(round((sub_hi - sub_lo) / step)) + 1)
         grid = np.linspace(sub_lo, sub_hi, count)
-        if refinement < spec.refinement_rounds:
+        if refinement == spec.refinement_rounds:
+            values, extra_values = _evaluate_with(p, m, pref, grid, extra)
+        elif refinement or m.law.atoms is not None:
             values = evaluate_objective_grid(p, m, pref, grid)
         else:
-            values, extra_values = _evaluate_with(p, m, pref, grid, extra)
+            values = _bounded_first_pass(p, m, pref, grid)
         n_evals += count
         best = int(np.argmax(values))
         if not refinement or values[best] >= best_value:

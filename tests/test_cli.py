@@ -816,6 +816,11 @@ NOT_NUMBERS = [
     pytest.param({"market": {"returns": {"kind": "empirical", "values": ["1.1", 0.9, True]}}},
                  ["market.returns: every value must be a JSON number, got '1.1'"],
                  id="empirical-values"),
+    *(pytest.param({"market": {"returns": {"kind": "empirical", "values": values}}},
+                   [f"market.returns: values must be a JSON list of numbers, got {values!r}"],
+                   id=f"empirical-values-{name}")
+      for name, values in (("number", 5), ("null", None), ("string", "1.05"),
+                           ("object", {"1.0": 2}))),
     pytest.param({"market": {"returns": {"kind": "student-t", "nu": 5, "loc": "0"}}},
                  ["market.returns: loc must be a JSON number, got '0'"], id="student-t-loc"),
     pytest.param({**BINOM, "market": {**BINOM["market"], "returns": {

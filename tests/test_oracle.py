@@ -754,6 +754,133 @@ def test_verify_compares_the_value_of_a_one_row_call_at_theta_star(returns, util
         assert report.detail.startswith("objective at the reported theta is ")
 
 
+def _exhaustive_search(p, m, pref, spec, rows: list):
+    """``grid_search`` as an exhaustive loop: each round evaluates its whole grid in one
+    plain ``evaluate_objective_grid`` call, whose thetas and values go to ``rows``."""
+    lo, hi = spec.lo, spec.hi
+    sub_lo, sub_hi, count = lo, hi, spec.n_points
+    n_evals = 0
+    for refinement in range(spec.refinement_rounds + 1):
+        if refinement:
+            sub_lo = max(lo, best_theta - 2.0 * step)
+            sub_hi = min(hi, best_theta + 2.0 * step)
+            step = step / 10.0
+            count = max(3, int(round((sub_hi - sub_lo) / step)) + 1)
+        grid = np.linspace(sub_lo, sub_hi, count)
+        values = evaluate_objective_grid(p, m, pref, grid)
+        rows.append((grid, values))
+        n_evals += count
+        best = int(np.argmax(values))
+        if not refinement or values[best] >= best_value:
+            best_theta = float(grid[best])
+            best_value = float(values[best])
+        step = (sub_hi - sub_lo) / (count - 1)
+    return oracle.GridSearchResult(best_theta, best_value, step, n_evals)
+
+
+def _spy_on_rows(patch, rows: list) -> None:
+    """Record the thetas and values of every call of the grid evaluator and of its
+    continuous parts, the bounding call's included."""
+    parts, grid = oracle._continuous_objective_grid, oracle.evaluate_objective_grid
+
+    def parts_spy(p, m, pref, thetas):
+        gain, loss = parts(p, m, pref, thetas)
+        with np.errstate(invalid="ignore"):
+            rows.append((thetas, gain - loss))
+        return gain, loss
+
+    def grid_spy(p, m, pref, thetas):
+        values = grid(p, m, pref, thetas)
+        rows.append((thetas, values))
+        return values
+
+    patch.setattr(oracle, "_continuous_objective_grid", parts_spy)
+    patch.setattr(oracle, "evaluate_objective_grid", grid_spy)
+
+
+def _outcome(search):
+    """The search's result, or the type and message of what it raised."""
+    try:
+        return search()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_MU, _SIGMA = st.floats(-0.02, 0.08), st.floats(0.05, 0.35)
+_ALPHA_BETA = st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)).map(sorted)
+
+
+@given(returns=st.one_of(st.builds(Lognormal, _MU, _SIGMA), st.builds(Normal, _MU, _SIGMA),
+                         st.builds(StudentT, st.sampled_from([3.0, 5.0, 10.0, 30.0]), _MU,
+                                   st.floats(0.05, 0.3))),
+       utility=st.one_of(
+           st.builds(lambda ab, la: PowerUtility(*ab, la), _ALPHA_BETA, st.floats(1.05, 4.0)),
+           st.builds(ExponentialUtility, st.floats(0.3, 3.0), st.floats(0.3, 3.0),
+                     st.floats(1.05, 4.0))),
+       weighting=st.one_of(
+           st.builds(TverskyKahnemanWeighting, st.floats(0.35, 1.0), st.floats(0.35, 1.0)),
+           st.builds(PrelecWeighting, st.floats(0.5, 0.95), st.floats(0.5, 1.5),
+                     st.floats(0.5, 1.5)),
+           st.just(IdentityWeighting())),
+       r=st.floats(0.0, 0.04), lam=st.floats(0.0, 0.04),
+       y0=st.just(0.0) | st.floats(0.1, 2.0),
+       start=st.sampled_from(["-y0", "below -y0", "-y0/2"]),
+       below=st.floats(0.05, 1.0), reach=st.floats(1.0, 1e3),
+       n_points=st.integers(65, 2001), rounds=st.sampled_from([0, 1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_grid_search_matches_an_exhaustive_search(returns, utility, weighting, r, lam, y0,
+                                                  start, below, reach, n_points, rounds):
+    """The search, whose first pass on a continuous law skips blocks bounded below its
+    best row, finds the exhaustive search's argmax, maximum, step and count, bit for
+    bit, and raises as it does; every row it evaluates is the exhaustive search's."""
+    m, pref = MarketModel(r, lam, returns), CptPreference(utility, weighting)
+    port = Portfolio(1.0, y0)
+    lo = {"-y0": -y0, "below -y0": -y0 - below * reach, "-y0/2": -y0 / 2.0}[start]
+    spec = GridSpec(lo, reach, n_points, rounds)
+    evaluated, exhaustive_rows = [], []
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error", RuntimeWarning)
+        _spy_on_rows(patch, evaluated)
+        found = _outcome(lambda: grid_search(port, m, pref, spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the exhaustive rows' inf - inf
+        exhaustive = _outcome(lambda: _exhaustive_search(port, m, pref, spec, exhaustive_rows))
+    if isinstance(found, tuple) or isinstance(exhaustive, tuple):
+        assert found == exhaustive
+        return
+    fields = [[*(float(v).hex() for v in astuple(result)[:3]), result.n_evaluations]
+              for result in (found, exhaustive)]
+    assert fields[0] == fields[1]
+    reference = {t: v for thetas, values in exhaustive_rows
+                 for t, v in zip(thetas.tolist(), values.tolist())}
+    for thetas, values in evaluated:
+        for theta, value in zip(np.ravel(thetas).tolist(), np.ravel(values).tolist()):
+            assert value.hex() == reference[theta].hex(), theta
+
+
+def test_a_continuous_first_pass_evaluates_a_quarter_of_its_grid_at_most(monkeypatch):
+    """The first pass evaluates the ends of each block of its grid and the inside of
+    the blocks that might hold the maximum: 416 of 4001 rows here."""
+    m = MarketModel(0.02, 0.02, Lognormal(0.05, 0.2))
+    pref = CptPreference(PowerUtility(0.6, 0.8, 2.0), TverskyKahnemanWeighting(0.6, 0.7))
+    spec = GridSpec(-1.0, 10.0, 4001, 2)
+    exhaustive = _exhaustive_search(HOLDING, m, pref, spec, [])
+    thetas = []
+
+    def spy(function):
+        def spied(p, m, pref, theta):
+            thetas.append(np.ravel(theta))
+            return function(p, m, pref, theta)
+        return spied
+
+    for name in ("_continuous_objective_grid", "evaluate_objective_grid"):
+        monkeypatch.setattr(oracle, name, spy(getattr(oracle, name)))
+    assert grid_search(HOLDING, m, pref, spec) == exhaustive
+    first_pass = np.linspace(spec.lo, spec.hi, spec.n_points)
+    evaluated = np.isin(first_pass, np.concatenate(thetas))
+    assert evaluated.sum() <= 0.25 * spec.n_points
+
+
 def _overflow(theta: str) -> GridRangeError:
     return GridRangeError(f"the wealth difference at theta={theta} overflows the float range")
 
