@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -93,12 +93,14 @@ class GridSpec:
 @dataclass(frozen=True)
 class GridSearchResult:
     """The search's argmax and maximum, its last round's step, and ``n_evaluations``:
-    the points its rounds covered, a block the first pass skips counting its points."""
+    the points its rounds covered, a block the first pass skips counting its points;
+    ``values_at``, outside repr and equality: the values of ``grid_search``'s ``at``."""
 
     argmax_theta: float
     max_value: float
     final_step: float
     n_evaluations: int
+    values_at: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -475,17 +477,12 @@ def _bounded_first_pass(p: Portfolio, m: MarketModel, pref: CptPreference,
     return values
 
 
-def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference,
-                spec: GridSpec) -> GridSearchResult:
+def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference, spec: GridSpec,
+                at: tuple[float, ...] = ()) -> GridSearchResult:
     """Deterministic refined grid argmax of the objective, exhaustive over each round's
-    grid (a continuous first round skips only blocks that cannot hold its maximum)."""
-    return _grid_search(p, m, pref, spec, np.empty(0))[0]
-
-
-def _grid_search(p: Portfolio, m: MarketModel, pref: CptPreference, spec: GridSpec,
-                 extra: np.ndarray):
-    """``grid_search``, whose last round evaluates the thetas ``extra`` in its own grid
-    call: the result, and their values (None, see ``_evaluate_with``)."""
+    grid (a continuous first round skips only blocks that cannot hold its maximum).
+    The thetas ``at`` join the last round's grid call, whose values of them come back
+    as ``values_at``, or None where that call was refused (see ``_evaluate_with``)."""
     lo, hi = spec.lo, spec.hi
     sub_lo, sub_hi, count = lo, hi, spec.n_points
     n_evals = 0
@@ -497,7 +494,7 @@ def _grid_search(p: Portfolio, m: MarketModel, pref: CptPreference, spec: GridSp
             count = max(3, int(round((sub_hi - sub_lo) / step)) + 1)
         grid = np.linspace(sub_lo, sub_hi, count)
         if refinement == spec.refinement_rounds:
-            values, extra_values = _evaluate_with(p, m, pref, grid, extra)
+            values, values_at = _evaluate_with(p, m, pref, grid, at)
         elif refinement or m.law.atoms is not None:
             values = evaluate_objective_grid(p, m, pref, grid)
         else:
@@ -509,7 +506,7 @@ def _grid_search(p: Portfolio, m: MarketModel, pref: CptPreference, spec: GridSp
             best_value = float(values[best])
         step = (sub_hi - sub_lo) / (count - 1)
 
-    return GridSearchResult(best_theta, best_value, step, n_evals), extra_values
+    return GridSearchResult(best_theta, best_value, step, n_evals, values_at)
 
 
 def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
@@ -572,16 +569,16 @@ def _certify_interval(solution: Solution, p: Portfolio, m: MarketModel,
     return True, "interval is flat at the reported prospect", len(thetas)
 
 
-def _certify_point(solution: Solution, result: GridSearchResult, direct: np.ndarray | None,
-                   p: Portfolio, m: MarketModel, pref: CptPreference,
-                   tol: float) -> tuple[bool, str]:
-    """``direct``: the value at the reported theta from the search's last grid call, or
-    None where that call was refused."""
+def _certify_point(solution: Solution, result: GridSearchResult, p: Portfolio,
+                   m: MarketModel, pref: CptPreference, tol: float) -> tuple[bool, str]:
+    """``result``: a search with ``at=(theta*,)``, whose ``values_at`` is the value at the
+    reported theta, or None, where it is evaluated in a call of its own."""
     gap = result.max_value - solution.prospect
     if abs(gap) > tol:
         return False, (f"grid maximum {result.max_value:.10g} vs reported "
                        f"{solution.prospect:.10g} (gap {gap:.3e}, worst theta "
                        f"{result.argmax_theta:.6g})")
+    direct = result.values_at
     if direct is None:
         direct = evaluate_objective_grid(p, m, pref, np.array([solution.theta]))
     direct = float(direct[0])
@@ -615,9 +612,9 @@ def verify(solution: Solution, p: Portfolio, m: MarketModel, pref: CptPreference
     elif solution.kind is SolutionKind.INTERVAL:
         ok, detail, n_evals = _certify_interval(solution, p, m, pref, tol)
     else:
-        result, direct = _grid_search(p, m, pref, spec, np.array([solution.theta]))
+        result = grid_search(p, m, pref, spec, at=(solution.theta,))
         search = (result.argmax_theta, result.max_value, result.final_step)
         n_evals = result.n_evaluations
-        ok, detail = _certify_point(solution, result, direct, p, m, pref, tol)
+        ok, detail = _certify_point(solution, result, p, m, pref, tol)
     return OracleReport("match" if ok else "mismatch", detail, solution.representative_theta,
                         solution.prospect, *search, n_evaluations=n_evals)

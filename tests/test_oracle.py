@@ -540,6 +540,27 @@ def test_verify_reports_how_many_grid_points_it_evaluated():
     assert report.n_evaluations > spec.n_points
 
 
+def test_verify_searches_a_finite_point_through_grid_search(monkeypatch):
+    """verify's search is the public ``grid_search``, called once with theta* in ``at``;
+    the report's search fields are that call's result."""
+    sol = solve_binomial(1.0, BINOM, EXP_PREF)
+    assert sol.kind is SolutionKind.FINITE_POINT
+    spec = GridSpec(-5.0, 5.0, 801, 2)
+    calls = []
+
+    def spy(p, m, pref, spec, at=()):
+        calls.append((at, grid_search(p, m, pref, spec, at=at)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(oracle, "grid_search", spy)
+    report = verify(sol, CASH, BINOM, EXP_PREF, spec)
+    ((at, result),) = calls
+    assert at == (sol.theta,)
+    assert result.values_at.shape == (1,)
+    assert (report.argmax_theta, report.max_value, report.final_step,
+            report.n_evaluations) == astuple(result)[:4]
+
+
 def test_verify_rejects_a_perturbed_solution():
     sol = solve_binomial(1.0, BINOM, EXP_PREF)
     assert sol.kind is SolutionKind.FINITE_POINT
@@ -649,7 +670,7 @@ def test_every_verdict_branch_of_verify(solution, port, m, pref, tol_value, agre
     assert report.closed_form_value == solution.prospect
     search = astuple(report)[4:]
     if solution.kind is SolutionKind.FINITE_POINT:
-        assert search == astuple(grid_search(port, m, pref, spec))
+        assert search == astuple(grid_search(port, m, pref, spec))[:4]
         assert type(report.final_step) is float
     else:
         assert search[:3] == (None,) * 3
@@ -731,21 +752,12 @@ def test_verify_compares_the_value_of_a_one_row_call_at_theta_star(returns, util
              "mirror": -search.argmax_theta}.get(where, where)
     # the prospect the search found, so the check at theta* is reached
     solution = Solution.point(theta, "T3.1-2b", search.max_value)
-    compared = []
-
-    def spy(solution, result, direct, *args):
-        compared.append(direct)
-        return certify_point(solution, result, direct, *args)
-
-    # a function-scoped fixture would be shared by every example hypothesis draws
-    certify_point = oracle._certify_point
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_certify_point", spy)
-        report = verify(solution, port, m, pref, spec)
-    (direct,) = compared
+    report = verify(solution, port, m, pref, spec)
+    shared = grid_search(port, m, pref, spec, at=(theta,))
     alone = evaluate_objective_grid(port, m, pref, np.array([theta]))
-    assert direct.shape == (1,)
-    assert float(direct[0]).hex() == float(alone[0]).hex()
+    assert shared == search
+    assert shared.values_at.shape == (1,)
+    assert float(shared.values_at[0]).hex() == float(alone[0]).hex()
     assert (report.argmax_theta, report.max_value, report.final_step,
             report.n_evaluations) == (search.argmax_theta, search.max_value,
                                       search.final_step, search.n_evaluations)
