@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -63,8 +64,8 @@ _BOUND_MARGIN = 1e-9
 
 
 class GridRangeError(ValueError):
-    """A trade past floating point: its wealth difference overflows, pathwise or on
-    a grid row, or a grid row's tail reaches levels the law's quantiles cannot take."""
+    """A trade past floating point: a theta the range rule (``_in_range``) refuses, or
+    a grid row's tail reaching levels the law's quantiles cannot take."""
 
 
 @dataclass(frozen=True)
@@ -94,13 +95,13 @@ class GridSpec:
 class GridSearchResult:
     """The search's argmax and maximum, its last round's step, and ``n_evaluations``:
     the points its rounds covered, a block the first pass skips counting its points;
-    ``values_at``, outside repr and equality: the values of ``grid_search``'s ``at``."""
+    ``values_at`` (outside repr and equality): ``at``'s values, NaN where out of range."""
 
     argmax_theta: float
     max_value: float
     final_step: float
     n_evaluations: int
-    values_at: np.ndarray | None = field(default=None, repr=False, compare=False)
+    values_at: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,7 @@ def difference_law(p: Portfolio, m: MarketModel, theta: float):
     """
 
     def diff(gross: float) -> float:
-        value = terminal_wealth(p, m, theta, gross) - reference_wealth(p, m, gross)
-        if not math.isfinite(value):
-            raise GridRangeError(f"the wealth difference at theta={float(theta)!r} overflows "
-                                 "the float range")
-        return value
+        return terminal_wealth(p, m, theta, gross) - reference_wealth(p, m, gross)
 
     atoms = m.law.atoms
     if atoms is not None:
@@ -145,9 +142,42 @@ def difference_law(p: Portfolio, m: MarketModel, theta: float):
     return m.law.affine(base, slope)
 
 
+@lru_cache(maxsize=8)
+def _reach(law, weighting) -> float:
+    """The largest |gross return| an evaluator forms a wealth difference at: every atom,
+    or both tails' quantiles at sigma = -ln q = _SIGMA_MAX, deeper by the longer tail
+    span under Prelec on a law with log-tail quantiles, as far as the grid's nodes go."""
+    if law.atoms is not None:
+        return max(abs(x) for x, _ in law.atoms)
+    base, sigma = law.base, np.array([_SIGMA_MAX])
+    if isinstance(weighting, PrelecWeighting) and law.has_log_tail_quantiles:
+        sigma += max(weighting.tail_span("gain"), weighting.tail_span("loss"))
+    with np.errstate(over="ignore"):  # a quantile past the float range is inf
+        tails = ((base.isf_logq_array(-sigma), base.ppf_logq_array(-sigma))
+                 if law.has_log_tail_quantiles
+                 else (base.isf_array(np.exp(-sigma)), base.ppf_array(np.exp(-sigma))))
+        return float(max(abs(law.shift + law.scale * t[0]) for t in tails))
+
+
+def _in_range(p: Portfolio, m: MarketModel, pref: CptPreference, thetas) -> np.ndarray:
+    """The range rule: which thetas keep finite each wealth difference an evaluator forms,
+    pathwise or as a grid row's b + s*x.  Up to ``_reach``, each is below 8 (1 + r)(2 +
+    reach)(|x0| + |y0| + |theta|): one bound per problem; 0 is in range, NaN never."""
+    bound = sys.float_info.max / (8.0 * (1.0 + m.r) * (2.0 + _reach(m.law, pref.weighting)))
+    return np.abs(thetas) <= max(bound - abs(p.x0) - abs(p.y0), 0.0)
+
+
+def _refuse(thetas, ok) -> None:
+    """Raise the one GridRangeError, naming the first theta where ``ok`` fails, if any."""
+    if not ok.all():
+        theta = float(np.asarray(thetas)[~ok][0])
+        raise GridRangeError(f"the wealth difference at theta={theta!r} overflows the float range")
+
+
 def evaluate_objective(p: Portfolio, m: MarketModel, pref: CptPreference,
                        theta: float) -> float:
-    """Prospect of trading theta, from definitions only."""
+    """Prospect of trading theta, from definitions only, once the range rule admits it."""
+    _refuse(theta, _in_range(p, m, pref, theta))
     return prospect_value(pref, difference_law(p, m, theta)).total
 
 
@@ -191,7 +221,6 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
     law = m.law
     base, slope = _affine_coefficients(p, m, thetas)
     utility = pref.utility
-    # rows in no slope class (theta NaN or +inf) stay NaN, refused by the caller
     gain, loss = np.full_like(thetas, np.nan), np.full_like(thetas, np.nan)
 
     const_rows = slope == 0.0
@@ -286,8 +315,7 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
             utility.value_array(side, np.maximum(d, 0.0, out=d), out=d)
             d *= weights[k]
             d.sum(axis=1, out=sums[blk])
-        # 0.0, or NaN for a row without a level (theta = -inf, where b is NaN)
-        result = upper * 0.0
+        result = np.zeros_like(upper)
         result[rows] = sums
         return result
 
@@ -304,10 +332,8 @@ def _continuous_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference
         prob_gain = gain_law.sf_array(cross)
         # both sides' divergence checks come before either side's range check
         gain_tail, loss_tail = tail_nodes("gain"), tail_nodes("loss")
-        # rows whose b + s*Q overflows come out infinite or NaN, refused by the caller
-        with np.errstate(over="ignore", invalid="ignore"):
-            gain[rows] = side_value("gain", gain_tail, gain_law, b, s, prob_gain)
-            loss[rows] = side_value("loss", loss_tail, loss_law, -b, s, 1.0 - prob_gain)
+        gain[rows] = side_value("gain", gain_tail, gain_law, b, s, prob_gain)
+        loss[rows] = side_value("loss", loss_tail, loss_law, -b, s, 1.0 - prob_gain)
     return gain, loss
 
 
@@ -393,39 +419,18 @@ def _discrete_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
 
 def evaluate_objective_grid(p: Portfolio, m: MarketModel, pref: CptPreference,
                             thetas: np.ndarray) -> np.ndarray:
-    """Vectorized objective over a theta grid.
-
-    Discrete laws use exact rank-dependent sums; continuous laws, under every
-    weighting, use the shared fixed-node Choquet evaluation.  Thetas of any
-    shape are evaluated flat, and the values come back in their shape.
-    """
+    """Vectorized objective over a theta grid whose every theta the range rule admits:
+    exact rank-dependent sums on discrete laws, the fixed-node Choquet evaluation on
+    continuous ones.  Thetas of any shape are evaluated flat and come back in it."""
     shape = np.shape(thetas)
     thetas = np.asarray(thetas, dtype=float).ravel()
+    _refuse(thetas, _in_range(p, m, pref, thetas))
     if m.law.atoms is None:
-        gain, loss = _continuous_objective_grid(p, m, pref, thetas)
-        with np.errstate(invalid="ignore"):  # inf - inf on a row that overflows
-            values = gain - loss
+        values = np.subtract(*_continuous_objective_grid(p, m, pref, thetas))
     else:
         values = _discrete_objective_grid(p, m, pref, thetas)
-    # a wealth difference that overflows makes its row, and so the sum, infinite or NaN
-    if not math.isfinite(values.sum()) and not np.isfinite(values).all():
-        theta = float(thetas[~np.isfinite(values)][0])
-        raise GridRangeError(f"the wealth difference at theta={theta!r} overflows the float range")
+    _refuse(thetas, np.isfinite(values))  # a check: rows in range come out finite
     return values.reshape(shape)
-
-
-def _evaluate_with(p: Portfolio, m: MarketModel, pref: CptPreference,
-                   thetas: np.ndarray, extra: np.ndarray):
-    """The values of ``thetas`` and of ``extra`` from one grid call; rows do not depend
-    on their neighbours, so each is bitwise its value in a call of its own.  Where that
-    call is refused, ``thetas`` are evaluated alone, raising as they would alone, and
-    ``extra`` comes back None: its reader evaluates it where it needs it, so each error
-    comes where and as it would from two calls."""
-    try:
-        values = evaluate_objective_grid(p, m, pref, np.concatenate((thetas, extra)))
-    except (GridRangeError, ProspectDivergenceError):
-        return evaluate_objective_grid(p, m, pref, thetas), None
-    return values[:thetas.size], values[thetas.size:]
 
 
 def _bounded_first_pass(p: Portfolio, m: MarketModel, pref: CptPreference,
@@ -441,9 +446,9 @@ def _bounded_first_pass(p: Portfolio, m: MarketModel, pref: CptPreference,
     its near end (smaller |theta|) and its far end beats G(far) - L(near).  One call
     evaluates the parts at both ends of every block and at each point past -y0; a
     block whose bound falls short of the best of them is skipped, and one grid call
-    evaluates the inside of the others.  Where the bounding call is refused or gives
-    a part that is not finite, the grid is evaluated in one call, raising as it would.
-    The bound reads no solver output: it compares rows the oracle evaluated pathwise.
+    evaluates the inside of the others.  The range rule checks the whole grid first,
+    and the probes hold each of its levels and rays: the bounding call raises what the
+    whole grid's would.  The bound reads no solver output, only rows evaluated pathwise.
     """
     # on a piece next to theta = 0: theta >= -y0 for y0 > 0, theta <= -y0 for y0 < 0
     on = np.sign(p.y0) * grid >= -abs(p.y0)
@@ -458,14 +463,10 @@ def _bounded_first_pass(p: Portfolio, m: MarketModel, pref: CptPreference,
     near, far = np.where(below, last, first), np.where(below, first, last)
     probe = ~on
     probe[first] = probe[last] = True
-    try:
-        gain, loss = _continuous_objective_grid(p, m, pref, grid[probe])
-        bounded = np.isfinite(gain).all() and np.isfinite(loss).all()
-    except (ArithmeticError, ValueError):
-        bounded = False
-    if not bounded:
-        return evaluate_objective_grid(p, m, pref, grid)
+    _refuse(grid, _in_range(p, m, pref, grid))
+    gain, loss = _continuous_objective_grid(p, m, pref, grid[probe])
     probed, at = gain - loss, np.cumsum(probe) - 1  # at: a probed point's row in the call
+    _refuse(grid[probe], np.isfinite(probed))
     g_far, l_far, l_near = gain[at[far]], loss[at[far]], loss[at[near]]
     keep = g_far - l_near >= probed.max() - _BOUND_MARGIN * (g_far + l_far)
     values = np.full(grid.size, -np.inf)
@@ -481,8 +482,8 @@ def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference, spec: GridSpe
                 at: tuple[float, ...] = ()) -> GridSearchResult:
     """Deterministic refined grid argmax of the objective, exhaustive over each round's
     grid (a continuous first round skips only blocks that cannot hold its maximum).
-    The thetas ``at`` join the last round's grid call, whose values of them come back
-    as ``values_at``, or None where that call was refused (see ``_evaluate_with``)."""
+    The thetas ``at`` join the last round's grid call and come back as ``values_at``;
+    one out of range rides there as 0 and comes back NaN, refused where it is read."""
     lo, hi = spec.lo, spec.hi
     sub_lo, sub_hi, count = lo, hi, spec.n_points
     n_evals = 0
@@ -494,7 +495,9 @@ def grid_search(p: Portfolio, m: MarketModel, pref: CptPreference, spec: GridSpe
             count = max(3, int(round((sub_hi - sub_lo) / step)) + 1)
         grid = np.linspace(sub_lo, sub_hi, count)
         if refinement == spec.refinement_rounds:
-            values, values_at = _evaluate_with(p, m, pref, grid, at)
+            ok = _in_range(p, m, pref, at)
+            values = evaluate_objective_grid(p, m, pref, np.append(grid, np.where(ok, at, 0.0)))
+            values, values_at = values[:count], np.where(ok, values[count:], np.nan)
         elif refinement or m.law.atoms is not None:
             values = evaluate_objective_grid(p, m, pref, grid)
         else:
@@ -518,8 +521,8 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
     the ladder end within 1e-9 of the claimed limit prospect, and no grid
     point beating the limit.  Unbounded power objectives on an infinite ray
     are monotone, so there strict increase along the whole ladder is required.
-    The ladder and the grid share one grid call.  Also returns how many points it
-    evaluated: the ladder, plus the grid.
+    The ladder and the grid share one grid call, where grid points out of range ride as
+    0, refused where the grid is read.  Also returns the points evaluated: both sets.
     """
     sign = 1.0 if solution.kind is SolutionKind.PLUS_INFINITY else -1.0
     scale = 1.0 / pref.utility.eta_gain if isinstance(pref.utility, ExponentialUtility) else 1.0
@@ -533,9 +536,11 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
     # only a finite limit has a dominance grid
     grid = (np.linspace(spec.lo, spec.hi, min(spec.n_points, 2001))
             if math.isfinite(solution.prospect) else rungs[:0])
-    values, grid_values = _evaluate_with(p, m, pref, rungs, grid)
+    ok = _in_range(p, m, pref, grid)
+    values = evaluate_objective_grid(p, m, pref, np.append(rungs, np.where(ok, grid, 0.0)))
+    values, grid_values = values[:rungs.size], values[rungs.size:]
     ladder = ", ".join(f"{v:.10g}" for v in values)
-    n_evals = len(values) + (0 if grid_values is None else len(grid))
+    n_evals = len(values) + len(grid)
 
     if not math.isfinite(solution.prospect):
         if not (np.diff(values) > 0.0).all():
@@ -547,9 +552,7 @@ def _certify_unbounded(solution: Solution, p: Portfolio, m: MarketModel,
         return False, f"ladder end misses the limit prospect by {gap:.3e}", n_evals
     if values[-1] < values[-2] - _LIMIT_TOL:
         return False, f"objective not approaching the limit from below: [{ladder}]", n_evals
-    if grid_values is None:
-        grid_values = evaluate_objective_grid(p, m, pref, grid)
-        n_evals += len(grid)
+    _refuse(grid, ok)
     best = float(grid_values.max())
     if best > solution.prospect + tol:
         return False, (f"a finite trade beats the claimed limit: {best:.10g} vs "
@@ -569,19 +572,16 @@ def _certify_interval(solution: Solution, p: Portfolio, m: MarketModel,
     return True, "interval is flat at the reported prospect", len(thetas)
 
 
-def _certify_point(solution: Solution, result: GridSearchResult, p: Portfolio,
-                   m: MarketModel, pref: CptPreference, tol: float) -> tuple[bool, str]:
+def _certify_point(solution: Solution, result: GridSearchResult, tol: float) -> tuple[bool, str]:
     """``result``: a search with ``at=(theta*,)``, whose ``values_at`` is the value at the
-    reported theta, or None, where it is evaluated in a call of its own."""
+    reported theta; the range rule refuses theta* here, where it is read."""
     gap = result.max_value - solution.prospect
     if abs(gap) > tol:
         return False, (f"grid maximum {result.max_value:.10g} vs reported "
                        f"{solution.prospect:.10g} (gap {gap:.3e}, worst theta "
                        f"{result.argmax_theta:.6g})")
-    direct = result.values_at
-    if direct is None:
-        direct = evaluate_objective_grid(p, m, pref, np.array([solution.theta]))
-    direct = float(direct[0])
+    _refuse(solution.theta, np.isfinite(result.values_at[0]))
+    direct = float(result.values_at[0])
     if abs(direct - solution.prospect) > tol:
         return False, (f"objective at the reported theta is {direct:.10g}, not the reported "
                        f"prospect {solution.prospect:.10g}")
@@ -615,6 +615,6 @@ def verify(solution: Solution, p: Portfolio, m: MarketModel, pref: CptPreference
         result = grid_search(p, m, pref, spec, at=(solution.theta,))
         search = (result.argmax_theta, result.max_value, result.final_step)
         n_evals = result.n_evaluations
-        ok, detail = _certify_point(solution, result, p, m, pref, tol)
+        ok, detail = _certify_point(solution, result, tol)
     return OracleReport("match" if ok else "mismatch", detail, solution.representative_theta,
                         solution.prospect, *search, n_evaluations=n_evals)

@@ -292,11 +292,11 @@ def test_grid_refuses_a_student_t_tail_past_sigma_700(returns, pref):
 
 
 @pytest.mark.parametrize("returns, theta", [
-    # s*Q overflows at the deep tail quantiles; under the power utility the row is +inf
+    # s*Q overflows at the deep tail quantiles: the range rule refuses the row first
     (Lognormal(0.06, 0.2), 5.1e307),
     (Binomial(1.5, 0.95, 0.55), 1.5e308),
 ], ids=["lognormal", "binomial"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_grid_refuses_a_row_whose_wealth_difference_overflows(returns, theta):
     m = MarketModel(0.02, 0.01, returns)
     pref = CptPreference(PowerUtility(0.8, 0.88, 2.25), TK)
@@ -310,8 +310,8 @@ def test_grid_refuses_a_row_whose_wealth_difference_overflows(returns, theta):
                                      StudentT(5.0, 0.02, 0.1), Binomial(1.5, 0.95, 0.55),
                                      EMPIRICAL],
                          ids=["lognormal", "normal", "student-t", "two-state", "empirical"])
-# inf - inf and 0 * inf in the wealth difference's coefficients
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# refused by the range rule before its coefficients hold inf - inf or 0 * inf
+@pytest.mark.filterwarnings("error")
 def test_grid_refuses_a_theta_that_is_not_finite(returns, lam, theta):
     """A continuous row with a NaN slope (theta NaN or +inf) or a NaN base (-inf) used
     to come back as 0.0; every law refuses it and names it."""
@@ -330,9 +330,81 @@ def test_grid_refuses_a_theta_that_is_not_finite(returns, lam, theta):
      CptPreference(PowerUtility(0.8, 0.88, 2.25), TK)),
 ], ids=["binomial", "lognormal"])
 def test_difference_law_refuses_a_wealth_difference_that_overflows(m, port, pref):
-    # gross * held overflows to inf, and inf - inf leaves a NaN wealth difference
+    # gross * held would overflow to inf, and inf - inf leave a NaN wealth difference:
+    # the range rule refuses theta before difference_law builds it
     with pytest.raises(GridRangeError, match=re.escape("theta=1.7e+308 overflows")):
         evaluate_objective(port, m, pref, 1.7e308)
+
+
+_POWER_088 = CptPreference(PowerUtility(0.88, 0.88, 2.25), TK)
+_POWER_1 = CptPreference(PowerUtility(1.0, 1.0, 2.25), TK)
+_EXP_12 = CptPreference(ExponentialUtility(1.5, 1.5, 1.2), TK)
+_TABLE_LAWS = {"lognormal": Lognormal(0.05, 0.2), "normal": Normal(0.05, 0.2),
+               "student-t": StudentT(5.0, 0.05, 0.2)}
+
+
+@pytest.mark.parametrize("m, port, pref, theta", [
+    *(pytest.param(MarketModel(0.01, 0.02, law), Portfolio(1.0, 1.0), _POWER_088, 5.1e307,
+                   id=f"{name}-power-0.88") for name, law in _TABLE_LAWS.items()),
+    *(pytest.param(MarketModel(0.01, 0.02, law), Portfolio(1.0, 1.0), _POWER_1, theta,
+                   id=f"{name}-power-1-{theta:+.1e}")
+      for name, law in _TABLE_LAWS.items() for theta in (5.1e307, -5.1e307)),
+    pytest.param(MarketModel(0.01, 0.02, _TABLE_LAWS["lognormal"]), Portfolio(1.0, 1.0),
+                 _EXP_12, 1.7e308, id="lognormal-exponential"),
+    pytest.param(BINOM, CASH, _EXP_12, 1.7e308, id="two-state-exponential"),
+])
+def test_every_evaluator_refuses_a_theta_past_the_range_rule(m, port, pref, theta):
+    """One theta, one answer: where the adaptive evaluator gave a number or a
+    divergence and the grid a range error, or the grid a saturated number under the
+    bounded utility, both refuse the theta, by name, before evaluating anything."""
+    message = f"^the wealth difference at theta={re.escape(repr(theta))} overflows the float"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridRangeError, match=message):
+            evaluate_objective(port, m, pref, theta)
+        with pytest.raises(GridRangeError, match=message):
+            evaluate_objective_grid(port, m, pref, np.array([1.0, theta]))
+
+
+def _largest_in_range(port, m, pref) -> float:
+    """The largest theta the range rule admits, by bisection on the float bit patterns."""
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if oracle._in_range(port, m, pref, np.int64(mid).view(np.float64)):
+            lo = mid
+        else:
+            hi = mid
+    return float(np.int64(lo).view(np.float64))
+
+
+@pytest.mark.parametrize("returns", [Lognormal(0.05, 0.2), Normal(0.05, 0.2),
+                                     StudentT(5.0, 0.02, 0.1), StudentT(1.2, 0.0, 0.1),
+                                     Binomial(1.5, 0.95, 0.55), EMPIRICAL],
+                         ids=["lognormal", "normal", "student-t", "student-t-1.2",
+                              "two-state", "empirical"])
+@pytest.mark.parametrize("weighting", [TK, PrelecWeighting(0.65, 0.8, 1.2), IdentityWeighting()],
+                         ids=_kind)
+@pytest.mark.parametrize("utility", [PowerUtility(1.0, 1.0, 2.25), BOUNDED], ids=_kind)
+def test_grid_rows_at_the_range_bound_are_finite(returns, weighting, utility):
+    """The rule is one bound per problem: the grid evaluates both ends of the range
+    with no overflow (its finiteness check holds there), and refuses the next float."""
+    m, pref, port = MarketModel(0.01, 0.02, returns), CptPreference(utility, weighting), HOLDING
+    bound = _largest_in_range(port, m, pref)
+    assert 1e50 < bound < 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = evaluate_objective_grid(port, m, pref, np.array([-bound, 0.0, bound]))
+        except ProspectDivergenceError:
+            # the heavy Student-t tail against TK and the power utility: a divergence,
+            # which the grid finds before it evaluates a row
+            assert returns.nu < 2.0 and weighting is TK and utility is not BOUNDED
+        else:
+            assert np.isfinite(values).all()
+        beyond = math.nextafter(bound, math.inf)
+        with pytest.raises(GridRangeError, match=re.escape(f"theta={beyond!r} overflows")):
+            evaluate_objective_grid(port, m, pref, np.array([0.0, beyond]))
 
 
 def test_grid_follows_the_polynomial_tail_of_student_t():
@@ -893,6 +965,35 @@ def test_a_continuous_first_pass_evaluates_a_quarter_of_its_grid_at_most(monkeyp
     assert evaluated.sum() <= 0.25 * spec.n_points
 
 
+@pytest.mark.parametrize("returns, pref", [
+    # the gain tail decays like e**(-(0.5 - 0.8/1.5) * sigma): no rate, a divergence
+    (StudentT(1.5, 0.02, 0.1),
+     CptPreference(PowerUtility(0.8, 0.9), TverskyKahnemanWeighting(0.5, 0.69))),
+    # Prelec spans reach sigma ~ 4 100, where Student-t quantiles have no form
+    (StudentT(5.0, 0.02, 0.1), CptPreference(BOUNDED, PrelecWeighting(0.5, 0.7, 1.3))),
+    # TK: 40 e-folds of the gain tail reach sigma ~ 800, past 700
+    (StudentT(2.0, 0.02, 0.1), CptPreference(POWER, TverskyKahnemanWeighting(0.4, 0.69))),
+], ids=["tail-rate", "prelec-depth", "tk-depth"])
+@pytest.mark.parametrize("y0, lo", [(1.0, -1.0), (1.0, -3.0), (0.0, -1.0)])
+def test_the_bounded_first_pass_refuses_what_the_whole_grid_does(returns, pref, y0, lo,
+                                                                  monkeypatch):
+    """The bounding call's probes hold every level and ray of the first-pass grid, so
+    its refusal is the whole grid's, type and message, with no fall-back call."""
+    m, port = MarketModel(0.01, 0.02, returns), Portfolio(1.0, y0)
+    grid = np.linspace(lo, 5.0, 4001)
+    refusals = []
+    for evaluate in (evaluate_objective_grid, oracle._bounded_first_pass):
+        with pytest.raises((GridRangeError, ProspectDivergenceError)) as refused:
+            evaluate(port, m, pref, grid)
+        refusals.append((refused.type, str(refused.value)))
+        monkeypatch.setattr(oracle, "evaluate_objective_grid", _refuse_a_fall_back_call)
+    assert refusals[0] == refusals[1]
+
+
+def _refuse_a_fall_back_call(*args):
+    raise AssertionError("the bounded first pass fell back to a call of the whole grid")
+
+
 def _overflow(theta: str) -> GridRangeError:
     return GridRangeError(f"the wealth difference at theta={theta} overflows the float range")
 
@@ -910,22 +1011,23 @@ LADDER_PROBLEM = (BULL, POWER_PREF, GridSpec(0.0, 1.7e308, 801, 2))
                  "0.1592)", id="point-grid-maximum"),
     pytest.param(Solution.point(1.7e308, "T3.1-2b", 0.011459079429349067), POINT_PROBLEM,
                  _overflow("1.7e+308"), id="point-at-theta"),
-    # the dominance grid overflows, but the ladder already misses the limit
+    # the dominance grid runs past the range rule's bound, but the ladder already misses
+    # the limit; where the grid is read, the rule names its first point past the bound
     pytest.param(Solution.unbounded(1.0, "T3.1-8b", 0.35), LADDER_PROBLEM,
                  "ladder end misses the limit prospect by 8.749e+00", id="ladder-end"),
     pytest.param(Solution.unbounded(1.0, "T3.1-8b", None), LADDER_PROBLEM,
-                 _overflow("1.7000000000000001e+307"), id="dominance-grid"),
+                 _overflow("2.125e+305"), id="dominance-grid"),
 ])
 def test_verify_refuses_a_point_where_two_grid_calls_would(solution, problem, outcome):
-    """Where the call that evaluates two sets of points together is refused, verify
-    answers as two calls would: a verdict reached before the second set is read
-    stands, and a refused point raises only when it is read."""
+    """Where one grid call evaluates two sets of points, verify answers as two calls
+    would: a verdict reached before the second set is read stands, and a point the
+    range rule refuses raises only when it is read."""
     (m, pref, spec), port = problem, HOLDING
     if solution.prospect is None:  # the ladder end, so the ladder passes
         end = evaluate_objective_grid(port, m, pref, np.array([1000.0]))
         solution = Solution.unbounded(1.0, solution.case_id, float(end[0]))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the refused rows' inf - inf
+        warnings.simplefilter("error")  # a refused point rides its call as 0: no overflow
         if isinstance(outcome, Exception):
             with pytest.raises(type(outcome), match=f"^{re.escape(str(outcome))}$"):
                 verify(solution, port, m, pref, spec)
